@@ -4,13 +4,19 @@ Everything here is computed with `fractions.Fraction`; no floating point
 enters any measure. Arcs may wrap past 1, and all operations treat the
 circle, not the interval [0,1], as the underlying space, so an arc of
 half-width c/p has measure exactly 2c/p wherever its center sits.
+
+`sweep` is the one place where arc endpoints are ordered: unions, level
+sets and the exact expectation all walk its output, so they share one
+order and one tie rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from itertools import groupby
+from operator import itemgetter
+from typing import Iterable, Iterator, Sequence, Union
 
 RationalLike = Union[Fraction, int, str]
 
@@ -122,6 +128,34 @@ EMPTY_UNION = ArcUnion(())
 FULL_CIRCLE = Arc(ZERO, ONE)
 
 
+def sweep(
+    pieces: Iterable[tuple[Fraction, Fraction, object]],
+) -> Iterator[tuple[Fraction, list, list]]:
+    """Walk the endpoints of closed pieces (start, end, tag) in ascending order.
+
+    Yields (position, tags starting there, tags ending there) once per
+    distinct position. Endpoints are sorted by the exact integer key
+    floor(x * 2^b) with b = 2B + 1, B the bit length of the largest
+    denominator: distinct endpoints differ by more than 2^-2B, so the key
+    orders them exactly and gives equal endpoints equal keys.
+    """
+    events = []
+    for start, end, tag in pieces:
+        events.append((start, True, tag))
+        events.append((end, False, tag))
+    if not events:
+        return
+    shift = 2 * max(pos.denominator for pos, _, _ in events).bit_length() + 1
+    for i, (pos, is_start, tag) in enumerate(events):
+        events[i] = ((pos.numerator << shift) // pos.denominator, pos, is_start, tag)
+    events.sort(key=itemgetter(0))
+    for _, group in groupby(events, itemgetter(0)):
+        starts, ends = [], []
+        for _, pos, is_start, tag in group:
+            (starts if is_start else ends).append(tag)
+        yield pos, starts, ends
+
+
 def normalize_union(arcs: Iterable[Arc]) -> ArcUnion:
     """Merge arbitrary arcs into the maximal disjoint sorted representation.
 
@@ -129,20 +163,20 @@ def normalize_union(arcs: Iterable[Arc]) -> ArcUnion:
     covering family collapses to the single full-circle arc. Idempotent
     and independent of input order.
     """
-    segments: list[tuple[Fraction, Fraction]] = []
-    for arc in arcs:
-        segments.extend(arc.segments())
-    if not segments:
+    # Every endpoint of a closed piece is covered, so a run opens where the
+    # count of open pieces leaves zero and closes where it returns to zero.
+    merged: list[tuple[Fraction, Fraction]] = []
+    count = 0
+    for pos, starts, ends in sweep(
+        (start, end, None) for arc in arcs for start, end in arc.segments()
+    ):
+        if not count:
+            run_start = pos
+        count += len(starts) - len(ends)
+        if not count:
+            merged.append((run_start, pos))
+    if not merged:
         return EMPTY_UNION
-    segments.sort()
-
-    merged: list[list[Fraction]] = [list(segments[0])]
-    for start, end in segments[1:]:
-        if start <= merged[-1][1]:
-            if end > merged[-1][1]:
-                merged[-1][1] = end
-        else:
-            merged.append([start, end])
 
     if len(merged) == 1 and merged[0][0] == ZERO and merged[0][1] == ONE:
         return ArcUnion((FULL_CIRCLE,))

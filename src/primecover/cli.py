@@ -12,7 +12,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -52,7 +51,6 @@ from .sievelab import (
 # fixed default so undocumented runs stay reproducible
 DEFAULT_SEED = 1729
 DEFAULT_ETA = Fraction(1, 10**14)
-THREADS_ENV = "PRIMECOVER_THREADS"
 
 
 @dataclass(frozen=True)
@@ -76,7 +74,6 @@ class RunConfig:
     primes_up_to: Optional[int] = None
     sparse: Optional[str] = None
     psi: Optional[str] = None
-    threads: int = 1
 
 
 class CliError(Exception):
@@ -185,9 +182,7 @@ def cmd_sievelab(config: RunConfig) -> str:
     if config.exact:
         doc["omega_expectation"] = rat_str(omega_expectation_exact(x, y, c))
     if config.trials is not None:
-        mean, stderr = omega_expectation_mc(
-            x, y, c, config.trials, config.seed, threads=config.threads
-        )
+        mean, stderr = omega_expectation_mc(x, y, c, config.trials, config.seed)
         doc["mc"] = {
             "mean": mean,
             "stderr": stderr,
@@ -373,7 +368,6 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     epsilons = None
     if getattr(args, "epsilons", None):
         epsilons = tuple(to_fraction(part) for part in args.epsilons.split(","))
-    threads = int(os.environ.get(THREADS_ENV, "1"))
     return RunConfig(
         command=args.command,
         bound=getattr(args, "bound", None),
@@ -394,7 +388,6 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         primes_up_to=getattr(args, "primes_up_to", None),
         sparse=getattr(args, "sparse", None),
         psi=getattr(args, "psi", None),
-        threads=max(threads, 1),
     )
 
 

@@ -170,8 +170,8 @@ class _SegmentCover:
         return gain
 
 
-def _greedy_pick(cover: _SegmentCover, p: int, c: Fraction) -> tuple[int, Fraction]:
-    """Best (a, gain) for prime p against a segment cover; ties to smallest a.
+def _greedy_pick(segments, covered: Fraction, p: int, c: Fraction) -> tuple[int, Fraction]:
+    """Best (a, gain) for prime p against segments of measure `covered`; ties to smallest a.
 
     Candidate windows are computed in units of 1/p, where the arc of a
     spans [a - c, a + c] and a covered segment [s, e] spans [p*s, p*e];
@@ -179,12 +179,12 @@ def _greedy_pick(cover: _SegmentCover, p: int, c: Fraction) -> tuple[int, Fracti
     """
     radius = c / p
     full_gain = 2 * radius
-    if not cover.segments:
+    if not segments:
         return 0, full_gain
-    if cover.measure == 1:
+    if covered == 1:
         return 0, Fraction(0)
 
-    scaled = [(p * s, p * e) for s, e in cover.segments]
+    scaled = [(p * s, p * e) for s, e in segments]
 
     blocked = bytearray(p)
     for ps, pe in scaled:
@@ -217,11 +217,8 @@ def greedy_step(covered: ArcUnion, p: int, c: RationalLike) -> tuple[int, Fracti
     Ties break to the smallest a. When some candidate arc is disjoint from
     the covered set the scan short-circuits: its gain 2c/p is the maximum.
     """
-    c = to_fraction(c)
-    cover = _SegmentCover()
-    for arc in covered.arcs:
-        cover.add_arc(arc)
-    return _greedy_pick(cover, p, c)
+    segments = [piece for arc in covered.arcs for piece in arc.segments()]
+    return _greedy_pick(segments, covered.measure(), p, to_fraction(c))
 
 
 def greedy_sequence(bound: int, c: RationalLike) -> NumeratorSequence:
@@ -234,7 +231,7 @@ def greedy_sequence(bound: int, c: RationalLike) -> NumeratorSequence:
     cover = _SegmentCover()
     entries = []
     for p in sieve_range(bound).primes:
-        a, _ = _greedy_pick(cover, p, c)
+        a, _ = _greedy_pick(cover.segments, cover.measure, p, c)
         entries.append((p, a))
         cover.add_arc(arc_of(p, a, c))
     return NumeratorSequence(c=c, entries=tuple(entries), method="greedy")
@@ -248,11 +245,7 @@ def uncovered_measure(
     if not x < y:
         raise ValueError(f"need X < Y, got X={x}, Y={y}")
     primes = primes_between(x, y)
-    return union_uncovered(seq.arcs_for(primes))
-
-
-def union_uncovered(arcs) -> Fraction:
-    return 1 - normalize_union(arcs).measure()
+    return 1 - normalize_union(seq.arcs_for(primes)).measure()
 
 
 def block_construction(
@@ -307,7 +300,7 @@ def block_construction(
                 )
             p = primes[idx]
             idx += 1
-            a, gain = _greedy_pick(cover, p, c)
+            a, gain = _greedy_pick(cover.segments, cover.measure, p, c)
             block_entries.append((p, a))
             cover.add_arc(arc_of(p, a, c))
             stall = stall + 1 if gain == 0 else 0

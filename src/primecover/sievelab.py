@@ -14,12 +14,11 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .arcs import RationalLike, arc_of, normalize_union, rat_str, to_fraction
+from .arcs import RationalLike, arc_of, normalize_union, rat_str, sweep, to_fraction
 from .primes import is_prime, primes_between
 from .sequences import NumeratorSequence
 
@@ -81,25 +80,14 @@ def level_sets(
     primes = primes_between(x, y)
     arcs = seq.arcs_for(primes)
 
-    events: list[tuple[Fraction, int]] = []
-    for arc in arcs:
-        for s, e in arc.segments():
-            events.append((s, 1))
-            events.append((e, -1))
-    events.sort(key=lambda t: t[0])
-
     levels: dict[int, Fraction] = {0: Fraction(0)}
     prev = Fraction(0)
     count = 0
-    i = 0
-    while i < len(events):
-        pos = events[i][0]
+    for pos, starts, ends in sweep((s, e, None) for arc in arcs for s, e in arc.segments()):
         if pos > prev:
             levels[count] = levels.get(count, Fraction(0)) + (pos - prev)
             prev = pos
-        while i < len(events) and events[i][0] == pos:
-            count += events[i][1]
-            i += 1
+        count += len(starts) - len(ends)
     if prev < 1:
         levels[count] = levels.get(count, Fraction(0)) + (1 - prev)
 
@@ -181,33 +169,25 @@ def omega_expectation_exact(
             f"exceed the budget of {max_endpoints}"
         )
 
-    events: list[tuple[Fraction, int, int]] = []
-    for i, p in enumerate(primes):
-        for a in range(p):
-            for s, e in arc_of(p, a, c).segments():
-                events.append((s, 1, i))
-                events.append((e, -1, i))
-    # ends before starts at equal positions keeps per-prime counts minimal
-    events.sort(key=lambda t: (t[0], t[1]))
-
     counts = [0] * len(primes)
     product = Fraction(1)
     expectation = Fraction(0)
     prev = Fraction(0)
-    i = 0
-    while i < len(events):
-        pos = events[i][0]
+    for pos, starts, ends in sweep(
+        (s, e, i)
+        for i, p in enumerate(primes)
+        for a in range(p)
+        for s, e in arc_of(p, a, c).segments()
+    ):
         if pos > prev:
             expectation += (pos - prev) * product
             prev = pos
-        while i < len(events) and events[i][0] == pos:
-            _, delta, idx = events[i]
-            p = primes[idx]
-            old = counts[idx]
-            new = old + delta
-            counts[idx] = new
-            product *= Fraction(p - new, p - old)
-            i += 1
+        # ends before starts: at c = 1/2 the arcs of 2 touch, and a start
+        # applied first would bring its count to p
+        for idx, delta in [(i, -1) for i in ends] + [(i, 1) for i in starts]:
+            p, old = primes[idx], counts[idx]
+            counts[idx] = old + delta
+            product *= Fraction(p - old - delta, p - old)
     if prev < 1:
         expectation += (1 - prev) * product
     return expectation
@@ -231,7 +211,8 @@ def omega_expectation_mc(
     Each trial draws its numerators from a stream derived from (seed,
     trial index), so results are identical however the trials are
     scheduled; each trial's uncovered measure is computed exactly and
-    only the final aggregation is floated.
+    only the final aggregation is floated. Trials run one after another;
+    `threads` is accepted for compatibility and ignored.
     """
     x, y = to_fraction(x), to_fraction(y)
     c = to_fraction(c)
@@ -241,16 +222,11 @@ def omega_expectation_mc(
         raise ValueError(f"c must lie in (0, 1/2], got {c}")
     primes = primes_between(x, y)
 
-    def one_trial(i: int) -> Fraction:
+    values = []
+    for i in range(trials):
         rng = random.Random(_trial_seed(seed, i))
         arcs = [arc_of(p, rng.randrange(p), c) for p in primes]
-        return 1 - normalize_union(arcs).measure()
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            values = list(pool.map(one_trial, range(trials)))
-    else:
-        values = [one_trial(i) for i in range(trials)]
+        values.append(1 - normalize_union(arcs).measure())
 
     mean = sum(values, Fraction(0)) / trials
     if trials > 1:

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -94,6 +95,15 @@ class TestNormalizeUnion:
         u = normalize_union([Arc(F(1, 4), F(1, 4)), Arc(F(1, 2), F(1, 4))])
         assert u.arcs == (Arc(F(1, 4), F(1, 2)),)
 
+    def test_farey_neighbours_near_10_to_12(self):
+        k = 5 * 10**11
+        lo, hi = F(k, 2 * k + 1), F(k + 1, 2 * k + 3)  # hi - lo = 1/(b*d)
+        first = Arc(F(1, 4), lo - F(1, 4))
+        touching = normalize_union([Arc(lo, F(1, 4)), first])
+        assert touching.arcs == (Arc(F(1, 4), lo),)
+        apart = normalize_union([Arc(hi, F(1, 4)), first])
+        assert apart.arcs == (first, Arc(hi, F(1, 4)))
+
 
 class TestMeasure:
     def test_single_arc(self):
@@ -150,31 +160,57 @@ arc_strategy = st.builds(
 family_strategy = st.lists(arc_strategy, max_size=6)
 
 
+@st.composite
+def farey_family(draw):
+    """Arcs whose endpoints are Farey neighbours with denominators near 10^12.
+
+    Neighbours a/b < c/d satisfy bc - ad = 1, so they differ by 1/(b*d),
+    about 10^-24. Returns the family and a probe point among the endpoints
+    and the midpoints between them.
+    """
+    near = st.integers(10**12, 10**12 + 10**6)
+    d = draw(near)
+    b = draw(near.filter(lambda b: math.gcd(b, d) == 1))
+    c = pow(b, -1, d)
+    a = (b * c - 1) // d
+    points = sorted([F(a, b), F(c, d), F(a + c, b + d)])
+    ends = st.sampled_from(points)
+    family = [
+        Arc(left, (right - left) % 1)
+        for left, right in draw(st.lists(st.tuples(ends, ends), max_size=6))
+    ]
+    probes = points + [(s + t) / 2 for s, t in zip(points, points[1:])]
+    return family, draw(st.sampled_from(probes))
+
+
 class TestInvariants:
     @given(family_strategy)
     def test_subadditive(self, family):
         total = sum((a.length for a in family), F(0))
         assert measure(normalize_union(family)) <= total
 
-    @given(family_strategy)
+    @given(family_strategy, farey_family())
     @settings(max_examples=60)
-    def test_order_independent(self, family):
+    def test_order_independent(self, family, farey):
         rng = random.Random(1)
-        shuffled = family[:]
-        rng.shuffle(shuffled)
-        assert normalize_union(shuffled) == normalize_union(family)
+        for family in (family, farey[0]):
+            shuffled = family[:]
+            rng.shuffle(shuffled)
+            assert normalize_union(shuffled) == normalize_union(family)
 
-    @given(family_strategy)
+    @given(family_strategy, farey_family())
     @settings(max_examples=60)
-    def test_complement_measure(self, family):
-        u = normalize_union(family)
-        assert measure(u) + measure(complement(u)) == 1
+    def test_complement_measure(self, family, farey):
+        for family in (family, farey[0]):
+            u = normalize_union(family)
+            assert measure(u) + measure(complement(u)) == 1
 
-    @given(family_strategy, small_fractions)
+    @given(family_strategy, small_fractions, farey_family())
     @settings(max_examples=80)
-    def test_membership_matches_sources(self, family, x):
-        u = normalize_union(family)
-        assert u.contains(x) == any(a.contains(x) for a in family)
+    def test_membership_matches_sources(self, family, x, farey):
+        for family, x in ((family, x), farey):
+            u = normalize_union(family)
+            assert u.contains(x) == any(a.contains(x) for a in family)
 
     def test_equality_iff_disjoint(self):
         rng = random.Random(20)

@@ -173,8 +173,10 @@ class TestOmegaExact:
 
     def test_enumeration_with_two(self):
         primes = primes_between(1, 7)
-        exact = omega_expectation_exact(1, 7, F(1, 3))
-        assert exact == enumeration_average(primes, F(1, 3))
+        # at c = 1/2 the two arcs of 2 touch at both ends
+        for c in (F(1, 3), HALF):
+            exact = omega_expectation_exact(1, 7, c)
+            assert exact == enumeration_average(primes, c)
 
     def test_enumeration_larger_range(self):
         # product of primes 7*11*13 = 1001 still enumerable
