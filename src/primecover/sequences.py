@@ -16,6 +16,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate, compress, repeat
+from operator import add, mul
 from pathlib import Path
 from typing import Iterable, Optional, Union
 
@@ -34,9 +36,45 @@ METHODS = ("random", "greedy", "blocks", "constant", "custom")
 # consecutive zero-gain greedy steps that trigger the block random restart
 _STALL_LIMIT = 30
 
+# fractional bits of the greedy merge walk's fixed point; the exact
+# confirmation keeps the pick correct for any value, and more bits only
+# leave fewer candidates to confirm
+_FIXED_BITS = 64
+
 
 class BudgetExhaustedError(RuntimeError):
     """Raised when block construction hits its prime budget."""
+
+
+def _fraction_text(q: Fraction) -> str:
+    """q >= 0 as str() gives it, or, past the int-to-str digit limit, an approximation.
+
+    The approximation names the digit counts of the exact numerator and
+    denominator and truncates q to 7 significant digits; nothing here
+    converts a long int to str, so building it cannot raise.
+    """
+    try:
+        return str(q)
+    except ValueError:
+        pass
+    num, den = q.numerator, q.denominator
+    num_digits, den_digits = _digit_count(num), _digit_count(den)
+    shift = 7 - (num_digits - den_digits)  # q * 10^shift lies in (10^6, 10^8)
+    mantissa = num * 10**shift // den if shift >= 0 else num // (den * 10**-shift)
+    digits = str(mantissa)
+    return (
+        f"~{digits[0]}.{digits[1:7]}e{len(digits) - 1 - shift} (approximate; exact "
+        f"value has a {num_digits}-digit numerator and a {den_digits}-digit denominator)"
+    )
+
+
+def _digit_count(n: int) -> int:
+    """Decimal digits of n >= 1, without converting n to str."""
+    # 2^(bits-1) <= n < 2^bits, so floor(bits * log10(2)) is digits - 1 or digits
+    count = int(n.bit_length() * math.log10(2))
+    while n >= 10**count:
+        count += 1
+    return count
 
 
 @dataclass(frozen=True)
@@ -155,7 +193,7 @@ class _SegmentCover:
     """Covered set kept as sorted disjoint closed segments inside [0, 1].
 
     Wrapping arcs are stored as their two pieces; measures are unaffected
-    and the candidate scan handles the wrap by shifting candidates.
+    and _greedy_pick measures the window of a = 0 at both ends of [0, 1].
     """
 
     def __init__(self) -> None:
@@ -171,53 +209,105 @@ class _SegmentCover:
 
 
 def _greedy_pick(segments, covered: Fraction, p: int, c: Fraction) -> tuple[int, Fraction]:
-    """Best (a, gain) for prime p against segments of measure `covered`; ties to smallest a.
+    """Best (a, gain) for prime p against sorted disjoint segments of measure `covered`.
 
-    Candidate windows are computed in units of 1/p, where the arc of a
-    spans [a - c, a + c] and a covered segment [s, e] spans [p*s, p*e];
-    this keeps the scan in small-denominator arithmetic.
+    The window of a spans [a - c, a + c] in units of 1/p, so overlap(a),
+    the covered length inside it, is F(a + c) - F(a - c) with F(x) the
+    covered length of [0, x/p] in those units; the window of a = 0 also
+    takes [p - c, p]. The pick is the smallest a of least overlap, and
+    its gain is 2c/p - overlap(a)/p, exactly.
+
+    Positions run in fixed point: x/p maps to the integer x * v * 2^K
+    (c = u/v, K = _FIXED_BITS), so window a is exactly [aU - W, aU + W]
+    with U = v * 2^K and W = u * 2^K. A segment [s, e] is rounded outward
+    to [floor(s * pU), ceil(e * pU)].
+
+    1. Gap walk. A window misses the covered set exactly when it fits in
+       a closed gap between segments. Against an integer bound,
+       x <= N iff ceil(x) <= N and N <= x iff N <= floor(x), so the
+       rounded gaps decide this exactly. Walking the gaps in order,
+       the first that holds a window gives the smallest such a.
+    2. Merge walk. Otherwise est(a), overlap(a) against the rounded
+       segments, comes from one walk over the segments. Windows are U
+       apart and at most U wide (c <= 1/2), so a segment meets windows
+       partly only at its two ends and holds every window between them,
+       where F(a + c) - F(a - c) is 2W. The walk adds the two ends, and
+       a prefix sum over a difference array counts the windows inside.
+    3. Exact confirmation. Lowering a segment's start by less than one
+       unit adds less than one unit to its overlap with any window (the
+       two pieces of a = 0's window included), and likewise raising its
+       end, so with n segments est(a) - overlap(a) lies in [0, 2n). Every
+       a of least overlap therefore has est(a) < min(est) + 2n. Those
+       candidates alone are measured again with Fraction, from the
+       segments bisect finds near their windows: the rounded spans
+       contain the exact ones. The least exact overlap wins, ties to the
+       smallest a. No float is involved anywhere.
     """
-    radius = c / p
-    full_gain = 2 * radius
+    full_gain = 2 * c / p
     if not segments:
         return 0, full_gain
     if covered == 1:
         return 0, Fraction(0)
 
-    scaled = [(p * s, p * e) for s, e in segments]
+    u, v = c.numerator, c.denominator
+    unit, half = v << _FIXED_BITS, u << _FIXED_BITS
+    scale = p * unit  # fixed-point image of the point 1
+    starts = [s.numerator * scale // s.denominator for s, _ in segments]
+    ends = [-(-e.numerator * scale // e.denominator) for _, e in segments]
 
-    blocked = bytearray(p)
-    for ps, pe in scaled:
-        lo_base = math.floor(ps - c) + 1
-        hi_base = math.ceil(pe + c) - 1
-        for k in (-1, 0, 1):
-            for a in range(max(lo_base - k * p, 0), min(hi_base - k * p, p - 1) + 1):
-                blocked[a] = 1
-    for a in range(p):
-        if not blocked[a]:
-            return a, full_gain
+    # 1. gap walk; the window of a = 0 straddles the gap that wraps through 0
+    if half <= starts[0] and ends[-1] <= scale - half:
+        return 0, full_gain
+    for lo, hi in zip([0, *ends], [*starts, scale]):
+        if hi - lo >= 2 * half:
+            a = -(-(lo + half) // unit)
+            if a * unit + half <= hi:
+                return a, full_gain
 
-    overlaps = [Fraction(0)] * p  # in units of 1/p
-    for ps, pe in scaled:
-        lo_base = math.floor(ps - c) + 1
-        hi_base = math.ceil(pe + c) - 1
-        for k in (-1, 0, 1):
-            kp = k * p
-            for a in range(max(lo_base - kp, 0), min(hi_base - kp, p - 1) + 1):
-                overlap = min(pe, a + kp + c) - max(ps, a + kp - c)
-                if overlap > 0:
-                    overlaps[a] += overlap
-    best_a = min(range(p), key=lambda a: (overlaps[a], a))
-    return best_a, full_gain - overlaps[best_a] / p
+    # 2. merge walk; index p is the window of a = 0 seen from the far end
+    est = [0] * (p + 1)
+    inside = [0] * (p + 1)
+    for lo, hi in zip(starts, ends):
+        first = (lo - half) // unit + 1  # smallest a with aU + W > lo
+        last = (hi + half - 1) // unit  # largest a with aU - W < hi
+        if first > last:
+            continue
+        est[first] += min(hi, first * unit + half) - max(lo, first * unit - half)
+        if first < last:
+            est[last] += min(hi, last * unit + half) - (last * unit - half)
+            inside[first + 1] += 1
+            inside[last] -= 1
+    est = list(map(add, est, map(mul, accumulate(inside), repeat(2 * half))))
+    est[0] += est.pop()
+
+    # 3. exact confirmation of every a within the error bound of the minimum
+    def exact_overlap(a: int) -> Fraction:
+        total = Fraction(0)
+        for b in (a, p) if a == 0 else (a,):
+            left, right = (b - c) / p, (b + c) / p
+            lo, hi = b * unit - half, b * unit + half
+            for i in range(bisect.bisect_right(ends, lo), bisect.bisect_left(starts, hi)):
+                s, e = segments[i]
+                piece = min(e, right) - max(s, left)
+                if piece > 0:
+                    total += piece
+        return total
+
+    cutoff = min(est) + 2 * len(segments)
+    overlap, a = min((exact_overlap(a), a) for a in compress(range(p), map(cutoff.__gt__, est)))
+    return a, full_gain - overlap
 
 
 def greedy_step(covered: ArcUnion, p: int, c: RationalLike) -> tuple[int, Fraction]:
     """Best numerator for prime p against `covered`: (a, exact measure gain).
 
-    Ties break to the smallest a. When some candidate arc is disjoint from
-    the covered set the scan short-circuits: its gain 2c/p is the maximum.
+    Ties break to the smallest a. A gap walk over the covered set finds
+    the smallest a whose arc misses it (gain 2c/p, the maximum); failing
+    that, one fixed-point merge walk estimates every candidate's overlap
+    within a derived error bound, and the candidates near the least
+    estimate are compared exactly. See _greedy_pick.
     """
-    segments = [piece for arc in covered.arcs for piece in arc.segments()]
+    segments = sorted(piece for arc in covered.arcs for piece in arc.segments())
     return _greedy_pick(segments, covered.measure(), p, to_fraction(c))
 
 
@@ -296,7 +386,7 @@ def block_construction(
             if idx >= len(primes):
                 raise BudgetExhaustedError(
                     f"budget exhausted at block {n}: primes up to {max_bound} "
-                    f"leave {uncovered} uncovered, target {eps}"
+                    f"leave {_fraction_text(uncovered)} uncovered, target {_fraction_text(eps)}"
                 )
             p = primes[idx]
             idx += 1

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -46,6 +47,19 @@ class TestSeqAndCoverage:
         )
         assert code == 0
         assert out.strip() == "0/1"  # greedy at c=1/2 covers the circle by p=7
+
+    def test_greedy_unsaturated_golden_file(self, capsys, tmp_path):
+        # c = 1/4 never saturates the circle, so every prime after the first
+        # few runs the merge walk; the digest is the file the Fraction scan wrote
+        out_file = tmp_path / "g.json"
+        code, _, _ = run_cli(
+            capsys, "seq", "build", "--method", "greedy", "--bound", "2000",
+            "--c", "1/4", "--out", str(out_file),
+        )
+        assert code == 0
+        assert hashlib.sha256(out_file.read_bytes()).hexdigest() == (
+            "50486195315490363adb1732f2bdae8f885cfccafb4258e0fac38b05977f8032"
+        )
 
     def test_blocks_build_reports_schedule(self, capsys, tmp_path):
         out_file = tmp_path / "b.json"

@@ -1,4 +1,6 @@
+import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -10,6 +12,8 @@ from primecover.sequences import (
     BlockSchedule,
     BudgetExhaustedError,
     NumeratorSequence,
+    _greedy_pick,
+    _insert_segment,
     _redraw_block,
     _SegmentCover,
     block_construction,
@@ -47,6 +51,74 @@ def exhaustive_best(covered, p, c):
     ]
     best = max(gains)
     return gains.index(best), best
+
+
+def fraction_scan_pick(segments, covered, p, c):
+    """Oracle: the per-candidate Fraction overlap scan that _greedy_pick replaced.
+
+    Kept verbatim apart from names, so the merge walk is checked against
+    the code whose outputs are recorded in the benchmark digests.
+    """
+    radius = c / p
+    full_gain = 2 * radius
+    if not segments:
+        return 0, full_gain
+    if covered == 1:
+        return 0, Fraction(0)
+
+    scaled = [(p * s, p * e) for s, e in segments]
+
+    blocked = bytearray(p)
+    for ps, pe in scaled:
+        lo_base = math.floor(ps - c) + 1
+        hi_base = math.ceil(pe + c) - 1
+        for k in (-1, 0, 1):
+            for a in range(max(lo_base - k * p, 0), min(hi_base - k * p, p - 1) + 1):
+                blocked[a] = 1
+    for a in range(p):
+        if not blocked[a]:
+            return a, full_gain
+
+    overlaps = [Fraction(0)] * p  # in units of 1/p
+    for ps, pe in scaled:
+        lo_base = math.floor(ps - c) + 1
+        hi_base = math.ceil(pe + c) - 1
+        for k in (-1, 0, 1):
+            kp = k * p
+            for a in range(max(lo_base - kp, 0), min(hi_base - kp, p - 1) + 1):
+                overlap = min(pe, a + kp + c) - max(ps, a + kp - c)
+                if overlap > 0:
+                    overlaps[a] += overlap
+    best_a = min(range(p), key=lambda a: (overlaps[a], a))
+    return best_a, full_gain - overlaps[best_a] / p
+
+
+def cover_of_gaps(gaps):
+    """Sorted segments covering [0, 1] except the given open gaps (mod 1)."""
+    segments = [[F(0), F(1)]]
+    for start, length in gaps:
+        pieces = [(start, start + length)] if start + length <= 1 else [
+            (start, F(1)), (F(0), start + length - 1)
+        ]
+        for lo, hi in pieces:
+            segments = [
+                [s, e] for seg in segments
+                for s, e in ((seg[0], min(seg[1], lo)), (max(seg[0], hi), seg[1]))
+                if s < e
+            ]
+    return sorted(segments)
+
+
+def farey_pair(x, denominator):
+    """Fractions h/b < k/d with k*b - h*d = 1, b = denominator, d in (b/2, 3b/2), h/b near x."""
+    b = denominator
+    h = round(x * b)
+    while math.gcd(h, b) != 1:
+        h += 1
+    d = -pow(h, -1, b) % b  # h*d = -1 (mod b)
+    if d < b // 2:
+        d += b  # keeps h*d = -1 (mod b) and puts d near b too
+    return F(h, b), F((h * d + 1) // b, d)
 
 
 class TestRandomSequence:
@@ -164,6 +236,85 @@ class TestGreedy:
             assert a == oracle_a
 
 
+SMALL_PRIMES = sieve_range(200).primes
+ORACLE_CS = [F(1, 8), F(1, 4), F(2, 7), F(1, 3), HALF]
+
+
+class TestGreedyPickOracle:
+    """_greedy_pick (gap walk, fixed-point merge walk, exact confirmation) against the scan."""
+
+    def check(self, segments, p, c):
+        covered = sum((e - s for s, e in segments), F(0))
+        assert _greedy_pick(segments, covered, p, c) == fraction_scan_pick(segments, covered, p, c)
+
+    def test_random_arc_covers(self):
+        rng = random.Random(3)
+        for c in ORACLE_CS:
+            for _ in range(40):
+                cover = _SegmentCover()
+                for q in rng.sample(SMALL_PRIMES, rng.randint(1, 30)):
+                    cover.add_arc(arc_of(q, rng.randrange(q), c))
+                self.check(cover.segments, rng.choice(SMALL_PRIMES), c)
+
+    def test_random_rational_covers(self):
+        rng = random.Random(5)
+        for c in ORACLE_CS:
+            for _ in range(40):
+                segments = []
+                for _ in range(rng.randint(1, 60)):
+                    den = rng.randint(2, 10**6)
+                    s = F(rng.randrange(den), den)
+                    e = min(s + F(rng.randint(1, den // 8 + 1), den), F(1))
+                    _insert_segment(segments, s, e)
+                self.check(segments, rng.choice(SMALL_PRIMES), c)
+
+    def test_near_ties_below_the_filter(self):
+        # Windows a1 and a2 each hold one gap; the gaps' lengths are Farey
+        # neighbours with denominators near 10^12, so the two overlaps
+        # differ by 1/(b*d), about 10^-24, far below the merge walk's error
+        # bound. Every other window is fully covered.
+        rng = random.Random(7)
+        for c in ORACLE_CS:
+            for p in (101, 197):
+                for a1, a2 in ((0, 1), (0, p - 1), (3, 4), (5, 60), (p - 2, p - 1)):
+                    short, long = farey_pair(c / (2 * p), 10**12 + rng.randrange(10**6))
+                    assert 0 < long - short < F(1, 10**23)
+                    for g1, g2 in ((short, long), (long, short), (short, short)):
+                        gaps = [((a - c / 3) / p % 1, g) for a, g in ((a1, g1), (a2, g2))]
+                        self.check(cover_of_gaps(gaps), p, c)
+                    # a1's window is covered 10^-30 deep at one edge; a2's is free
+                    tiny = F(1, 10**30)
+                    for start in ((a1 - c) / p + tiny, (a1 - c) / p):
+                        gaps = [(start % 1, 2 * c / p - tiny), ((a2 - c) / p % 1, 2 * c / p)]
+                        self.check(cover_of_gaps(gaps), p, c)
+
+    def test_exact_ties_go_to_smallest_a(self):
+        for c in ORACLE_CS:
+            for p in (7, 53, 199):
+                gap = c / (3 * p)
+                for ties in ((1, p // 2, p - 1), (0, p // 3, 2 * p // 3)):
+                    segments = cover_of_gaps([((a - c / 2) / p % 1, gap) for a in ties])
+                    self.check(segments, p, c)
+                    assert _greedy_pick(segments, 1 - 3 * gap, p, c)[0] == ties[0]
+                # every residue of q: a cover symmetric under x -> -x
+                for q in (3, 5, 11):
+                    cover = _SegmentCover()
+                    for r in range(q):
+                        cover.add_arc(arc_of(q, r, c))
+                    if cover.measure < 1:
+                        self.check(cover.segments, p, c)
+
+    def test_wrapping_piece_at_zero(self):
+        rng = random.Random(9)
+        for c in ORACLE_CS:
+            for _ in range(30):
+                cover = _SegmentCover()
+                for q in rng.sample(SMALL_PRIMES, rng.randint(1, 20)):
+                    cover.add_arc(arc_of(q, 0 if not cover.segments else rng.randrange(q), c))
+                assert cover.segments[0][0] == 0 and cover.segments[-1][1] == 1
+                self.check(cover.segments, rng.choice(SMALL_PRIMES), c)
+
+
 class TestUncovered:
     def test_single_prime(self):
         for a in range(3):
@@ -221,6 +372,30 @@ class TestBlocks:
     def test_budget_exhausted(self):
         with pytest.raises(BudgetExhaustedError, match="budget exhausted at block 1"):
             block_construction([F(1, 10**6)], F(1, 100), max_bound=100)
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit"
+    )
+    def test_budget_message_past_the_int_str_digit_limit(self):
+        # arcs of half-width 10^-700/p never meet, so the uncovered measure
+        # 1 - sum(2c/p) has a denominator of more than 700 digits
+        c = F(1, 10**700 + 1)
+        limit = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(0)
+            uncovered = 1 - sum(2 * c / p for p in sieve_range(30).primes)
+            num_digits, den_digits = len(str(uncovered.numerator)), len(str(uncovered.denominator))
+            sys.set_int_max_str_digits(640)
+            with pytest.raises(BudgetExhaustedError) as info:
+                block_construction([HALF], c, max_bound=30)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert den_digits > 700
+        assert str(info.value) == (
+            "budget exhausted at block 1: primes up to 30 leave ~9.999999e-1 (approximate; "
+            f"exact value has a {num_digits}-digit numerator and a {den_digits}-digit "
+            "denominator) uncovered, target 1/2"
+        )
 
     def test_bad_epsilon_rejected(self):
         with pytest.raises(ValueError):
