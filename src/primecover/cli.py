@@ -247,13 +247,25 @@ def cmd_fracparts(config: RunConfig) -> str:
     return _hit_json(report, point.label, config.c)
 
 
+def _float_arg(text: str) -> float:
+    """A number in any form the other subcommands take ("0.3", "1/3"), as a float.
+
+    Both float(str) and float(Fraction) round correctly, so a decimal string
+    gives exactly float(string).
+    """
+    try:
+        return float(to_fraction(text))
+    except OverflowError:
+        raise CliError(f"{text!r} is too large for a float") from None
+
+
 def cmd_ergodic(config: RunConfig) -> str:
     seq = _load_seq(config)
     if config.primes_up_to is None:
         raise CliError("ergodic needs --primes-up-to")
     if config.x is None or config.y is None:
         raise CliError("ergodic needs --x and --y")
-    x, y = float(config.x), float(config.y)
+    x, y = _float_arg(config.x), _float_arg(config.y)
     if config.sparse is not None:
         primes = list(sparse_prime_set(config.primes_up_to, config.sparse, config.psi).primes)
     else:

@@ -6,6 +6,12 @@ most c/p. Real inputs are carried as certified rational approximants
 unknown digits of x is reported as ambiguous, never silently rounded.
 The one-sided predicate {x*p} < c is counted separately, since it is a
 different statement from the two-sided circle distance.
+
+Both per-prime classifications run in exact integer arithmetic: value,
+eta and c are split into numerators and denominators once, and each
+comparison is cross-multiplied by the (positive) common denominator, so
+a prime costs a few integer operations and no float or Fraction
+comparison decides a status.
 """
 
 from __future__ import annotations
@@ -137,26 +143,46 @@ def hit_rows(x: RealApproximant, seq: NumeratorSequence, bound: int) -> list[Hit
 
     Hit requires the whole interval [value - eta, value + eta] to lie
     within c/p of a_p/p; miss requires all of it to lie outside.
+
+    With value = h/k, eta = e/E and c = u/v, the circle distance from
+    value to a/p is n/(k*p), where r = (h*p - a*k) mod k*p and
+    n = min(r, k*p - r). Multiplying through by k*p*E*v > 0 gives
+
+        hit  <=>  dist + eta <= c/p  <=>  n*E*v + e*k*p*v <= u*k*E
+        miss <=>  dist - eta >  c/p  <=>  n*E*v - e*k*p*v >  u*k*E
+
+    so each prime costs a few integer operations; the only Fraction made
+    per prime is the reported distance.
     """
     if bound < 2:
         raise ValueError(f"bound must be >= 2, got {bound}")
+    h, k = x.value.numerator, x.value.denominator
+    e, big_e = x.eta.numerator, x.eta.denominator
+    u, v = seq.c.numerator, seq.c.denominator
+    scale = big_e * v
+    spread = e * k * v
+    threshold = u * k * big_e
+    numerator_for = seq.numerator_for
     rows = []
     for p in sieve_range(bound).primes:
-        a = seq.numerator_for(p)
-        threshold = seq.c / p
-        dist = circle_distance(x.value, Fraction(a, p))
-        if dist + x.eta <= threshold:
-            rows.append(HitRow(p, dist, True, False))
-        elif dist - x.eta > threshold:
-            rows.append(HitRow(p, dist, False, False))
+        kp = k * p
+        r = (h * p - numerator_for(p) * k) % kp
+        n = min(r, kp - r)
+        near, band = n * scale, spread * p
+        if near + band <= threshold:
+            hit, ambiguous = True, False
+        elif near - band > threshold:
+            hit, ambiguous = False, False
         else:
-            rows.append(HitRow(p, dist, False, True))
+            hit, ambiguous = False, True
+        rows.append(HitRow(p, Fraction(n, kp), hit, ambiguous))
     return rows
 
 
 def hit_primes(x: RealApproximant, seq: NumeratorSequence, bound: int) -> HitReport:
     rows = hit_rows(x, seq, bound)
-    heuristic = float(2 * seq.c) * harmonic_H_float(1, bound)
+    # the rows hold every prime up to the bound: the sum of harmonic_H_float(1, bound)
+    heuristic = float(2 * seq.c) * math.fsum(1.0 / row.p for row in rows)
     return _report_from_rows(rows, bound, heuristic)
 
 
@@ -166,6 +192,18 @@ def fractional_rows(x: RealApproximant, c: RationalLike, bound: int) -> list[Hit
     The distance column carries the exact fractional part of value*p.
     When the uncertainty band p*eta touches 0, 1, or c, the true status
     depends on the unknown part of x and the prime is ambiguous.
+
+    With value = h/k, eta = e/E and c = u/v, the fractional part
+    {value*p} is r/k with r = h*p mod k. In units of 1/(k*E) it is
+    f = r*E, the band half-width delta = p*eta is d = p*e*k and 1 is k*E:
+
+        {value*p} - delta >= 0  <=>  f >= d
+        {value*p} + delta <  1  <=>  f + d < k*E
+        {value*p} + delta <  c  <=>  (f + d)*v < u*k*E
+        {value*p} - delta >= c  <=>  (f - d)*v >= u*k*E
+
+    and, when eta = 0, {value*p} < c <=> r*v < u*k. Every comparison is
+    an exact integer one; the only Fraction made per prime is the distance.
     """
     c = to_fraction(c)
     if bound < 2:
@@ -174,22 +212,31 @@ def fractional_rows(x: RealApproximant, c: RationalLike, bound: int) -> list[Hit
         raise ValueError(
             f"x is too imprecise for this range: eta * bound = {x.eta * bound} >= 1/4"
         )
+    h, k = x.value.numerator, x.value.denominator
+    e, big_e = x.eta.numerator, x.eta.denominator
+    u, v = c.numerator, c.denominator
+    one = k * big_e
+    cut = u * k * big_e
+    cut_exact = u * k  # the comparison when eta = 0, in units of 1/(k*v)
+    ek = e * k
     rows = []
     for p in sieve_range(bound).primes:
-        f = (x.value * p) % ONE
-        delta = p * x.eta
-        if delta == 0:
-            rows.append(HitRow(p, f, f < c, False))
-        elif f - delta >= 0 and f + delta < ONE:
-            if f + delta < c:
-                rows.append(HitRow(p, f, True, False))
-            elif f - delta >= c:
-                rows.append(HitRow(p, f, False, False))
+        r = h * p % k
+        if e == 0:
+            rows.append(HitRow(p, Fraction(r, k), r * v < cut_exact, False))
+            continue
+        f, d = r * big_e, p * ek
+        if f >= d and f + d < one:
+            if (f + d) * v < cut:
+                hit, ambiguous = True, False
+            elif (f - d) * v >= cut:
+                hit, ambiguous = False, False
             else:
-                rows.append(HitRow(p, f, False, True))
+                hit, ambiguous = False, True
         else:
             # the band wraps past 0: both sides of the cut are possible
-            rows.append(HitRow(p, f, False, True))
+            hit, ambiguous = False, True
+        rows.append(HitRow(p, Fraction(r, k), hit, ambiguous))
     return rows
 
 

@@ -9,8 +9,10 @@ larger ranges; callers record which mode they used.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 
 from .arcs import RationalLike, to_fraction
 
@@ -31,9 +33,14 @@ class PrimeTable:
         return len(self.primes)
 
     def in_range(self, x: RationalLike, y: RationalLike) -> list[int]:
-        """Primes p with x < p <= y."""
-        x, y = to_fraction(x), to_fraction(y)
-        return [p for p in self.primes if x < p <= y]
+        """Primes p with x < p <= y.
+
+        For an integer p, x < p <= y exactly when floor(x) < p <= floor(y),
+        so two bisections of the sorted table find the slice.
+        """
+        lo = bisect_right(self.primes, math.floor(to_fraction(x)))
+        hi = bisect_right(self.primes, math.floor(to_fraction(y)))
+        return list(self.primes[lo:hi])
 
 
 def _simple_sieve(bound: int) -> list[int]:
@@ -42,7 +49,7 @@ def _simple_sieve(bound: int) -> list[int]:
     for p in range(2, math.isqrt(bound) + 1):
         if flags[p]:
             flags[p * p :: p] = b"\x00" * len(range(p * p, bound + 1, p))
-    return [i for i, f in enumerate(flags) if f]
+    return list(compress(range(bound + 1), flags))
 
 
 def sieve_range(bound: int) -> PrimeTable:
@@ -61,7 +68,7 @@ def sieve_range(bound: int) -> PrimeTable:
             if start > high:
                 continue
             flags[start - low :: p] = b"\x00" * len(range(start, high + 1, p))
-        primes.extend(i + low for i, f in enumerate(flags) if f)
+        primes.extend(compress(range(low, high + 1), flags))
         low = high + 1
     return PrimeTable(bound, tuple(primes))
 

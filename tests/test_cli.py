@@ -5,6 +5,8 @@ from fractions import Fraction
 import pytest
 
 from primecover.cli import main
+from primecover.ergodic import convergence_series
+from primecover.primes import sieve_range
 from primecover.sequences import load_sequence
 from primecover.sievelab import omega_expectation_exact
 
@@ -194,6 +196,40 @@ class TestHitsCommands:
         assert target.read_text().startswith("p,distance_num")
 
 
+class TestScanGoldenFiles:
+    # digests of what the Fraction loops of hit_rows and fractional_rows
+    # printed; the integer cross-multiplication must keep every byte
+    @pytest.fixture(scope="class")
+    def random_seq(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("golden") / "r.json"
+        assert main(["seq", "build", "--method", "random", "--bound", "20000",
+                     "--c", "1/4", "--seed", "1729", "--out", str(path)]) == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "8a430282d75dd59bc2ac93ff9ba979b4bccc4ec63193d870633eb6d83d75a28b"
+        )
+        return str(path)
+
+    def test_hits_csv_golden(self, capsys, random_seq):
+        code, out, _ = run_cli(
+            capsys, "hits", "--seq", random_seq, "--x-named", "sqrt2",
+            "--eta", "1e-16", "--bound", "20000", "--format", "csv",
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "465f065e2053681b6785c0a97e2830e4b40992914b0c8b2eaababd7bf4836c6e"
+        )
+
+    def test_fracparts_csv_golden(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "fracparts", "--x-named", "golden", "--eta", "1e-16",
+            "--c", "1/4", "--bound", "20000", "--format", "csv",
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "c7e0a2a6618275dc1597b7d331c40c27d42c6e0077138b79aeb16130ba88acc2"
+        )
+
+
 class TestErgodicCommand:
     def test_csv_shape(self, capsys, tmp_path):
         seq_file = tmp_path / "seq.json"
@@ -223,6 +259,45 @@ class TestErgodicCommand:
         assert code == 0
         ps = [int(line.split(",")[0]) for line in out.splitlines()[1:]]
         assert ps == [5, 17, 67, 257]
+
+    @pytest.fixture()
+    def seq_file(self, capsys, tmp_path):
+        path = tmp_path / "seq.json"
+        run_cli(capsys, "seq", "build", "--method", "random", "--bound", "300",
+                "--c", "1/4", "--seed", "5", "--out", str(path))
+        return str(path)
+
+    def test_rational_point(self, capsys, seq_file):
+        # "num/den" is read like every other subcommand reads it, as the
+        # float nearest to the rational
+        args = ("ergodic", "--seq", seq_file, "--primes-up-to", "300")
+        code, out, err = run_cli(capsys, *args, "--x", "1/3", "--y=-5/7")
+        assert code == 0 and err == ""
+        assert len(out.splitlines()) == 1 + 62
+        _, decimal, _ = run_cli(capsys, *args, "--x", repr(1 / 3), f"--y={-5 / 7!r}")
+        assert out == decimal
+
+    def test_decimal_point_output_unchanged(self, capsys, seq_file):
+        # a decimal string still reaches convergence_series as float(string)
+        code, out, _ = run_cli(
+            capsys, "ergodic", "--seq", seq_file, "--x", "0.3", "--y", "0.7123",
+            "--primes-up-to", "300",
+        )
+        assert code == 0
+        seq = load_sequence(seq_file)
+        samples = convergence_series(seq, float("0.3"), float("0.7123"),
+                                     list(sieve_range(300).primes))
+        expected = [[str(s.p), str(s.a), repr(s.distance), repr(abs(s.s)),
+                     str(int(s.is_hit)), s.method] for s in samples]
+        assert [line.split(",") for line in out.splitlines()[1:]] == expected
+
+    def test_point_too_large_for_a_float(self, capsys, seq_file):
+        code, out, err = run_cli(
+            capsys, "ergodic", "--seq", seq_file, "--x", "1e400", "--y", "0.5",
+            "--primes-up-to", "300",
+        )
+        assert code == 1 and out == ""
+        assert err == "error: '1e400' is too large for a float\n"
 
 
 class TestReproducibility:

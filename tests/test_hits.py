@@ -2,9 +2,13 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from primecover.arcs import ONE
 from primecover.hits import (
     HitRow,
+    RealApproximant,
     approximant_named,
     circle_distance,
     fractional_hits,
@@ -196,3 +200,180 @@ class TestLogLogHeuristic:
             math.log(math.log(10**6)) - math.log(math.log(10**3))
         )
         assert abs(actual - predicted) <= 0.05 * predicted
+
+
+# -------------------------------------------------- Fraction oracles
+# The Fraction versions of hit_rows and fractional_rows that the integer
+# cross-multiplication replaced, kept as the reference the new loops must equal.
+
+
+def fraction_hit_rows(x, seq, bound):
+    rows = []
+    for p in sieve_range(bound).primes:
+        a = seq.numerator_for(p)
+        threshold = seq.c / p
+        dist = circle_distance(x.value, Fraction(a, p))
+        if dist + x.eta <= threshold:
+            rows.append(HitRow(p, dist, True, False))
+        elif dist - x.eta > threshold:
+            rows.append(HitRow(p, dist, False, False))
+        else:
+            rows.append(HitRow(p, dist, False, True))
+    return rows
+
+
+def fraction_fractional_rows(x, c, bound):
+    rows = []
+    for p in sieve_range(bound).primes:
+        f = (x.value * p) % ONE
+        delta = p * x.eta
+        if delta == 0:
+            rows.append(HitRow(p, f, f < c, False))
+        elif f - delta >= 0 and f + delta < ONE:
+            if f + delta < c:
+                rows.append(HitRow(p, f, True, False))
+            elif f - delta >= c:
+                rows.append(HitRow(p, f, False, False))
+            else:
+                rows.append(HitRow(p, f, False, True))
+        else:
+            rows.append(HitRow(p, f, False, True))
+    return rows
+
+
+@st.composite
+def rationals(draw, max_den=10**9, span=5):
+    """Rationals in [-span, span], negative and past 1 included."""
+    den = draw(st.integers(1, max_den))
+    return F(draw(st.integers(-span * den, span * den)), den)
+
+
+@st.composite
+def widths(draw):
+    """c in (0, 1/2], 1/2 included."""
+    v = draw(st.integers(2, 64))
+    return F(draw(st.integers(1, v // 2)), v)
+
+
+@st.composite
+def etas(draw, top):
+    """0, or a random rational in (0, top)."""
+    if draw(st.booleans()):
+        return F(0)
+    den = draw(st.integers(2, 10**18))
+    return F(draw(st.integers(1, den - 1)), den) * top
+
+
+@st.composite
+def numerator_sequences(draw, bound, c):
+    primes = sieve_range(bound).primes
+    raw = draw(st.lists(st.integers(0, 10**6), min_size=len(primes), max_size=len(primes)))
+    return NumeratorSequence(c, tuple((p, a % p) for p, a in zip(primes, raw)))
+
+
+class TestIntegerClassificationOracle:
+    @given(st.data(), rationals(), widths(), st.integers(2, 120))
+    @settings(max_examples=150, deadline=None)
+    def test_hit_rows_match_fraction_oracle(self, data, value, c, bound):
+        eta = data.draw(etas(F(1, 8)))
+        seq = data.draw(numerator_sequences(bound, c))
+        x = RealApproximant(value, eta, "drawn")
+        assert hit_rows(x, seq, bound) == fraction_hit_rows(x, seq, bound)
+
+    @given(st.data(), rationals(), widths(), st.integers(2, 120))
+    @settings(max_examples=150, deadline=None)
+    def test_fractional_rows_match_fraction_oracle(self, data, value, c, bound):
+        eta = data.draw(etas(F(1, 4 * bound)))
+        x = RealApproximant(value, eta, "drawn")
+        assert fractional_rows(x, c, bound) == fraction_fractional_rows(x, c, bound)
+
+    @given(st.data(), st.integers(2, 120))
+    @settings(max_examples=100, deadline=None)
+    def test_near_threshold_points_match_fraction_oracle(self, data, bound):
+        # x a few eta from a_p/p + c/p for one prime, so the distance sits
+        # at the threshold to within the band, where the three statuses meet
+        c = data.draw(widths())
+        seq = data.draw(numerator_sequences(bound, c))
+        p, a = data.draw(st.sampled_from(seq.entries))
+        eta = F(1, data.draw(st.integers(10**3, 10**12)))
+        shift = data.draw(st.integers(-3, 3)) * eta
+        side = data.draw(st.sampled_from((-1, 1)))
+        x = RealApproximant(F(a, p) + side * (c / p + shift) + data.draw(st.integers(-2, 2)),
+                            eta, "near")
+        assert hit_rows(x, seq, bound) == fraction_hit_rows(x, seq, bound)
+
+    def test_sqrt2_at_scale_matches_fraction_oracle(self):
+        from primecover.sequences import random_sequence
+
+        seq = random_sequence(3000, F(1, 4), seed=3)
+        x = sqrt2_approximant(F(1, 10**16))
+        assert hit_rows(x, seq, 3000) == fraction_hit_rows(x, seq, 3000)
+        y = golden_approximant(F(1, 10**16))
+        assert fractional_rows(y, F(1, 4), 3000) == fraction_fractional_rows(y, F(1, 4), 3000)
+
+
+class TestClassificationBoundaries:
+    # p = 3, a_3 = 1, c = 1/4: the threshold c/p is 1/12
+    SEQ = NumeratorSequence(F(1, 4), ((2, 0), (3, 1)))
+    ETA = F(1, 1000)
+
+    def row_for_three(self, value, eta=ETA):
+        x = RealApproximant(value, eta, "edge")
+        rows = hit_rows(x, self.SEQ, 3)
+        assert rows == fraction_hit_rows(x, self.SEQ, 3)
+        return rows[1]
+
+    @pytest.mark.parametrize("side", [-1, 1])
+    @pytest.mark.parametrize("turns", [-1, 0, 2])
+    def test_distance_plus_eta_on_threshold_is_a_hit(self, side, turns):
+        row = self.row_for_three(F(1, 3) + side * (F(1, 12) - self.ETA) + turns)
+        assert row == HitRow(3, F(1, 12) - self.ETA, True, False)
+
+    @pytest.mark.parametrize("side", [-1, 1])
+    @pytest.mark.parametrize("turns", [-1, 0, 2])
+    def test_distance_minus_eta_on_threshold_is_ambiguous(self, side, turns):
+        row = self.row_for_three(F(1, 3) + side * (F(1, 12) + self.ETA) + turns)
+        assert row == HitRow(3, F(1, 12) + self.ETA, False, True)
+
+    def test_just_past_the_band_is_a_miss(self):
+        row = self.row_for_three(F(1, 3) + F(1, 12) + self.ETA + F(1, 10**30))
+        assert (row.hit, row.ambiguous) == (False, False)
+
+    def test_half_width_threshold_wraps_through_zero(self):
+        # c = 1/2 at p = 2 with a_2 = 0: every point is within 1/4 of 0 or is on it
+        seq = NumeratorSequence(HALF, ((2, 0),))
+        for value, status in ((F(3, 4), (True, False)), (F(-1, 4), (True, False)),
+                              (F(1, 4) + F(1, 10**20), (False, False))):
+            x = RealApproximant(value, F(0), "edge")
+            rows = hit_rows(x, seq, 2)
+            assert rows == fraction_hit_rows(x, seq, 2)
+            assert (rows[0].hit, rows[0].ambiguous) == status
+
+    # fracparts at bound 2: only p = 2, so f = {2*value} and delta = 2*eta
+
+    def fractional_row(self, value, c=F(1, 4), eta=F(1, 100)):
+        x = RealApproximant(value, eta, "edge")
+        rows = fractional_rows(x, c, 2)
+        assert rows == fraction_fractional_rows(x, c, 2)
+        return rows[0]
+
+    def test_band_touching_zero_is_classified(self):
+        row = self.fractional_row(F(1, 100))  # f - delta = 0
+        assert row == HitRow(2, F(1, 50), True, False)
+
+    def test_band_touching_one_is_ambiguous(self):
+        row = self.fractional_row(F(1, 2) - F(1, 100))  # f + delta = 1
+        assert row == HitRow(2, F(49, 50), False, True)
+
+    def test_band_reaching_c_from_below_is_ambiguous(self):
+        row = self.fractional_row(F(1, 8) - F(1, 100))  # f + delta = c
+        assert (row.hit, row.ambiguous) == (False, True)
+
+    def test_band_leaving_c_from_above_is_a_miss(self):
+        row = self.fractional_row(F(1, 8) + F(1, 100) + 3)  # f - delta = c
+        assert row == HitRow(2, F(1, 4) + F(1, 50), False, False)
+
+    def test_exact_point_on_c_is_a_miss(self):
+        row = self.fractional_row(F(-7, 8), eta=F(0))  # f = c
+        assert row == HitRow(2, F(1, 4), False, False)
+        assert self.fractional_row(F(-7, 8) - F(1, 10**30), eta=F(0)).hit

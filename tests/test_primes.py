@@ -2,6 +2,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from primecover.primes import (
     MERTENS,
@@ -48,6 +50,29 @@ class TestSieve:
             primes = sieve_range(bound).primes
             assert len(primes) == len(set(primes))
             assert all(is_prime(p) for p in primes[-5:])
+
+    @pytest.mark.parametrize("x, y", [
+        (F(7, 2), F(13, 2)),  # fractional bounds
+        (-5, 12),  # negative x
+        (F(-9, 4), F(7, 4)),  # y < 2
+        (1, F(3, 2)),  # y < 2
+        (7, 29),  # x prime (excluded), y prime (included)
+        (F(14, 2), F(58, 2)),  # the same primes as Fractions
+        (29, 7),  # empty: x > y
+        (97, 1000),  # past the table
+    ])
+    def test_in_range_matches_comparison_oracle(self, x, y):
+        table = sieve_range(100)
+        expected = [p for p in table.primes if x < p <= y]
+        assert table.in_range(x, y) == expected
+        assert primes_between(x, y) == [p for p in sieve_range(max(int(y), 2)).primes if x < p <= y]
+
+    @given(st.fractions(-30, 130, max_denominator=50), st.fractions(-30, 130, max_denominator=50))
+    @settings(max_examples=200)
+    def test_in_range_property(self, x, y):
+        table = sieve_range(100)
+        assert table.in_range(x, y) == [p for p in table.primes if x < p <= y]
+        assert table.in_range(str(x), str(y)) == table.in_range(x, y)
 
     def test_in_range_uses_half_open_interval(self):
         table = sieve_range(20)
