@@ -1,20 +1,28 @@
 """Exact rational arithmetic for closed arcs on the unit circle R/Z.
 
-Everything here is computed with `fractions.Fraction`; no floating point
-enters any measure. Arcs may wrap past 1, and all operations treat the
-circle, not the interval [0,1], as the underlying space, so an arc of
-half-width c/p has measure exactly 2c/p wherever its center sits.
+Everything here is exact: `fractions.Fraction`, or integer numerators
+over integer denominators; no floating point enters any measure. Arcs
+may wrap past 1, and all operations treat the circle, not the interval
+[0,1], as the underlying space, so an arc of half-width c/p has measure
+exactly 2c/p wherever its center sits.
 
 `sweep` is the one place where arc endpoints are ordered: unions, level
-sets and the exact expectation all walk its output, so they share one
-order and one tie rule.
+sets, the exact expectation and the Monte Carlo trials all walk its
+output, so they share one order and one tie rule. It takes endpoints as
+integer numerators over an integer denominator, so a caller that knows
+its arcs never builds a Fraction per endpoint: the arc of a/p with
+half-width c/p, c = u/v, is [a*v - u, a*v + u] in units of 1/(p*v)
+(`arc_pieces`). Sums of such numerators over many denominators are
+combined by `exact_sum`, a product tree with one gcd at the end, instead
+of Fraction additions that take a gcd at every step.
 """
 
 from __future__ import annotations
 
+import math
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -97,6 +105,52 @@ def arc_of(p: int, a: int, c: RationalLike) -> Arc:
     return Arc(left, 2 * c / p)
 
 
+def arc_pieces(
+    entries: Iterable[tuple[int, int]], c: Fraction
+) -> Iterator[tuple[int, int, int, int]]:
+    """The arcs of (p, a) pairs as sweep pieces (start, end, p, p), scaled by v.
+
+    With c = u/v the arc of a/p is [a*v - u, a*v + u] in units of 1/(p*v).
+    Scaled by v (the circle becomes [0, v]), each endpoint is that integer
+    over p, and the piece is tagged with p. With 0 <= a < p and
+    0 < c <= 1/2 only a = 0 reaches below 0, and no arc reaches past p*v,
+    so the wrapping arc splits into [p*v - u, p*v] and [0, u]. Arguments
+    are trusted; arc_of checks them.
+    """
+    u, v = c.numerator, c.denominator
+    for p, a in entries:
+        if a:
+            yield a * v - u, a * v + u, p, p
+        else:
+            yield p * v - u, p * v, p, p
+            yield 0, u, p, p
+
+
+def exact_sum(terms: Iterable[tuple[int, int]]) -> Fraction:
+    """Exact sum of n/d over integer pairs (n, d) with d > 0.
+
+    Neighbouring pairs combine as (n1*d2 + n2*d1, d1*d2) up a balanced
+    product tree (Bernstein, "Fast multiplication and its applications",
+    2008), so the operands of each level have about equal size, and the
+    only gcd is the one the final Fraction takes. Adding Fractions one
+    at a time instead takes a gcd of the growing denominator per term.
+    Terms with distinct prime denominators multiply up to exactly their
+    product, which is then the reduced denominator of the sum.
+    """
+    layer = list(terms)
+    if not layer:
+        return ZERO
+    while len(layer) > 1:
+        paired = [
+            (n1 * d2 + n2 * d1, d1 * d2)
+            for (n1, d1), (n2, d2) in zip(layer[0::2], layer[1::2])
+        ]
+        if len(layer) % 2:
+            paired.append(layer[-1])
+        layer = paired
+    return Fraction(*layer[0])
+
+
 @dataclass(frozen=True)
 class ArcUnion:
     """Normalized disjoint union of arcs: maximal, sorted by left endpoint.
@@ -129,31 +183,62 @@ FULL_CIRCLE = Arc(ZERO, ONE)
 
 
 def sweep(
-    pieces: Iterable[tuple[Fraction, Fraction, object]],
-) -> Iterator[tuple[Fraction, list, list]]:
-    """Walk the endpoints of closed pieces (start, end, tag) in ascending order.
+    pieces: Iterable[tuple[int, int, int, object]],
+) -> Iterator[tuple[int, int, list, list]]:
+    """Walk the endpoints of closed pieces (start, end, den, tag) in ascending order.
 
-    Yields (position, tags starting there, tags ending there) once per
-    distinct position. Endpoints are sorted by the exact integer key
-    floor(x * 2^b) with b = 2B + 1, B the bit length of the largest
-    denominator: distinct endpoints differ by more than 2^-2B, so the key
+    A piece is [start/den, end/den] with integers start <= end and den > 0.
+    Yields (num, den, tags starting there, tags ending there) once per
+    distinct position, num/den being the position as one of the pieces
+    ending or starting there gave it. Endpoints are sorted by the exact
+    integer key floor(x * 2^b) with b = 2B + 1, B the bit length of the
+    largest den: distinct endpoints differ by at least 2^-2B, so the key
     orders them exactly and gives equal endpoints equal keys.
     """
-    events = []
-    for start, end, tag in pieces:
-        events.append((start, True, tag))
-        events.append((end, False, tag))
-    if not events:
+    pieces = list(pieces)
+    if not pieces:
         return
-    shift = 2 * max(pos.denominator for pos, _, _ in events).bit_length() + 1
-    for i, (pos, is_start, tag) in enumerate(events):
-        events[i] = ((pos.numerator << shift) // pos.denominator, pos, is_start, tag)
+    shift = 2 * max(map(itemgetter(2), pieces)).bit_length() + 1
+    events = [((start << shift) // den, start, den, True, tag) for start, _, den, tag in pieces]
+    events += [((end << shift) // den, end, den, False, tag) for _, end, den, tag in pieces]
     events.sort(key=itemgetter(0))
-    for _, group in groupby(events, itemgetter(0)):
-        starts, ends = [], []
-        for _, pos, is_start, tag in group:
-            (starts if is_start else ends).append(tag)
-        yield pos, starts, ends
+    last = events[0][0]
+    starts, ends = [], []
+    for key, num, den, is_start, tag in events:
+        if key != last:
+            yield at_num, at_den, starts, ends
+            starts, ends = [], []
+            last = key
+        at_num, at_den = num, den
+        (starts if is_start else ends).append(tag)
+    yield at_num, at_den, starts, ends
+
+
+def _runs(pieces: Iterable[tuple[int, int, int, object]]) -> Iterator[tuple[int, int, int, int]]:
+    """(start, start_den, end, end_den) of each maximal run of a union of closed pieces."""
+    # Every endpoint of a closed piece is covered, so a run opens where the
+    # count of open pieces leaves zero and closes where it returns to zero.
+    count = 0
+    for num, den, starts, ends in sweep(pieces):
+        if not count:
+            run_start = num, den
+        count += len(starts) - len(ends)
+        if not count:
+            yield (*run_start, num, den)
+
+
+def union_length(pieces: Iterable[tuple[int, int, int, object]]) -> Fraction:
+    """Exact length of the union of closed pieces (start, end, den, tag).
+
+    The length is the sum of the run ends minus the sum of the run
+    starts. Those numerators are added up per denominator as integers,
+    and the per-denominator totals go to one exact_sum.
+    """
+    totals: defaultdict[int, int] = defaultdict(int)
+    for start, start_den, end, end_den in _runs(pieces):
+        totals[start_den] -= start
+        totals[end_den] += end
+    return exact_sum((num, den) for den, num in totals.items())
 
 
 def normalize_union(arcs: Iterable[Arc]) -> ArcUnion:
@@ -161,20 +246,24 @@ def normalize_union(arcs: Iterable[Arc]) -> ArcUnion:
 
     Touching closed arcs are merged, wrap-around at 0 is stitched, and a
     covering family collapses to the single full-circle arc. Idempotent
-    and independent of input order.
+    and independent of input order. Each arc enters the sweep as integer
+    numerators over one denominator; Fractions are built only for the
+    ends of the merged runs.
     """
-    # Every endpoint of a closed piece is covered, so a run opens where the
-    # count of open pieces leaves zero and closes where it returns to zero.
-    merged: list[tuple[Fraction, Fraction]] = []
-    count = 0
-    for pos, starts, ends in sweep(
-        (start, end, None) for arc in arcs for start, end in arc.segments()
-    ):
-        if not count:
-            run_start = pos
-        count += len(starts) - len(ends)
-        if not count:
-            merged.append((run_start, pos))
+    pieces = []
+    for arc in arcs:
+        left, length = arc.left, arc.length
+        den = math.lcm(left.denominator, length.denominator)
+        start = left.numerator * (den // left.denominator)
+        end = start + length.numerator * (den // length.denominator)
+        if end <= den:
+            pieces.append((start, end, den, None))
+        else:
+            pieces += [(start, den, den, None), (0, end - den, den, None)]
+    merged = [
+        (Fraction(start, start_den), Fraction(end, end_den))
+        for start, start_den, end, end_den in _runs(pieces)
+    ]
     if not merged:
         return EMPTY_UNION
 

@@ -2,8 +2,9 @@
 
 The sieve is segmented so memory stays bounded for bounds up to ~1e9.
 Harmonic sums come in two flavors: exact rational (denominators grow
-like primorials, practical to roughly Y <= 1e4) and 64-bit float for
-larger ranges; callers record which mode they used.
+like primorials, practical to roughly Y <= 1e4; added up a product tree,
+see `arcs.exact_sum`) and 64-bit float for larger ranges; callers record
+which mode they used.
 """
 
 from __future__ import annotations
@@ -13,8 +14,9 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
+from typing import Iterable
 
-from .arcs import RationalLike, to_fraction
+from .arcs import RationalLike, exact_sum, to_fraction
 
 _SEGMENT = 1 << 18
 
@@ -111,10 +113,16 @@ def harmonic_H(x: RationalLike, y: RationalLike) -> Fraction:
     x, y = to_fraction(x), to_fraction(y)
     if not 1 <= x < y:
         raise ValueError(f"need 1 <= X < Y, got X={x}, Y={y}")
-    total = Fraction(0)
-    for p in primes_between(x, y):
-        total += Fraction(1, p)
-    return total
+    return harmonic_sum(primes_between(x, y))
+
+
+def harmonic_sum(primes: Iterable[int]) -> Fraction:
+    """Exact sum of 1/p over distinct primes, by one product tree.
+
+    Its denominator is exactly the product of the primes: the tree's
+    numerator sum(P/p) is prime to every p, P being that product.
+    """
+    return exact_sum((1, p) for p in primes)
 
 
 def harmonic_H_float(x: RationalLike, y: RationalLike) -> float:

@@ -25,9 +25,10 @@ from .arcs import (
     ArcUnion,
     RationalLike,
     arc_of,
-    normalize_union,
+    arc_pieces,
     rat_str,
     to_fraction,
+    union_length,
 )
 from .primes import primes_between, sieve_range
 
@@ -334,8 +335,19 @@ def uncovered_measure(
     x, y = to_fraction(x), to_fraction(y)
     if not x < y:
         raise ValueError(f"need X < Y, got X={x}, Y={y}")
-    primes = primes_between(x, y)
-    return 1 - normalize_union(seq.arcs_for(primes)).measure()
+    return uncovered_by([(p, seq.numerator_for(p)) for p in primes_between(x, y)], seq.c)
+
+
+def uncovered_by(entries: Iterable[tuple[int, int]], c: Fraction) -> Fraction:
+    """Exact measure of the set missed by the arcs of the (p, a_p) pairs.
+
+    With c = u/v every arc is [a*v - u, a*v + u] in units of 1/(p*v), so
+    the sweep sees integers only: scaled by v, each endpoint is a
+    numerator over its prime p (arc_pieces), the covered length is one
+    exact sum over the primes, and the covered measure is that length
+    over v. Arguments are trusted: 0 < c <= 1/2 and 0 <= a_p < p.
+    """
+    return 1 - union_length(arc_pieces(entries, c)) / c.denominator
 
 
 def block_construction(

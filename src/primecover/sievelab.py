@@ -7,6 +7,28 @@ level sets come the mean nu = 2c*H, the variance-style integral alpha,
 the Markov bound alpha/nu^2 for the uncovered set, and two independent
 routes to the expectation of the uncovered measure over uniformly random
 numerators: an exact arrangement sweep and seeded Monte Carlo.
+
+How the exact sums are kept small:
+
+- Units of 1/(p*v). With c = u/v the arc of a/p is [a*v - u, a*v + u]
+  in units of 1/(p*v) (`arcs.arc_pieces`; a = 0 splits at 0). Scaled by
+  v, every endpoint is an integer numerator over its prime, so the one
+  sort (`arcs.sweep`) compares small integers and no Fraction is made
+  per endpoint.
+- Telescoping. A sum of run lengths, sum (x_(i+1) - x_i) * w_i, equals
+  sum_i x_i * (w_(i-1) - w_i) plus the last weight at the point 1, so
+  each sweep position adds an integer multiple of its numerator to one
+  integer kept per prime, and no Fraction is added up along the sweep.
+- Product tree. The per-prime integers n_p/p are combined once by
+  `arcs.exact_sum`, pairwise up a balanced tree, with one gcd at the
+  end (Bernstein, "Fast multiplication and its applications", 2008).
+  Adding Fractions in sweep order instead takes a gcd of a denominator
+  that grows to the product of all primes at every step.
+- Moments. alpha = sum (k - nu)^2 m_k = S2 - 2 nu S1 + nu^2 S0 with
+  Sj = sum k^j m_k, integer sums over one common denominator.
+- CRT. The p1*p2 placements of a pair of primes give every centre
+  distance r/(p1*p2) exactly once, so the pair expectation is a short
+  sum of a trapezoid in integer units.
 """
 
 from __future__ import annotations
@@ -14,13 +36,14 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .arcs import RationalLike, arc_of, normalize_union, rat_str, sweep, to_fraction
-from .primes import is_prime, primes_between
-from .sequences import NumeratorSequence
+from .arcs import RationalLike, arc_pieces, exact_sum, rat_str, sweep, to_fraction
+from .primes import harmonic_sum, is_prime, primes_between
+from .sequences import NumeratorSequence, uncovered_by
 
 HALF = Fraction(1, 2)
 
@@ -71,47 +94,77 @@ def level_sets(
 ) -> LevelSetProfile:
     """Sweep all arc endpoints on the circle and measure every level set.
 
+    With c = u/v the arc of p is [a*v - u, a*v + u] in units of 1/(p*v).
+    Scaled by v (the circle becomes [0, v]) an endpoint is a numerator n
+    over its prime p, and the sweep orders these integers exactly. The
+    level measures telescope: at a position x where the count steps
+    from k to k', the run of level k ends and one of level k' starts, so
+    x adds to m_k and is taken from m_k', and level 0 ends at the point
+    1 (= v/1). Each level keeps one integer numerator per prime, in units
+    of 1/(p*v); the per-prime numerators go to one exact_sum per level.
+
     The result is exact: sum of level measures is 1 and the mean count
-    equals 2c * sum(1/p) over the range, both as rational identities.
+    equals nu = 2c * sum(1/p) over the range. Both identities are
+    asserted over the common denominator v * P, P the product of the
+    primes (the exact denominator of sum(1/p)), which every level
+    measure divides.
     """
     x, y = to_fraction(x), to_fraction(y)
     if not x < y:
         raise ValueError(f"need X < Y, got X={x}, Y={y}")
     primes = primes_between(x, y)
-    arcs = seq.arcs_for(primes)
+    c = seq.c
+    v = c.denominator
 
-    levels: dict[int, Fraction] = {0: Fraction(0)}
-    prev = Fraction(0)
+    numerators: defaultdict[int, defaultdict[int, int]] = defaultdict(lambda: defaultdict(int))
     count = 0
-    for pos, starts, ends in sweep((s, e, None) for arc in arcs for s, e in arc.segments()):
-        if pos > prev:
-            levels[count] = levels.get(count, Fraction(0)) + (pos - prev)
-            prev = pos
-        count += len(starts) - len(ends)
-    if prev < 1:
-        levels[count] = levels.get(count, Fraction(0)) + (1 - prev)
+    for n, p, starts, ends in sweep(arc_pieces(((p, seq.numerator_for(p)) for p in primes), c)):
+        new = count + len(starts) - len(ends)
+        if new != count:
+            numerators[count][p] += n
+            numerators[new][p] -= n
+            count = new
+    numerators[0][1] += v
+    levels = {
+        k: exact_sum((n, p) for p, n in numerators[k].items() if n) / v
+        for k in range(max(numerators) + 1)
+    }
 
-    for k in range(max(levels)):
-        levels.setdefault(k, Fraction(0))
+    harmonic = harmonic_sum(primes)
+    nu = 2 * c * harmonic
+    common = v * harmonic.denominator
+    scaled = [_over(m, common) for m in levels.values()]
+    assert sum(scaled) == common  # total() == 1
+    assert sum(k * m for k, m in enumerate(scaled)) == _over(nu, common)  # mean_count() == nu
+    return LevelSetProfile(x=x, y=y, c=c, nu=nu, levels=levels)
 
-    nu = sum((2 * seq.c / p for p in primes), Fraction(0))
-    profile = LevelSetProfile(x=x, y=y, c=seq.c, nu=nu, levels=levels)
-    assert profile.total() == 1
-    assert profile.mean_count() == nu
-    return profile
+
+def _over(q: Fraction, common: int) -> int:
+    """Numerator of q over `common`, which its denominator must divide."""
+    factor, rest = divmod(common, q.denominator)
+    assert not rest
+    return q.numerator * factor
 
 
 def alpha_and_markov(profile: LevelSetProfile) -> SieveReport:
     """Second moment about nu and the resulting bound on the empty level.
 
-    With no primes in range the bound degenerates: markov_bound is None,
-    standing in for +infinity.
+    alpha = sum (k - nu)^2 m_k expands to S2 - 2 nu S1 + nu^2 S0 with the
+    moments Sj = sum k^j m_k: the same rational number, but each moment
+    is an integer sum over the levels' common denominator L, and the
+    expansion, taken as S2 - nu (2 S1 - nu S0), costs a few Fraction
+    operations instead of one per level. With no primes in range the
+    bound degenerates: markov_bound is None, standing in for +infinity.
     """
     nu = profile.nu
-    alpha = sum(
-        ((k - nu) ** 2 * m for k, m in profile.levels.items()), Fraction(0)
+    levels = profile.levels
+    common = math.lcm(*(m.denominator for m in levels.values()))
+    scaled = [(k, _over(m, common)) for k, m in levels.items()]
+    s0, s1, s2 = (
+        Fraction(sum(k**j * m for k, m in scaled), common) for j in range(3)
     )
-    omega = profile.levels.get(0, Fraction(0))
+    alpha = s2 - nu * (2 * s1 - nu * s0)
+    omega = levels.get(0, Fraction(0))
     markov = alpha / nu**2 if nu > 0 else None
     if markov is not None:
         assert omega <= markov
@@ -121,23 +174,29 @@ def alpha_and_markov(profile: LevelSetProfile) -> SieveReport:
 def pair_expectation(p1: int, p2: int, c: RationalLike) -> Fraction:
     """Average intersection measure of the two primes' arcs over all numerators.
 
-    Plain double sum over the p1*p2 placements, each intersection measured
-    exactly; stays within 2/p2^2 of 4c^2/(p1*p2).
+    The arcs of a1/p1 and a2/p2 meet according to the circle distance of
+    their centres, (a1*p2 - a2*p1)/(p1*p2) mod 1. By the Chinese
+    remainder theorem the p1*p2 placements hit every residue r mod
+    N = p1*p2 exactly once, so the average is (1/N) sum_r overlap(r/N).
+    In units of 1/(N*v), c = u/v, the half-widths are H1 = u*p2 and
+    H2 = u*p1 <= H1 and the distance of residue r (or N - r) is r*v, so
+    overlap(r) = max(0, min(2*H2, H1 + H2 - r*v)): a trapezoid, zero once
+    r*v >= H1 + H2. As c*(p1 + p2) < N/2, only r and N - r with
+    r < (H1 + H2)/v contribute. The result is exact and stays within
+    2/p2^2 of 4c^2/(p1*p2).
     """
     if p1 >= p2:
         raise ValueError(f"need p1 < p2, got {p1} >= {p2}")
     if not (is_prime(p1) and is_prime(p2)):
         raise ValueError(f"{p1} and {p2} must both be prime")
     c = to_fraction(c)
-    arcs1 = [arc_of(p1, a, c) for a in range(p1)]
-    arcs2 = [arc_of(p2, b, c) for b in range(p2)]
-    from .arcs import intersect_measure
-
-    total = Fraction(0)
-    for a1 in arcs1:
-        for a2 in arcs2:
-            total += intersect_measure(a1, a2)
-    return total / (p1 * p2)
+    if not (0 < c <= HALF):
+        raise ValueError(f"c must lie in (0, 1/2], got {c}")
+    u, v = c.numerator, c.denominator
+    inner, reach = 2 * u * p1, u * (p1 + p2)  # 2*H2 and H1 + H2
+    total = inner + 2 * sum(min(inner, reach - r * v) for r in range(1, -(-reach // v)))
+    n = p1 * p2
+    return Fraction(total, n * n * v)
 
 
 def omega_expectation_exact(
@@ -152,6 +211,14 @@ def omega_expectation_exact(
     arrangement of all candidate arcs the survival probability is the
     product over primes of (1 - n_p/p), n_p counting the candidate arcs
     covering the cell. Sweeping the arrangement integrates that product.
+
+    The product is kept as the integer Q = prod (p - n_p) over P = prod p
+    and updated by exact division as counts change. Positions come from
+    the sweep as numerators n over p in units of 1/(p*v), c = u/v. The
+    integral telescopes: with S_i the survival after position x_i,
+    E = sum_i x_i (S_(i-1) - S_i) + S_final, so each position adds
+    n * (Q_(i-1) - Q_i) to its prime's integer numerator, and
+    E = (exact_sum of those over p, plus v * Q_final) / (v * P).
     """
     x, y = to_fraction(x), to_fraction(y)
     c = to_fraction(c)
@@ -169,28 +236,21 @@ def omega_expectation_exact(
             f"exceed the budget of {max_endpoints}"
         )
 
-    counts = [0] * len(primes)
-    product = Fraction(1)
-    expectation = Fraction(0)
-    prev = Fraction(0)
-    for pos, starts, ends in sweep(
-        (s, e, i)
-        for i, p in enumerate(primes)
-        for a in range(p)
-        for s, e in arc_of(p, a, c).segments()
-    ):
-        if pos > prev:
-            expectation += (pos - prev) * product
-            prev = pos
+    v = c.denominator
+    counts = dict.fromkeys(primes, 0)
+    survive = whole = math.prod(primes)
+    numerators: defaultdict[int, int] = defaultdict(int)
+    for n, p, starts, ends in sweep(arc_pieces(((p, a) for p in primes for a in range(p)), c)):
+        before = survive
         # ends before starts: at c = 1/2 the arcs of 2 touch, and a start
         # applied first would bring its count to p
-        for idx, delta in [(i, -1) for i in ends] + [(i, 1) for i in starts]:
-            p, old = primes[idx], counts[idx]
-            counts[idx] = old + delta
-            product *= Fraction(p - old - delta, p - old)
-    if prev < 1:
-        expectation += (1 - prev) * product
-    return expectation
+        for q, delta in [(q, -1) for q in ends] + [(q, 1) for q in starts]:
+            old = counts[q]
+            counts[q] = old + delta
+            survive = survive // (q - old) * (q - old - delta)
+        numerators[p] += n * (before - survive)
+    terms = [(n, p) for p, n in numerators.items() if n] + [(v * survive, 1)]
+    return exact_sum(terms) / (v * whole)
 
 
 def _trial_seed(seed: int, trial: int) -> int:
@@ -222,16 +282,22 @@ def omega_expectation_mc(
         raise ValueError(f"c must lie in (0, 1/2], got {c}")
     primes = primes_between(x, y)
 
+    # every trial's value has a denominator dividing v * P, P = prod p
+    common = c.denominator * math.prod(primes)
     values = []
     for i in range(trials):
         rng = random.Random(_trial_seed(seed, i))
-        arcs = [arc_of(p, rng.randrange(p), c) for p in primes]
-        values.append(1 - normalize_union(arcs).measure())
+        value = uncovered_by([(p, rng.randrange(p)) for p in primes], c)
+        values.append(_over(value, common))
 
-    mean = sum(values, Fraction(0)) / trials
+    # mean = S/(T*L) and variance = sum (T*V_i - S)^2 / (T^2 * L^2 * (T - 1))
+    # with value i = V_i/L; int / int rounds the exact ratio correctly, as
+    # float() of the equal Fraction does
+    total = sum(values)
     if trials > 1:
-        variance = sum(((v - mean) ** 2 for v in values), Fraction(0)) / (trials - 1)
-        stderr = math.sqrt(float(variance) / trials)
+        square_sum = sum((trials * value - total) ** 2 for value in values)
+        variance = square_sum / (trials * trials * common * common * (trials - 1))
+        stderr = math.sqrt(variance / trials)
     else:
         stderr = 0.0
-    return float(mean), stderr
+    return total / (trials * common), stderr

@@ -17,6 +17,7 @@ from primecover.arcs import (
     rat_str,
     to_fraction,
 )
+from primecover.arcs import arc_pieces, exact_sum, sweep, union_length
 
 F = Fraction
 
@@ -257,3 +258,46 @@ class TestSerialization:
             to_fraction("one half")
         assert to_fraction("1/2") == F(1, 2)
         assert to_fraction("0.25") == F(1, 4)
+
+
+WIDTHS = (F(1, 8), F(1, 4), F(2, 7), F(1, 3), F(3, 7), F(1, 2))
+
+
+class TestIntegerUnits:
+    @given(st.integers(2, 400), st.data(), st.sampled_from(WIDTHS))
+    def test_arc_pieces_are_the_segments(self, p, data, c):
+        # pieces are on the circle scaled by v: n/p stands for n/(p*v)
+        a = data.draw(st.integers(0, p - 1))
+        pieces = list(arc_pieces([(p, a)], c))
+        assert [(F(s, p * c.denominator), F(e, p * c.denominator)) for s, e, _, _ in pieces] == (
+            arc_of(p, a, c).segments()
+        )
+        assert all(den == tag == p for _, _, den, tag in pieces)
+
+    @given(st.lists(st.tuples(st.integers(-10**30, 10**30), st.integers(1, 10**30)), max_size=40))
+    def test_exact_sum_is_the_fraction_sum(self, terms):
+        assert exact_sum(terms) == sum((F(n, d) for n, d in terms), F(0))
+
+    def test_exact_sum_of_nothing(self):
+        assert exact_sum([]) == 0
+
+    @given(st.lists(st.tuples(st.integers(0, 30), st.integers(0, 30), st.integers(1, 30)), max_size=12))
+    def test_sweep_groups_equal_positions(self, raw):
+        pieces = [(min(s, e), max(s, e), d, i) for i, (s, e, d) in enumerate(raw)]
+        walked = [(F(n, d), starts, ends) for n, d, starts, ends in sweep(pieces)]
+        positions = [pos for pos, _, _ in walked]
+        assert positions == sorted({F(n, d) for s, e, d, _ in pieces for n in (s, e)})
+        for pos, starts, ends in walked:
+            assert sorted(starts) == [i for s, _, d, i in pieces if F(s, d) == pos]
+            assert sorted(ends) == [i for _, e, d, i in pieces if F(e, d) == pos]
+
+    def test_union_length_matches_normalize_union(self):
+        rng = random.Random(17)
+        for _ in range(200):
+            family = [_random_arc(rng, max_den=rng.choice([7, 60, 10**12])) for _ in range(rng.randint(0, 6))]
+            pieces = []
+            for arc in family:
+                for s, e in arc.segments():
+                    den = s.denominator * e.denominator
+                    pieces.append((s.numerator * e.denominator, e.numerator * s.denominator, den, None))
+            assert union_length(pieces) == measure(normalize_union(family))

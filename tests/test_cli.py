@@ -230,6 +230,53 @@ class TestScanGoldenFiles:
         )
 
 
+class TestExactGoldenOutputs:
+    # digests of what the Fraction sums of level_sets, alpha_and_markov,
+    # omega_expectation_exact and the Monte Carlo trials printed; the
+    # integer sums must keep every byte
+    @pytest.fixture(scope="class")
+    def random_seq(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("golden") / "r.json"
+        assert main(["seq", "build", "--method", "random", "--bound", "10000",
+                     "--c", "1/4", "--seed", "1729", "--out", str(path)]) == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "e821566775988eb4a76f6b5d13c385a3c1fff99747d2a74f06482528ccf87745"
+        )
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (("sievelab", "--x", "2", "--y", "300", "--c", "1/4", "--exact"),
+             "850d13f939477f05ff37e6c15b0735cd5ee35af2170e4657dbd6c9c6cad420f4"),
+            (("sievelab", "--x", "2", "--y", "5000", "--c", "1/4", "--mc", "50",
+              "--seed", "1729"),
+             "9cf8d8751b119a208e50103283d33b9b29cd6c4e39efac0814a9e5e642f71fbd"),
+        ],
+        ids=["exact_300", "mc_5000"],
+    )
+    def test_without_sequence(self, capsys, argv, expected):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == expected
+
+    def test_sievelab_report(self, capsys, random_seq):
+        code, out, _ = run_cli(capsys, "sievelab", "--seq", random_seq, "--x", "2",
+                               "--y", "5000")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "017c61232297f6ca128e0d71050ea80da82134b7252e681c53a98894e3a97fea"
+        )
+
+    def test_coverage(self, capsys, random_seq):
+        code, out, _ = run_cli(capsys, "coverage", "--seq", random_seq, "--x", "1",
+                               "--y", "10000")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "a7b0f230e499f305a20d1501baafdfac10b3a459304bd9ba5dff4b39ab6e06b5"
+        )
+
+
 class TestErgodicCommand:
     def test_csv_shape(self, capsys, tmp_path):
         seq_file = tmp_path / "seq.json"

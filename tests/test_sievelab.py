@@ -1,12 +1,17 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from primecover.arcs import arc_of, intersect_measure, measure, normalize_union
 from primecover.primes import harmonic_H, primes_between
+from primecover.primes import sieve_range
 from primecover.sequences import NumeratorSequence, random_sequence
+from primecover.sequences import constant_sequence, uncovered_by, uncovered_measure
 from primecover.sievelab import (
     alpha_and_markov,
     level_sets,
@@ -241,3 +246,197 @@ class TestReportSerialization:
         seq = NumeratorSequence(HALF, ((2, 0),))
         doc = alpha_and_markov(level_sets(seq, 7, 10)).to_dict()
         assert doc["markov_bound"] == "inf"
+
+
+# ---------------------------------------------------------------------------
+# Fraction oracles: the sums level_sets, alpha_and_markov,
+# omega_expectation_exact and the Monte Carlo trials made before they
+# moved to integer numerators in units of 1/(p*v). Positions are sorted
+# here as Fractions, independently of arcs.sweep.
+
+WIDTHS = (F(1, 8), F(1, 4), F(2, 7), F(1, 3), F(3, 7), HALF)
+
+
+def fraction_sweep(pieces):
+    """(position, tags starting there, tags ending there), ascending."""
+    events = {}
+    for start, end, tag in pieces:
+        events.setdefault(start, ([], []))[0].append(tag)
+        events.setdefault(end, ([], []))[1].append(tag)
+    for pos in sorted(events):
+        yield (pos, *events[pos])
+
+
+def fraction_level_sets(seq, x, y):
+    primes = primes_between(x, y)
+    arcs = seq.arcs_for(primes)
+    levels = {0: F(0)}
+    prev = F(0)
+    count = 0
+    for pos, starts, ends in fraction_sweep(
+        (s, e, None) for arc in arcs for s, e in arc.segments()
+    ):
+        if pos > prev:
+            levels[count] = levels.get(count, F(0)) + (pos - prev)
+            prev = pos
+        count += len(starts) - len(ends)
+    if prev < 1:
+        levels[count] = levels.get(count, F(0)) + (1 - prev)
+    for k in range(max(levels)):
+        levels.setdefault(k, F(0))
+    nu = sum((2 * seq.c / p for p in primes), F(0))
+    return levels, nu
+
+
+def fraction_alpha_and_markov(levels, nu):
+    alpha = sum(((k - nu) ** 2 * m for k, m in levels.items()), F(0))
+    omega = levels.get(0, F(0))
+    markov = alpha / nu**2 if nu > 0 else None
+    return alpha, omega, markov
+
+
+def fraction_omega_expectation_exact(x, y, c):
+    primes = primes_between(x, y)
+    counts = [0] * len(primes)
+    product = F(1)
+    expectation = F(0)
+    prev = F(0)
+    for pos, starts, ends in fraction_sweep(
+        (s, e, i)
+        for i, p in enumerate(primes)
+        for a in range(p)
+        for s, e in arc_of(p, a, c).segments()
+    ):
+        if pos > prev:
+            expectation += (pos - prev) * product
+            prev = pos
+        for idx, delta in [(i, -1) for i in ends] + [(i, 1) for i in starts]:
+            p, old = primes[idx], counts[idx]
+            counts[idx] = old + delta
+            product *= F(p - old - delta, p - old)
+    if prev < 1:
+        expectation += (1 - prev) * product
+    return expectation
+
+
+def fraction_mc(x, y, c, trials, seed):
+    from primecover.sievelab import _trial_seed
+
+    primes = primes_between(x, y)
+    values = []
+    for i in range(trials):
+        rng = random.Random(_trial_seed(seed, i))
+        arcs = [arc_of(p, rng.randrange(p), c) for p in primes]
+        values.append(1 - normalize_union(arcs).measure())
+    mean = sum(values, F(0)) / trials
+    if trials > 1:
+        variance = sum(((v - mean) ** 2 for v in values), F(0)) / (trials - 1)
+        stderr = math.sqrt(float(variance) / trials)
+    else:
+        stderr = 0.0
+    return float(mean), stderr
+
+
+@st.composite
+def prime_ranges(draw, top=200):
+    """(x, y) with 0 <= x < y <= top, either possibly fractional; x < 2 half the time."""
+    low = draw(st.sampled_from((min(top, 2), top)))
+    x = draw(st.fractions(min_value=0, max_value=low - 1, max_denominator=6))
+    y = draw(st.fractions(min_value=x, max_value=top, max_denominator=6).filter(lambda y: y > x))
+    return x, y
+
+
+@st.composite
+def drawn_sequences(draw, c, bound=200):
+    primes = sieve_range(bound).primes
+    entries = tuple((p, draw(st.integers(0, p - 1))) for p in primes)
+    return NumeratorSequence(c, entries)
+
+
+def assert_report_matches_oracle(seq, x, y):
+    profile = level_sets(seq, x, y)
+    report = alpha_and_markov(profile)
+    levels, nu = fraction_level_sets(seq, x, y)
+    assert profile.levels == levels
+    assert profile.nu == nu
+    assert (report.alpha, report.omega_measure, report.markov_bound) == (
+        fraction_alpha_and_markov(levels, nu)
+    )
+
+
+class TestIntegerSumsMatchFractionOracles:
+    @given(st.data(), st.sampled_from(WIDTHS), prime_ranges())
+    @settings(max_examples=60, deadline=None)
+    def test_level_report(self, data, c, bounds):
+        seq = data.draw(drawn_sequences(c))
+        assert_report_matches_oracle(seq, *bounds)
+
+    @given(st.data(), st.sampled_from(WIDTHS), prime_ranges(top=2))
+    @settings(max_examples=20, deadline=None)
+    def test_level_report_below_two(self, data, c, bounds):
+        assert_report_matches_oracle(data.draw(drawn_sequences(c)), *bounds)
+
+    @given(st.sampled_from(WIDTHS), prime_ranges(top=120))
+    @settings(max_examples=25, deadline=None)
+    def test_exact_expectation(self, c, bounds):
+        x, y = bounds
+        assert omega_expectation_exact(x, y, c) == fraction_omega_expectation_exact(x, y, c)
+
+    @given(st.sampled_from(WIDTHS), prime_ranges(), st.integers(1, 6), st.integers(0, 2**32))
+    @settings(max_examples=40, deadline=None)
+    def test_monte_carlo_bit_equal(self, c, bounds, trials, seed):
+        x, y = bounds
+        assert omega_expectation_mc(x, y, c, trials, seed) == fraction_mc(x, y, c, trials, seed)
+
+    @given(st.sampled_from(WIDTHS), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_pair_expectation(self, c, data):
+        primes = primes_between(1, 45)
+        p1, p2 = sorted(data.draw(st.lists(st.sampled_from(primes), min_size=2, max_size=2, unique=True)))
+        assert pair_expectation(p1, p2, c) == TestPairExpectation.brute_force(None, p1, p2, c)
+
+    @pytest.mark.parametrize("c", WIDTHS)
+    def test_all_numerators_zero_wrap(self, c):
+        # every arc is the wrapping arc a = 0, split at the point 0
+        seq = constant_sequence(200, c)
+        assert_report_matches_oracle(seq, F(3, 2), 200)
+        assert uncovered_measure(seq, 1, 200) == fraction_level_sets(seq, 1, 200)[0][0]
+
+    def test_touching_arcs_at_half(self):
+        # [1/6, 1/2] and [1/2, 7/10] meet in the point 1/2 only
+        seq = NumeratorSequence(HALF, ((3, 1), (5, 3)))
+        assert level_sets(seq, 2, 5).levels == {0: F(7, 15), 1: F(8, 15)}
+        assert_report_matches_oracle(seq, 2, 5)
+        assert uncovered_measure(seq, 2, 5) == F(7, 15)
+
+    def test_prime_two_covers_the_circle_at_half(self):
+        # the two candidate arcs of 2 touch at 1/4 and 3/4 and cover everything
+        assert uncovered_by([(2, 0), (2, 1)], HALF) == 0
+        assert omega_expectation_exact(1, 2, HALF) == HALF
+        for y in (3, 7, 13):
+            assert omega_expectation_exact(1, y, HALF) == fraction_omega_expectation_exact(1, y, HALF)
+        assert omega_expectation_mc(1, 2, HALF, 5, 1729) == (0.5, 0.0)
+        assert omega_expectation_mc(1, 13, HALF, 7, 3) == fraction_mc(1, 13, HALF, 7, 3)
+
+    def test_empty_prime_range(self):
+        seq = random_sequence(30, F(1, 4), seed=1)
+        profile = level_sets(seq, 24, 28)
+        assert profile.levels == {0: 1} and profile.nu == 0
+        assert alpha_and_markov(profile).markov_bound is None
+        assert_report_matches_oracle(seq, 24, 28)
+        assert omega_expectation_exact(24, 28, F(1, 4)) == 1
+        assert omega_expectation_mc(24, 28, F(1, 4), 3, 5) == (1.0, 0.0)
+        assert uncovered_measure(seq, 24, 28) == 1
+
+
+class TestPairExpectationInputs:
+    @pytest.mark.parametrize("c, shown", [(F(0), "0"), (F(3, 5), "3/5"), (F(1), "1")])
+    def test_c_outside_range(self, c, shown):
+        with pytest.raises(ValueError, match=rf"^c must lie in \(0, 1/2\], got {shown}$"):
+            pair_expectation(3, 5, c)
+
+    def test_order_and_primality_checked_first(self):
+        with pytest.raises(ValueError, match="need p1 < p2"):
+            pair_expectation(5, 3, F(3, 5))
+        with pytest.raises(ValueError, match="must both be prime"):
+            pair_expectation(4, 7, F(3, 5))
