@@ -9,28 +9,29 @@ floating-point fields such as Monte Carlo means and |s_p|.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
+import math
+import os
 import sys
+import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .arcs import to_fraction, rat_str
-from .ergodic import convergence_series, sparse_prime_set
+from .ergodic import ergodic_rows, sparse_prime_set
 from .hits import (
+    Classified,
     HitReport,
-    HitRow,
     approximant_named,
+    fractional_classes,
     fractional_hits,
-    fractional_rows,
+    hit_classes,
     hit_primes,
-    hit_rows,
     rational_point,
 )
-from .primes import sieve_range
+from .primes import prime_count, sieve_range
 from .sequences import (
     block_construction,
     constant_sequence,
@@ -113,11 +114,10 @@ def _point(config: RunConfig):
 def cmd_primes(config: RunConfig) -> str:
     if config.bound is None or config.bound < 2:
         raise CliError("bound must be >= 2")
+    if not config.list_primes:
+        return _json_text({"bound": config.bound, "count": prime_count(config.bound)})
     table = sieve_range(config.bound)
-    doc = {"bound": table.bound, "count": table.count()}
-    if config.list_primes:
-        doc["primes"] = list(table.primes)
-    return _json_text(doc)
+    return _json_text({"bound": table.bound, "count": table.count(), "primes": list(table.primes)})
 
 
 def cmd_seq_build(config: RunConfig) -> str:
@@ -192,21 +192,13 @@ def cmd_sievelab(config: RunConfig) -> str:
     return _json_text(doc)
 
 
-def _hit_csv(rows: list[HitRow]) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["p", "distance_num", "distance_den", "hit", "ambiguous"])
-    for row in rows:
-        writer.writerow(
-            [
-                row.p,
-                row.distance.numerator,
-                row.distance.denominator,
-                int(row.hit),
-                int(row.ambiguous),
-            ]
-        )
-    return buffer.getvalue()
+def _hit_csv(classes: Iterator[Classified]) -> str:
+    """One row per classified prime, the distance reduced to lowest terms."""
+    lines = ["p,distance_num,distance_den,hit,ambiguous\n"]
+    for p, n, den, hit, ambiguous in classes:
+        g = math.gcd(n, den)
+        lines.append(f"{p},{n // g},{den // g},{hit:d},{ambiguous:d}\n")
+    return "".join(lines)
 
 
 def _hit_json(report: HitReport, label: str, c: Fraction) -> str:
@@ -230,7 +222,7 @@ def cmd_hits(config: RunConfig) -> str:
     if config.bound is None or config.bound < 2:
         raise CliError("bound must be >= 2")
     if config.out_format == "csv":
-        return _hit_csv(hit_rows(point, seq, config.bound))
+        return _hit_csv(hit_classes(point, seq, config.bound))
     report = hit_primes(point, seq, config.bound)
     return _hit_json(report, point.label, seq.c)
 
@@ -242,7 +234,7 @@ def cmd_fracparts(config: RunConfig) -> str:
     if config.c is None:
         raise CliError("c must be in (0,1/2]")
     if config.out_format == "csv":
-        return _hit_csv(fractional_rows(point, config.c, config.bound))
+        return _hit_csv(fractional_classes(point, config.c, config.bound))
     report = fractional_hits(point, config.c, config.bound)
     return _hit_json(report, point.label, config.c)
 
@@ -266,17 +258,18 @@ def cmd_ergodic(config: RunConfig) -> str:
     if config.x is None or config.y is None:
         raise CliError("ergodic needs --x and --y")
     x, y = _float_arg(config.x), _float_arg(config.y)
+    if config.sparse == "psi" and config.psi is None:
+        raise CliError("--sparse psi needs --psi (log, loglog or sqrt_log)")
     if config.sparse is not None:
-        primes = list(sparse_prime_set(config.primes_up_to, config.sparse, config.psi).primes)
+        primes = sparse_prime_set(config.primes_up_to, config.sparse, config.psi).primes
     else:
-        primes = list(sieve_range(config.primes_up_to).primes)
-    samples = convergence_series(seq, x, y, primes)
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["p", "a_p", "d", "abs_s", "is_hit", "method"])
-    for s in samples:
-        writer.writerow([s.p, s.a, repr(s.distance), repr(abs(s.s)), int(s.is_hit), s.method])
-    return buffer.getvalue()
+        primes = sieve_range(config.primes_up_to).primes
+    lines = ["p,a_p,d,abs_s,is_hit,method\n"]
+    lines.extend(
+        f"{p},{a},{distance!r},{abs(s)!r},{is_hit:d},{method}\n"
+        for p, a, distance, s, method, is_hit in ergodic_rows(seq, x, y, primes)
+    )
+    return "".join(lines)
 
 
 _DISPATCH = {
@@ -294,14 +287,39 @@ def run(config: RunConfig) -> int:
     """Dispatch a validated config; returns the process exit status."""
     try:
         text = _DISPATCH[config.command](config)
+        if config.out_path is not None and config.command != "seq":
+            _write_out(config.out_path, text)
+            return 0
     except (CliError, ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if config.out_path is not None and config.command != "seq":
-        Path(config.out_path).write_text(text)
-    else:
-        sys.stdout.write(text)
+    sys.stdout.write(text)
     return 0
+
+
+def _write_out(path: str, text: str) -> None:
+    """Write text to path all at once or not at all.
+
+    The text goes to a temporary file in the target's directory, which
+    then replaces the target by one rename, so a failed write leaves
+    neither a partial file nor a truncated old one. The file gets the
+    mode a plain open would give it (0o666 less the umask).
+    """
+    target = Path(path)
+    try:
+        fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as handle:
+                handle.write(text)
+            umask = os.umask(0)
+            os.umask(umask)
+            os.chmod(tmp, 0o666 & ~umask)
+            os.replace(tmp, target)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -5,14 +5,16 @@ n < p is a Dirichlet-kernel expression in the reduced offset
 d = y - a/p. Two evaluators are provided: the direct compensated sum
 (ground truth) and the closed kernel form (fast, with a fallback to the
 direct sum near the removable singularity at d = 0). Their agreement is
-the precision audit for everything downstream.
+the precision audit for everything downstream. `ergodic_rows` runs the
+closed form and the exact hit test over many primes in one loop.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from fractions import Fraction
+from typing import Iterable, Iterator, Optional
 
 from .arcs import RationalLike, to_fraction
 from .primes import next_prime
@@ -66,18 +68,13 @@ def s_closed(p: int, a: int, x: float, y: float) -> complex:
     Falls back to the direct sum when |sin(pi d)| < 1e-8, where d is so
     close to the removable singularity that the ratio loses accuracy.
     """
-    value, _ = _s_eval(p, a, x, y)
-    return value
-
-
-def _s_eval(p: int, a: int, x: float, y: float) -> tuple[complex, str]:
     _check_numerator(p, a)
     d = reduce_offset(y - a / p)
     sin_d = math.sin(math.pi * d)
     if abs(sin_d) < _SIN_FALLBACK:
-        return s_direct(p, a, x, y), "direct"
+        return s_direct(p, a, x, y)
     ratio = math.sin(math.pi * p * d) / (p * sin_d)
-    return ratio * _e(x + 0.5 * (p - 1) * d), "closed"
+    return ratio * _e(x + 0.5 * (p - 1) * d)
 
 
 @dataclass(frozen=True)
@@ -94,37 +91,66 @@ class ErgodicSample:
     is_hit: bool
 
 
+# (p, a_p, |d|, s, method, is_hit)
+ErgodicRow = tuple[int, int, float, complex, str, bool]
+
+
+def ergodic_rows(
+    seq: NumeratorSequence,
+    x: float,
+    y: float,
+    primes: Iterable[int],
+) -> Iterator[ErgodicRow]:
+    """Evaluate the average at (x, y) for each listed prime, in one pass.
+
+    Yields (p, a_p, distance, s, method, is_hit). The reduced offset and
+    the kernel are those of s_closed, operation for operation, written
+    inline. is_hit is exact: a float y is the dyadic rational h/k, and
+    with c = u/v the circle distance from y to a/p is n/(k*p), where
+    r = (h*p - a*k) mod k*p and n = min(r, k*p - r), so
+
+        p * dist <= c  <=>  n*v <= u*k
+
+    the hits.hit_classes inequality with eta = 0. The float distance is
+    reported, never compared.
+    """
+    h, k = Fraction(y).as_integer_ratio()
+    v = seq.c.denominator
+    threshold = seq.c.numerator * k
+    numerator_for = seq.numerator_for
+    sin, cos, pi = math.sin, math.cos, math.pi
+    for p in primes:
+        a = numerator_for(p)
+        d = (y - a / p) % 1.0
+        if d > 0.5:
+            d -= 1.0
+        sin_d = sin(pi * d)
+        if abs(sin_d) < _SIN_FALLBACK:
+            s, method = s_direct(p, a, x, y), "direct"
+        else:
+            w = 2.0 * pi * (x + 0.5 * (p - 1) * d)
+            s, method = sin(pi * p * d) / (p * sin_d) * complex(cos(w), sin(w)), "closed"
+        kp = k * p
+        r = (h * p - a * k) % kp
+        yield p, a, abs(d), s, method, min(r, kp - r) * v <= threshold
+
+
 def convergence_series(
     seq: NumeratorSequence,
     x: float,
     y: float,
-    primes: Sequence[int],
+    primes: Iterable[int],
 ) -> list[ErgodicSample]:
-    """Evaluate the average at (x, y) for each listed prime of the sequence.
+    """ergodic_rows as samples.
 
     A sample is a hit when p times the circle distance from y to a_p/p is
     at most the sequence's c; hits keep |s| bounded away from 0 while
     distant primes have |s| <= 1/(2 p d).
     """
-    c = float(seq.c)
-    samples = []
-    for p in primes:
-        a = seq.numerator_for(p)
-        value, method = _s_eval(p, a, x, y)
-        distance = abs(reduce_offset(y - a / p))
-        samples.append(
-            ErgodicSample(
-                p=p,
-                a=a,
-                x=x,
-                y=y,
-                s=value,
-                method=method,
-                distance=distance,
-                is_hit=p * distance <= c,
-            )
-        )
-    return samples
+    return [
+        ErgodicSample(p, a, x, y, s, method, distance, is_hit)
+        for p, a, distance, s, method, is_hit in ergodic_rows(seq, x, y, primes)
+    ]
 
 
 @dataclass(frozen=True)

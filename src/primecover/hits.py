@@ -115,6 +115,10 @@ class HitRow:
     ambiguous: bool
 
 
+# (p, distance or fractional-part numerator, its denominator, hit, ambiguous)
+Classified = tuple[int, int, int, bool, bool]
+
+
 @dataclass(frozen=True)
 class HitReport:
     bound: int
@@ -125,24 +129,40 @@ class HitReport:
     hit_reciprocal_sum: float
 
 
-def _report_from_rows(rows: list[HitRow], bound: int, heuristic: float) -> HitReport:
-    hits = tuple(r.p for r in rows if r.hit)
-    ambiguous = tuple(r.p for r in rows if r.ambiguous)
+def _tally(classes: Iterator[Classified]) -> tuple[list[int], list[int], list[int]]:
+    """Every classified prime, the hits and the ambiguous ones."""
+    primes, hits, ambiguous = [], [], []
+    for p, _, _, hit, unsure in classes:
+        primes.append(p)
+        if hit:
+            hits.append(p)
+        elif unsure:
+            ambiguous.append(p)
+    return primes, hits, ambiguous
+
+
+def _report(bound: int, hits: list[int], ambiguous: list[int], heuristic: float) -> HitReport:
     return HitReport(
         bound=bound,
-        hits=hits,
-        ambiguous=ambiguous,
+        hits=tuple(hits),
+        ambiguous=tuple(ambiguous),
         heuristic=heuristic,
         ratio=len(hits) / heuristic if heuristic > 0 else 0.0,
         hit_reciprocal_sum=math.fsum(1.0 / p for p in hits),
     )
 
 
-def hit_rows(x: RealApproximant, seq: NumeratorSequence, bound: int) -> list[HitRow]:
+def _rows(classes: Iterator[Classified]) -> list[HitRow]:
+    return [HitRow(p, Fraction(n, den), hit, unsure) for p, n, den, hit, unsure in classes]
+
+
+def hit_classes(x: RealApproximant, seq: NumeratorSequence, bound: int) -> Iterator[Classified]:
     """Classify every prime p <= bound as hit, miss, or ambiguous.
 
-    Hit requires the whole interval [value - eta, value + eta] to lie
-    within c/p of a_p/p; miss requires all of it to lie outside.
+    Yields (p, n, den, hit, ambiguous), where n/den (not reduced) is the
+    circle distance from x.value to a_p/p. Hit requires the whole
+    interval [value - eta, value + eta] to lie within c/p of a_p/p; miss
+    requires all of it to lie outside.
 
     With value = h/k, eta = e/E and c = u/v, the circle distance from
     value to a/p is n/(k*p), where r = (h*p - a*k) mod k*p and
@@ -151,8 +171,7 @@ def hit_rows(x: RealApproximant, seq: NumeratorSequence, bound: int) -> list[Hit
         hit  <=>  dist + eta <= c/p  <=>  n*E*v + e*k*p*v <= u*k*E
         miss <=>  dist - eta >  c/p  <=>  n*E*v - e*k*p*v >  u*k*E
 
-    so each prime costs a few integer operations; the only Fraction made
-    per prime is the reported distance.
+    so each prime costs a few integer operations and no Fraction.
     """
     if bound < 2:
         raise ValueError(f"bound must be >= 2, got {bound}")
@@ -163,35 +182,38 @@ def hit_rows(x: RealApproximant, seq: NumeratorSequence, bound: int) -> list[Hit
     spread = e * k * v
     threshold = u * k * big_e
     numerator_for = seq.numerator_for
-    rows = []
     for p in sieve_range(bound).primes:
         kp = k * p
         r = (h * p - numerator_for(p) * k) % kp
         n = min(r, kp - r)
         near, band = n * scale, spread * p
         if near + band <= threshold:
-            hit, ambiguous = True, False
+            yield p, n, kp, True, False
         elif near - band > threshold:
-            hit, ambiguous = False, False
+            yield p, n, kp, False, False
         else:
-            hit, ambiguous = False, True
-        rows.append(HitRow(p, Fraction(n, kp), hit, ambiguous))
-    return rows
+            yield p, n, kp, False, True
+
+
+def hit_rows(x: RealApproximant, seq: NumeratorSequence, bound: int) -> list[HitRow]:
+    """hit_classes as rows, each distance an exact reduced Fraction."""
+    return _rows(hit_classes(x, seq, bound))
 
 
 def hit_primes(x: RealApproximant, seq: NumeratorSequence, bound: int) -> HitReport:
-    rows = hit_rows(x, seq, bound)
-    # the rows hold every prime up to the bound: the sum of harmonic_H_float(1, bound)
-    heuristic = float(2 * seq.c) * math.fsum(1.0 / row.p for row in rows)
-    return _report_from_rows(rows, bound, heuristic)
+    primes, hits, ambiguous = _tally(hit_classes(x, seq, bound))
+    # the sum of harmonic_H_float(1, bound), over the primes already sieved
+    heuristic = float(2 * seq.c) * math.fsum(1.0 / p for p in primes)
+    return _report(bound, hits, ambiguous, heuristic)
 
 
-def fractional_rows(x: RealApproximant, c: RationalLike, bound: int) -> list[HitRow]:
+def fractional_classes(x: RealApproximant, c: RationalLike, bound: int) -> Iterator[Classified]:
     """Classify primes by the one-sided predicate {x*p} < c.
 
-    The distance column carries the exact fractional part of value*p.
-    When the uncertainty band p*eta touches 0, 1, or c, the true status
-    depends on the unknown part of x and the prime is ambiguous.
+    Yields (p, r, k, hit, ambiguous), where r/k (not reduced) is the
+    exact fractional part of value*p. When the uncertainty band p*eta
+    touches 0, 1, or c, the true status depends on the unknown part of x
+    and the prime is ambiguous.
 
     With value = h/k, eta = e/E and c = u/v, the fractional part
     {value*p} is r/k with r = h*p mod k. In units of 1/(k*E) it is
@@ -203,7 +225,7 @@ def fractional_rows(x: RealApproximant, c: RationalLike, bound: int) -> list[Hit
         {value*p} - delta >= c  <=>  (f - d)*v >= u*k*E
 
     and, when eta = 0, {value*p} < c <=> r*v < u*k. Every comparison is
-    an exact integer one; the only Fraction made per prime is the distance.
+    an exact integer one.
     """
     c = to_fraction(c)
     if bound < 2:
@@ -219,32 +241,32 @@ def fractional_rows(x: RealApproximant, c: RationalLike, bound: int) -> list[Hit
     cut = u * k * big_e
     cut_exact = u * k  # the comparison when eta = 0, in units of 1/(k*v)
     ek = e * k
-    rows = []
     for p in sieve_range(bound).primes:
         r = h * p % k
         if e == 0:
-            rows.append(HitRow(p, Fraction(r, k), r * v < cut_exact, False))
+            yield p, r, k, r * v < cut_exact, False
             continue
         f, d = r * big_e, p * ek
         if f >= d and f + d < one:
             if (f + d) * v < cut:
-                hit, ambiguous = True, False
+                yield p, r, k, True, False
             elif (f - d) * v >= cut:
-                hit, ambiguous = False, False
+                yield p, r, k, False, False
             else:
-                hit, ambiguous = False, True
+                yield p, r, k, False, True
         else:
             # the band wraps past 0: both sides of the cut are possible
-            hit, ambiguous = False, True
-        rows.append(HitRow(p, Fraction(r, k), hit, ambiguous))
-    return rows
+            yield p, r, k, False, True
+
+
+def fractional_rows(x: RealApproximant, c: RationalLike, bound: int) -> list[HitRow]:
+    """fractional_classes as rows, each fractional part an exact reduced Fraction."""
+    return _rows(fractional_classes(x, c, bound))
 
 
 def fractional_hits(x: RealApproximant, c: RationalLike, bound: int) -> HitReport:
-    c = to_fraction(c)
-    rows = fractional_rows(x, c, bound)
-    heuristic = float(c) * len(rows)
-    return _report_from_rows(rows, bound, heuristic)
+    primes, hits, ambiguous = _tally(fractional_classes(x, c, bound))
+    return _report(bound, hits, ambiguous, float(to_fraction(c)) * len(primes))
 
 
 class LogLogHeuristic(NamedTuple):

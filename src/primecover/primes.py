@@ -1,6 +1,11 @@
 """Prime enumeration and prime harmonic sums.
 
-The sieve is segmented so memory stays bounded for bounds up to ~1e9.
+The sieve is segmented: it holds the base primes up to sqrt(bound) and one
+window of 2^18 flags at a time. `prime_count` keeps nothing else, so its
+memory stays bounded whatever the bound. `sieve_range` returns every
+prime as a Python int, so its memory grows with pi(bound): about 285 MiB
+peak at 1e8, and several GiB at 1e9.
+
 Harmonic sums come in two flavors: exact rational (denominators grow
 like primorials, practical to roughly Y <= 1e4; added up a product tree,
 see `arcs.exact_sum`) and 64-bit float for larger ranges; callers record
@@ -14,7 +19,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .arcs import RationalLike, exact_sum, to_fraction
 
@@ -45,22 +50,28 @@ class PrimeTable:
         return list(self.primes[lo:hi])
 
 
-def _simple_sieve(bound: int) -> list[int]:
+def _simple_flags(bound: int) -> bytearray:
     flags = bytearray([1]) * (bound + 1)
     flags[0:2] = b"\x00\x00"
     for p in range(2, math.isqrt(bound) + 1):
         if flags[p]:
             flags[p * p :: p] = b"\x00" * len(range(p * p, bound + 1, p))
-    return list(compress(range(bound + 1), flags))
+    return flags
 
 
-def sieve_range(bound: int) -> PrimeTable:
-    """Sieve of Eratosthenes over [2, bound], segmented past the root."""
+def _segments(bound: int) -> Iterator[tuple[int, bytearray]]:
+    """Sieve [0, bound] in pieces: yield (low, flags), flags[i] == 1 iff low + i is prime.
+
+    The first piece is [0, max(isqrt(bound), 2)], sieved directly; its
+    primes then strike out composites in windows of _SEGMENT numbers, so
+    the working set beyond the caller's own output is O(sqrt(bound) + _SEGMENT).
+    """
     if bound < 2:
         raise ValueError(f"sieve bound must be >= 2, got {bound}")
     base_bound = max(math.isqrt(bound), 2)
-    base = _simple_sieve(base_bound)
-    primes = [p for p in base if p <= bound]
+    flags = _simple_flags(base_bound)
+    yield 0, flags
+    base = list(compress(range(base_bound + 1), flags))
     low = base_bound + 1
     while low <= bound:
         high = min(low + _SEGMENT - 1, bound)
@@ -70,9 +81,25 @@ def sieve_range(bound: int) -> PrimeTable:
             if start > high:
                 continue
             flags[start - low :: p] = b"\x00" * len(range(start, high + 1, p))
-        primes.extend(compress(range(low, high + 1), flags))
+        yield low, flags
         low = high + 1
+
+
+def sieve_range(bound: int) -> PrimeTable:
+    """Sieve of Eratosthenes over [2, bound], segmented past the root."""
+    primes: list[int] = []
+    for low, flags in _segments(bound):
+        primes.extend(compress(range(low, low + len(flags)), flags))
     return PrimeTable(bound, tuple(primes))
+
+
+def prime_count(bound: int) -> int:
+    """pi(bound): the same segments as sieve_range, counted by bytearray.count.
+
+    No int is made per prime or per candidate, so memory stays at one
+    segment whatever the bound.
+    """
+    return sum(flags.count(1) for _, flags in _segments(bound))
 
 
 def is_prime(n: int) -> bool:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 from fractions import Fraction
 
 import pytest
@@ -28,6 +29,23 @@ class TestPrimesCommand:
     def test_listing(self, capsys):
         code, out, _ = run_cli(capsys, "primes", "--bound", "10", "--list")
         assert json.loads(out)["primes"] == [2, 3, 5, 7]
+
+    @pytest.mark.parametrize(
+        "k, count", [(1, 4), (2, 25), (3, 168), (4, 1229), (5, 9592), (6, 78498), (7, 664579)]
+    )
+    def test_count_of_power_of_ten(self, capsys, k, count):
+        # without --list the count comes from the segment flags alone
+        code, out, err = run_cli(capsys, "primes", "--bound", str(10**k))
+        assert code == 0 and err == ""
+        assert out == json.dumps({"bound": 10**k, "count": count}, sort_keys=True, indent=2) + "\n"
+
+    @pytest.mark.parametrize("bound", [2, 3, 4, 10, 97, 100, 1000, 7919, 10**4])
+    def test_listing_bytes_match_sieve(self, capsys, bound):
+        primes = list(sieve_range(bound).primes)
+        doc = {"bound": bound, "count": len(primes), "primes": primes}
+        code, out, _ = run_cli(capsys, "primes", "--bound", str(bound), "--list")
+        assert code == 0
+        assert out == json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 class TestSeqAndCoverage:
@@ -101,6 +119,44 @@ class TestSeqAndCoverage:
         )
         assert code == 1
         assert err.strip() == "error: sequence file not found"
+
+
+class TestInputAndOutputFiles:
+    @pytest.mark.parametrize(
+        "text",
+        ['{"entries": [[2, 1]]}', "[[2, 1]]", "", '{"c": "1/4", "entries": [[2]]}'],
+        ids=["missing_c", "top_level_list", "empty_file", "short_entry"],
+    )
+    def test_malformed_sequence_file(self, capsys, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "coverage", "--seq", str(path), "--x", "1", "--y", "10")
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+
+    def test_unwritable_out_path(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.json"
+        code, out, err = run_cli(
+            capsys, "sievelab", "--x", "2", "--y", "50", "--c", "1/4", "--exact",
+            "--out", str(target),
+        )
+        assert code == 1 and out == ""
+        assert err == f"error: cannot write {target}: No such file or directory\n"
+        assert not target.parent.exists()
+
+    def test_out_file_replaced_whole(self, capsys, tmp_path):
+        target = tmp_path / "x.json"
+        target.write_text("old contents that are longer than the report" * 10)
+        args = ("sievelab", "--x", "2", "--y", "50", "--c", "1/4", "--exact")
+        code, expected, _ = run_cli(capsys, *args)
+        assert code == 0
+        code, out, err = run_cli(capsys, *args, "--out", str(target))
+        assert (code, out, err) == (0, "", "")
+        assert target.read_text() == expected
+        assert os.listdir(tmp_path) == ["x.json"]  # no temporary file left behind
+        umask = os.umask(0)
+        os.umask(umask)
+        assert target.stat().st_mode & 0o777 == 0o666 & ~umask
 
 
 class TestSievelabCommand:
@@ -337,6 +393,17 @@ class TestErgodicCommand:
         expected = [[str(s.p), str(s.a), repr(s.distance), repr(abs(s.s)),
                      str(int(s.is_hit)), s.method] for s in samples]
         assert [line.split(",") for line in out.splitlines()[1:]] == expected
+
+    def test_psi_mode_needs_psi(self, capsys, seq_file):
+        args = ("ergodic", "--seq", seq_file, "--x", "0.3", "--y", "0.5", "--primes-up-to", "300")
+        code, out, err = run_cli(capsys, *args, "--sparse", "psi")
+        assert code == 1 and out == ""
+        assert err == "error: --sparse psi needs --psi (log, loglog or sqrt_log)\n"
+        code, out, _ = run_cli(capsys, *args, "--sparse", "psi", "--psi", "log")
+        assert code == 0
+        assert [int(line.split(",")[0]) for line in out.splitlines()[1:]] == [
+            3, 5, 11, 17, 37, 67, 131, 257,
+        ]
 
     def test_point_too_large_for_a_float(self, capsys, seq_file):
         code, out, err = run_cli(

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from primecover.ergodic import (
     ErgodicSample,
@@ -13,6 +15,7 @@ from primecover.ergodic import (
     s_direct,
     sparse_prime_set,
 )
+from primecover.hits import hit_rows, rational_point
 from primecover.primes import sieve_range
 from primecover.sequences import NumeratorSequence, greedy_sequence
 
@@ -156,6 +159,42 @@ class TestConvergenceSeries:
         for sample in convergence_series(seq, 0.25, 0.6180339887, primes):
             assert sample.is_hit == (sample.p * sample.distance <= 0.25)
             assert isinstance(sample, ErgodicSample)
+
+
+class TestExactHitFlag:
+    def test_closed_endpoint_is_a_hit(self):
+        # 625033 * |1/4 - 156258/625033| = 1/4 = c exactly; arcs are closed,
+        # but the rounded float product lands just above 0.25
+        seq = NumeratorSequence(F(1, 4), ((625033, 156258),))
+        (sample,) = convergence_series(seq, 0.3, 0.25, [625033])
+        assert F(625033) * abs(F(1, 4) - F(156258, 625033)) == F(1, 4)
+        assert not sample.p * sample.distance <= 0.25
+        assert sample.is_hit
+
+    @given(
+        st.data(),
+        st.one_of(
+            st.floats(-3, 3, allow_nan=False),
+            st.integers(-24, 24).map(lambda j: j / 8),
+        ),
+        st.sampled_from([F(1, 2), F(1, 4), F(1, 8), F(2, 7), F(3, 10)]),
+        st.integers(2, 150),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_is_hit_matches_hit_rows(self, data, y, c, bound):
+        # numerators at, just inside and just outside the arc ends around
+        # y, mixed with random ones; y = j/8 puts many exactly on an end
+        exact_y = F(y)
+        entries = []
+        for p in sieve_range(bound).primes:
+            ends = {math.floor(p * exact_y + s * c) % p for s in (-1, 1)}
+            ends |= {math.ceil(p * exact_y + s * c) % p for s in (-1, 1)}
+            pick = st.one_of(st.sampled_from(sorted(ends)), st.integers(0, p - 1))
+            entries.append((p, data.draw(pick)))
+        seq = NumeratorSequence(c, tuple(entries))
+        rows = hit_rows(rational_point(exact_y), seq, bound)
+        samples = convergence_series(seq, 0.3, y, [p for p, _ in entries])
+        assert [s.is_hit for s in samples] == [row.hit for row in rows]
 
 
 class TestSparsePrimeSet:

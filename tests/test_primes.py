@@ -11,6 +11,7 @@ from primecover.primes import (
     harmonic_H_float,
     is_prime,
     next_prime,
+    prime_count,
     primes_between,
     sieve_range,
 )
@@ -24,6 +25,22 @@ def trial_division_primes(bound):
         if all(n % d for d in range(2, int(n**0.5) + 1)):
             out.append(n)
     return out
+
+
+class TestPrimeCount:
+    @given(st.integers(2, 10**5))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_sieve(self, bound):
+        assert prime_count(bound) == sieve_range(bound).count()
+
+    def test_segment_edges(self):
+        # bounds at the square-root piece and the first 2^18-window edges
+        for bound in (2, 3, 4, 8, 9, 2**18 + 512, 2**18 + 513, 2**18 + 514):
+            assert prime_count(bound) == sieve_range(bound).count()
+
+    def test_rejects_small_bound(self):
+        with pytest.raises(ValueError):
+            prime_count(1)
 
 
 class TestSieve:

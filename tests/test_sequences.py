@@ -12,6 +12,7 @@ from primecover.sequences import (
     BlockSchedule,
     BudgetExhaustedError,
     NumeratorSequence,
+    SequenceFileError,
     _greedy_pick,
     _insert_segment,
     _redraw_block,
@@ -454,6 +455,48 @@ class TestPersistence:
         assert doc["seed"] is None
         assert doc["entries"][0] == [2, 0]
         assert [p for p, _ in doc["entries"]] == [2, 3, 5, 7]
+
+
+class TestLoadSequenceValidation:
+    # each malformed file gives one SequenceFileError (a ValueError) that
+    # names the file, never a KeyError, TypeError or bare parser message
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"entries": [[2, 1]]}', '"c"'),
+            ("[[2, 1], [3, 2]]", '"c"'),
+            ("", "not a JSON sequence file"),
+            ('{"c": 0.25, "entries": [[2, 1]]}', '"c"'),
+            ('{"c": "1/4", "entries": [[2, 1, 0]]}', "pairs"),
+            ('{"c": "1/4", "entries": [["2", "1"]]}', "pairs"),
+            ('{"c": "1/4", "entries": [2, 3]}', "pairs"),
+            ('{"c": "1/4", "entries": [[2, true]]}', "pairs"),
+            ('{"c": "1/4"}', "pairs"),
+            ('{"c": "x", "entries": []}', "cannot parse rational"),
+            ('{"c": "3/4", "entries": []}', "c must lie in"),
+            ('{"c": "1/4", "entries": [[3, 1], [2, 1]]}', "strictly ascending"),
+            ('{"c": "1/4", "entries": [[3, 3]]}', "out of range"),
+            ('{"c": "1/4", "entries": [], "method": "magic"}', "unknown method"),
+        ],
+        ids=[
+            "missing_c", "top_level_list", "empty_file", "c_not_a_string",
+            "triple", "string_entries", "bare_ints", "bool_entry", "missing_entries",
+            "bad_c", "c_out_of_range", "descending", "numerator_range", "method",
+        ],
+    )
+    def test_malformed_file(self, tmp_path, text, message):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        with pytest.raises(SequenceFileError, match=message) as info:
+            load_sequence(path)
+        assert isinstance(info.value, ValueError)
+        assert str(info.value).startswith(f"{path}: ")
+
+    def test_undecodable_bytes(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe")
+        with pytest.raises(SequenceFileError, match="not a JSON sequence file"):
+            load_sequence(path)
 
 
 class TestSequenceOrderIndependentHash:
