@@ -38,8 +38,8 @@ from .sequences import (
     greedy_sequence,
     load_sequence,
     random_sequence,
-    save_sequence,
-    sequence_to_dict,
+    schedule_rows,
+    sequence_text,
     uncovered_measure,
 )
 from .sievelab import (
@@ -142,7 +142,7 @@ def cmd_seq_build(config: RunConfig) -> str:
         )
     else:
         raise CliError(f"unknown method {config.method!r}")
-    save_sequence(seq, config.out_path, schedule)
+    _write_out(config.out_path, sequence_text(seq, schedule))
     summary = {
         "out": config.out_path,
         "method": seq.method,
@@ -151,7 +151,7 @@ def cmd_seq_build(config: RunConfig) -> str:
         "entries": len(seq.entries),
     }
     if schedule is not None:
-        summary["blocks"] = sequence_to_dict(seq, schedule)["blocks"]
+        summary["blocks"] = schedule_rows(schedule)
     return _json_text(summary)
 
 
@@ -287,6 +287,7 @@ def run(config: RunConfig) -> int:
     """Dispatch a validated config; returns the process exit status."""
     try:
         text = _DISPATCH[config.command](config)
+        # seq build writes its --out file itself and prints a summary
         if config.out_path is not None and config.command != "seq":
             _write_out(config.out_path, text)
             return 0

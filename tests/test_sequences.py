@@ -1,13 +1,19 @@
+import json
 import math
 import random
 import sys
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from primecover.arcs import arc_of, measure, normalize_union
+from primecover.arcs import arc_of, measure, normalize_union, rat_str
 from primecover.primes import sieve_range
 from primecover.sequences import (
+    METHODS,
     Block,
     BlockSchedule,
     BudgetExhaustedError,
@@ -25,6 +31,7 @@ from primecover.sequences import (
     load_sequence,
     random_sequence,
     save_sequence,
+    sequence_text,
     uncovered_measure,
 )
 
@@ -455,6 +462,93 @@ class TestPersistence:
         assert doc["seed"] is None
         assert doc["entries"][0] == [2, 0]
         assert [p for p, _ in doc["entries"]] == [2, 3, 5, 7]
+
+
+def sequence_to_dict(seq, schedule=None):
+    """Oracle: the document the sequence file held before sequence_text, verbatim."""
+    doc = {
+        "c": rat_str(seq.c),
+        "method": seq.method,
+        "seed": seq.seed,
+        "entries": [[p, a] for p, a in seq.entries],
+    }
+    if schedule is not None:
+        doc["blocks"] = [
+            [b.start, b.end, rat_str(b.epsilon), rat_str(b.achieved_uncovered)]
+            for b in schedule.blocks
+        ]
+    return doc
+
+
+def json_writer_text(seq, schedule=None):
+    """Oracle: the file text the indent encoder wrote before sequence_text."""
+    return json.dumps(sequence_to_dict(seq, schedule), sort_keys=True, indent=2) + "\n"
+
+
+def fractions_upto(high, positive=True):
+    """Fractions in (0, high], or [0, high], with denominators up to 10^40 times high's."""
+    return st.integers(1, 10**40).flatmap(
+        lambda den: st.integers(1 if positive else 0, den).map(lambda num: high * Fraction(num, den))
+    )
+
+
+@st.composite
+def sequences(draw):
+    primes = sorted(draw(st.lists(st.integers(2, 10**12), unique=True, max_size=25)))
+    entries = tuple(
+        (p, draw(st.one_of(st.just(0), st.just(p - 1), st.integers(0, p - 1))))
+        for p in primes
+    )
+    return NumeratorSequence(
+        c=draw(fractions_upto(HALF)),
+        entries=entries,
+        method=draw(st.sampled_from(METHODS)),
+        seed=draw(st.one_of(st.none(), st.integers(-(2**70), 2**70))),
+    )
+
+
+@st.composite
+def schedules(draw):
+    bounds = sorted(draw(st.lists(st.integers(1, 10**12), unique=True, max_size=6)))
+    blocks = []
+    for start, end in zip(bounds, bounds[1:]):
+        eps = draw(fractions_upto(Fraction(1)))
+        blocks.append(Block(start, end, eps, draw(fractions_upto(eps, positive=False))))
+    return BlockSchedule(tuple(blocks))
+
+
+class TestSequenceText:
+    @settings(max_examples=300, deadline=None)
+    @given(sequences(), st.one_of(st.none(), schedules()))
+    def test_matches_json_writer_bytes(self, seq, schedule):
+        assert sequence_text(seq, schedule) == json_writer_text(seq, schedule)
+
+    @settings(max_examples=100, deadline=None)
+    @given(sequences(), st.one_of(st.none(), schedules()))
+    def test_save_load_round_trip(self, seq, schedule):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "seq.json"
+            save_sequence(seq, path, schedule)
+            assert path.read_text() == json_writer_text(seq, schedule)
+            assert load_sequence(path) == seq
+            assert load_schedule(path) == schedule
+
+    @pytest.mark.parametrize("schedule", [None, BlockSchedule(())], ids=["none", "no_blocks"])
+    def test_empty_sequence(self, schedule):
+        seq = NumeratorSequence(HALF, ())
+        assert sequence_text(seq, schedule) == json_writer_text(seq, schedule)
+        assert '"entries": [],' in sequence_text(seq, schedule)
+
+    def test_entries_skip_the_indent_encoder(self, monkeypatch):
+        # indent turns off json's C encoder; the entries must never reach the
+        # Python one, which is what _make_iterencode builds
+        calls = []
+        real = json.encoder._make_iterencode
+        monkeypatch.setattr(
+            json.encoder, "_make_iterencode", lambda *a, **k: calls.append(1) or real(*a, **k)
+        )
+        sequence_text(random_sequence(1000, F(1, 4), 3))
+        assert calls == []
 
 
 class TestLoadSequenceValidation:
