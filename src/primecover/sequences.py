@@ -13,11 +13,12 @@ import bisect
 import json
 import math
 import random
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, chain, compress, repeat
-from operator import add, mul
+from itertools import chain, compress, repeat
+from operator import le
 from pathlib import Path
 from typing import Iterable, Optional, Union
 
@@ -26,6 +27,7 @@ from .arcs import (
     RationalLike,
     arc_of,
     arc_pieces,
+    exact_sum,
     rat_str,
     to_fraction,
     union_length,
@@ -37,9 +39,8 @@ METHODS = ("random", "greedy", "blocks", "constant", "custom")
 # consecutive zero-gain greedy steps that trigger the block random restart
 _STALL_LIMIT = 30
 
-# fractional bits of the greedy merge walk's fixed point; the exact
-# confirmation keeps the pick correct for any value, and more bits only
-# leave fewer candidates to confirm
+# fractional bits of the greedy pick's fixed point; any value picks exactly,
+# and more bits only leave fewer near-ties to confirm with Fraction
 _FIXED_BITS = 64
 
 
@@ -173,143 +174,151 @@ def constant_sequence(bound: int, c: RationalLike) -> NumeratorSequence:
     return NumeratorSequence(c=c, entries=entries, method="constant")
 
 
-def _insert_segment(segs: list[list[Fraction]], s: Fraction, e: Fraction) -> Fraction:
-    """Add closed [s, e] to a sorted disjoint segment list; returns measure gained."""
-    lo = bisect.bisect_left(segs, [s, s])
-    i = lo - 1 if lo > 0 and segs[lo - 1][1] >= s else lo
-    new_s, new_e = s, e
-    removed = Fraction(0)
-    j = i
-    while j < len(segs) and segs[j][0] <= e:
-        if segs[j][0] < new_s:
-            new_s = segs[j][0]
-        if segs[j][1] > new_e:
-            new_e = segs[j][1]
-        removed += segs[j][1] - segs[j][0]
-        j += 1
-    segs[i:j] = [[new_s, new_e]]
-    return (new_e - new_s) - removed
+class _Cover:
+    """The covered part of the circle [0, span] as sorted disjoint closed segments.
 
-
-class _SegmentCover:
-    """Covered set kept as sorted disjoint closed segments inside [0, 1].
-
-    Wrapping arcs are stored as their two pieces; measures are unaffected
-    and _greedy_pick measures the window of a = 0 at both ends of [0, 1].
+    Endpoints are integer pairs (num, den), ordered by the exact key
+    floor(x * 2^b), b = 2B + 1 for B the bit length of max_den, as in
+    arcs.sweep. span = v takes arcs.arc_pieces for c = u/v as they are.
+    gaps[i] is the key length of the gap before segment i. The one segment
+    [0, span] is full and adds nothing. The covered length telescopes into
+    one integer per den; the key lengths bound it within n / 2^b.
     """
 
-    def __init__(self) -> None:
-        self.segments: list[list[Fraction]] = []
-        self.measure = Fraction(0)
+    def __init__(self, span: int, max_den: int) -> None:
+        self.span, self.max_den, self.shift = span, max_den, 2 * max_den.bit_length() + 1
+        self.top = span << self.shift  # the key of the point span
+        self.skeys, self.ekeys, self.starts, self.ends, self.gaps = [], [], [], [], [self.top]
+        self.totals: defaultdict[int, int] = defaultdict(int)  # den -> run ends minus starts
+        self.key_length, self.full = 0, False
 
-    def add_arc(self, arc) -> Fraction:
-        gain = Fraction(0)
-        for s, e in arc.segments():
-            gain += _insert_segment(self.segments, s, e)
-        self.measure += gain
-        return gain
+    def add(self, pieces: Iterable[tuple[int, int, int, object]]) -> bool:
+        """Add closed pieces (start, end, den, tag); True if one added measure."""
+        skeys, ekeys, starts, ends = self.skeys, self.ekeys, self.starts, self.ends
+        grew = False
+        for start, end, den, _ in pieces:
+            ks, ke = (start << self.shift) // den, (end << self.shift) // den
+            lo = bisect.bisect_left(ekeys, ks)  # first segment ending at or after start
+            hi = bisect.bisect_right(skeys, ke)  # segments before hi start at or before end
+            if hi == lo + 1 and skeys[lo] <= ks and ke <= ekeys[lo]:
+                continue
+            s, e = (start, den), (end, den)
+            if lo < hi:  # equal keys are equal points, so either pair will do
+                ks, s = min((ks, s), (skeys[lo], starts[lo]))
+                ke, e = max((ke, e), (ekeys[hi - 1], ends[hi - 1]))
+            totals = self.totals
+            for (sn, sd), (en, ed) in zip(starts[lo:hi], ends[lo:hi]):
+                totals[sd] += sn
+                totals[ed] -= en
+            totals[s[1]] -= s[0]
+            totals[e[1]] += e[0]
+            self.key_length += ke - ks - sum(ekeys[lo:hi]) + sum(skeys[lo:hi])
+            skeys[lo:hi], ekeys[lo:hi], starts[lo:hi], ends[lo:hi] = [ks], [ke], [s], [e]
+            after = skeys[lo + 1] if lo + 1 < len(skeys) else self.top
+            self.gaps[lo : hi + 1] = [ks - (ekeys[lo - 1] if lo else 0), after - ke]
+            self.full, grew = ks == 0 and ke == self.top, True
+        return grew
+
+    @property
+    def measure(self) -> Fraction:
+        """Exact covered measure: one exact_sum of the per-den numerators."""
+        return exact_sum((n, d) for d, n in self.totals.items() if n) / self.span
+
+    def uncovered_within(self, eps: Fraction) -> Optional[Fraction]:
+        """The exact uncovered measure if at most eps < 1, else None; summed only near eps."""
+        num, den = eps.numerator, eps.denominator
+        near = (self.key_length + len(self.skeys)) * den > self.span * (den - num) << self.shift
+        uncovered = 1 - self.measure if near else 1
+        return uncovered if uncovered <= eps else None
+
+    def pick(self, p: int, c: Fraction) -> int:
+        """Smallest a whose window holds the most uncovered (free) length.
+
+        Window a is [a - c, a + c] in units of 1/p (a = 0 also takes
+        [p - c, p]). In fixed point, x/p -> x * v * 2^K (c = u/v, K =
+        _FIXED_BITS; span divides v), it is [aU - W, aU + W] with U = v * 2^K
+        and W = u * 2^K; a gap [e, s] rounds inward to [ceil(e*pU), floor(s*pU)].
+
+        1. Gap walk. For an integer N, x <= N iff ceil(x) <= N and N <= x iff
+           N <= floor(x), so the rounded gaps decide exactly whether a window
+           fits in a gap; the first gap holding one gives the smallest a of
+           full gain. Gaps shorter in key length than a window are skipped.
+        2. Sparse estimate. Otherwise every gap is shorter than 2W + U and
+           meets at most four windows: free'(a), the rounded free length, is
+           summed for those, and every other window has free' = 0.
+        3. Exact confirmation. Rounding loses under one unit at each end of at
+           most n gaps, so free(a) - free'(a) lies in [0, 2n), and a best a
+           has free'(a) > max(free') - 2n (any a, if that is below 0). A lone
+           candidate wins; several are measured exactly (free), ties to the
+           smallest a. No float is involved. A step costs O(gaps walked +
+           windows meeting a gap), not O(p).
+        """
+        n = len(self.skeys)
+        if self.full or not n:
+            return 0
+        u, v = c.numerator, c.denominator
+        unit, half = v << _FIXED_BITS, u << _FIXED_BITS
+        scale, starts, ends = p * unit, self.starts, self.ends  # scale: the point 1
+        mult = scale // self.span
+
+        # 1. gap walk; the window of a = 0 straddles the gap that wraps through 0
+        (sn, sd), (en, ed) = starts[0], ends[-1]
+        if half <= sn * mult // sd and -(-en * mult // ed) <= scale - half:
+            return 0
+        need = (2 * u * self.span << self.shift) // (p * v)  # no shorter gap holds a window
+        for i in compress(range(n + 1), map(le, repeat(need), self.gaps)):
+            lo = -(-ends[i - 1][0] * mult // ends[i - 1][1]) if i else 0
+            hi = starts[i][0] * mult // starts[i][1] if i < n else scale
+            a = -(-(lo + half) // unit)
+            if a * unit + half <= hi:
+                return a
+
+        # 2. sparse estimate; window p is the window of a = 0 seen from the far end
+        est: defaultdict[int, int] = defaultdict(int)  # free'(a)
+        lows = [0, *(-(-num * mult // den) for num, den in ends)]
+        for lo, hi in zip(lows, [*(num * mult // den for num, den in starts), scale]):
+            for a in range((lo - half) // unit + 1, (hi + half - 1) // unit + 1) if lo < hi else ():
+                est[a % p] += min(hi, a * unit + half) - max(lo, a * unit - half)
+
+        # 3. exact confirmation of every a within the error bound of the best
+        cutoff = max(est.values(), default=0) - 2 * n
+        candidates = range(p) if cutoff < 0 else [a for a, f in est.items() if f > cutoff]
+        if len(candidates) == 1:
+            return candidates[0]
+        return min(candidates, key=lambda a: (-self.free(p, c, a), a))
+
+    def free(self, p: int, c: Fraction, a: int) -> Fraction:
+        """Exact uncovered measure inside the window of a/p, from the gaps the keys find."""
+        u, v, span, shift, n = c.numerator, c.denominator, self.span, self.shift, len(self.skeys)
+        total = Fraction(0)
+        for b in (a, p) if a == 0 else (a,):
+            left, right = Fraction(span * (b * v - u), p * v), Fraction(span * (b * v + u), p * v)
+            first = bisect.bisect_left(self.skeys, (left.numerator << shift) // left.denominator)
+            last = bisect.bisect_right(self.ekeys, (right.numerator << shift) // right.denominator)
+            for i in range(first, min(last, n) + 1):
+                lo = Fraction(*self.ends[i - 1]) if i else 0
+                hi = Fraction(*self.starts[i]) if i < n else span
+                total += max(0, min(hi, right) - max(lo, left))
+        return total / span
 
 
 def _greedy_pick(segments, covered: Fraction, p: int, c: Fraction) -> tuple[int, Fraction]:
-    """Best (a, gain) for prime p against sorted disjoint segments of measure `covered`.
+    """(a, gain) for prime p against Fraction segments [s, e] (any order) of measure covered.
 
-    The window of a spans [a - c, a + c] in units of 1/p, so overlap(a),
-    the covered length inside it, is F(a + c) - F(a - c) with F(x) the
-    covered length of [0, x/p] in those units; the window of a = 0 also
-    takes [p - c, p]. The pick is the smallest a of least overlap, and
-    its gain is 2c/p - overlap(a)/p, exactly.
-
-    Positions run in fixed point: x/p maps to the integer x * v * 2^K
-    (c = u/v, K = _FIXED_BITS), so window a is exactly [aU - W, aU + W]
-    with U = v * 2^K and W = u * 2^K. A segment [s, e] is rounded outward
-    to [floor(s * pU), ceil(e * pU)].
-
-    1. Gap walk. A window misses the covered set exactly when it fits in
-       a closed gap between segments. Against an integer bound,
-       x <= N iff ceil(x) <= N and N <= x iff N <= floor(x), so the
-       rounded gaps decide this exactly. Walking the gaps in order,
-       the first that holds a window gives the smallest such a.
-    2. Merge walk. Otherwise est(a), overlap(a) against the rounded
-       segments, comes from one walk over the segments. Windows are U
-       apart and at most U wide (c <= 1/2), so a segment meets windows
-       partly only at its two ends and holds every window between them,
-       where F(a + c) - F(a - c) is 2W. The walk adds the two ends, and
-       a prefix sum over a difference array counts the windows inside.
-    3. Exact confirmation. Lowering a segment's start by less than one
-       unit adds less than one unit to its overlap with any window (the
-       two pieces of a = 0's window included), and likewise raising its
-       end, so with n segments est(a) - overlap(a) lies in [0, 2n). Every
-       a of least overlap therefore has est(a) < min(est) + 2n. Those
-       candidates alone are measured again with Fraction, from the
-       segments bisect finds near their windows: the rounded spans
-       contain the exact ones. The least exact overlap wins, ties to the
-       smallest a. No float is involved anywhere.
+    a is the pick of their _Cover of span 1; the gain is a's exact free length.
     """
-    full_gain = 2 * c / p
-    if not segments:
-        return 0, full_gain
     if covered == 1:
         return 0, Fraction(0)
-
-    u, v = c.numerator, c.denominator
-    unit, half = v << _FIXED_BITS, u << _FIXED_BITS
-    scale = p * unit  # fixed-point image of the point 1
-    starts = [s.numerator * scale // s.denominator for s, _ in segments]
-    ends = [-(-e.numerator * scale // e.denominator) for _, e in segments]
-
-    # 1. gap walk; the window of a = 0 straddles the gap that wraps through 0
-    if half <= starts[0] and ends[-1] <= scale - half:
-        return 0, full_gain
-    for lo, hi in zip([0, *ends], [*starts, scale]):
-        if hi - lo >= 2 * half:
-            a = -(-(lo + half) // unit)
-            if a * unit + half <= hi:
-                return a, full_gain
-
-    # 2. merge walk; index p is the window of a = 0 seen from the far end
-    est = [0] * (p + 1)
-    inside = [0] * (p + 1)
-    for lo, hi in zip(starts, ends):
-        first = (lo - half) // unit + 1  # smallest a with aU + W > lo
-        last = (hi + half - 1) // unit  # largest a with aU - W < hi
-        if first > last:
-            continue
-        est[first] += min(hi, first * unit + half) - max(lo, first * unit - half)
-        if first < last:
-            est[last] += min(hi, last * unit + half) - (last * unit - half)
-            inside[first + 1] += 1
-            inside[last] -= 1
-    est = list(map(add, est, map(mul, accumulate(inside), repeat(2 * half))))
-    est[0] += est.pop()
-
-    # 3. exact confirmation of every a within the error bound of the minimum
-    def exact_overlap(a: int) -> Fraction:
-        total = Fraction(0)
-        for b in (a, p) if a == 0 else (a,):
-            left, right = (b - c) / p, (b + c) / p
-            lo, hi = b * unit - half, b * unit + half
-            for i in range(bisect.bisect_right(ends, lo), bisect.bisect_left(starts, hi)):
-                s, e = segments[i]
-                piece = min(e, right) - max(s, left)
-                if piece > 0:
-                    total += piece
-        return total
-
-    cutoff = min(est) + 2 * len(segments)
-    overlap, a = min((exact_overlap(a), a) for a in compress(range(p), map(cutoff.__gt__, est)))
-    return a, full_gain - overlap
+    dens = [(s, e, math.lcm(s.denominator, e.denominator)) for s, e in segments]
+    cover = _Cover(1, max((den for *_, den in dens), default=1))
+    cover.add((int(s * den), int(e * den), den, None) for s, e, den in dens)
+    a = cover.pick(p, c)
+    return a, cover.free(p, c, a)
 
 
 def greedy_step(covered: ArcUnion, p: int, c: RationalLike) -> tuple[int, Fraction]:
-    """Best numerator for prime p against `covered`: (a, exact measure gain).
-
-    Ties break to the smallest a. A gap walk over the covered set finds
-    the smallest a whose arc misses it (gain 2c/p, the maximum); failing
-    that, one fixed-point merge walk estimates every candidate's overlap
-    within a derived error bound, and the candidates near the least
-    estimate are compared exactly. See _greedy_pick.
-    """
-    segments = sorted(piece for arc in covered.arcs for piece in arc.segments())
+    """Best numerator for prime p against `covered`: (a, exact measure gain), ties to least a."""
+    segments = (seg for arc in covered.arcs for seg in arc.segments())  # sorted but for a wrap
     return _greedy_pick(segments, covered.measure(), p, to_fraction(c))
 
 
@@ -320,12 +329,12 @@ def greedy_sequence(bound: int, c: RationalLike) -> NumeratorSequence:
     c = to_fraction(c)
     if not (0 < c <= Fraction(1, 2)):
         raise ValueError(f"c must lie in (0, 1/2], got {c}")
-    cover = _SegmentCover()
+    cover = _Cover(c.denominator, bound)
     entries = []
     for p in sieve_range(bound).primes:
-        a, _ = _greedy_pick(cover.segments, cover.measure, p, c)
+        a = cover.pick(p, c)
         entries.append((p, a))
-        cover.add_arc(arc_of(p, a, c))
+        cover.add(arc_pieces(((p, a),), c))
     return NumeratorSequence(c=c, entries=tuple(entries), method="greedy")
 
 
@@ -378,55 +387,45 @@ def block_construction(
         raise ValueError(f"max_bound must be >= 2, got {max_bound}")
 
     primes = sieve_range(max_bound).primes
-    idx = 0
-    x_start = 1
+    idx, x_start = 0, 1
     all_entries: list[tuple[int, int]] = []
     blocks: list[Block] = []
 
     for n, eps in enumerate(eps_list, start=1):
-        cover = _SegmentCover()
+        cover = _Cover(c.denominator, max_bound)
         block_entries: list[tuple[int, int]] = []
-        stall = 0
-        restarted = False
+        stall, restarted = 0, False
         while True:
-            uncovered = 1 - cover.measure
-            if uncovered <= eps and block_entries:
+            if (achieved := cover.uncovered_within(eps)) is not None:  # never for an empty cover
                 end = block_entries[-1][0]
-                blocks.append(Block(x_start, end, eps, uncovered))
+                blocks.append(Block(x_start, end, eps, achieved))
                 all_entries.extend(block_entries)
                 x_start = end
                 break
             if idx >= len(primes):
                 raise BudgetExhaustedError(
-                    f"budget exhausted at block {n}: primes up to {max_bound} "
-                    f"leave {_fraction_text(uncovered)} uncovered, target {_fraction_text(eps)}"
+                    f"budget exhausted at block {n}: primes up to {max_bound} leave "
+                    f"{_fraction_text(1 - cover.measure)} uncovered, target {_fraction_text(eps)}"
                 )
             p = primes[idx]
             idx += 1
-            a, gain = _greedy_pick(cover.segments, cover.measure, p, c)
+            a = cover.pick(p, c)
             block_entries.append((p, a))
-            cover.add_arc(arc_of(p, a, c))
-            stall = stall + 1 if gain == 0 else 0
+            stall = 0 if cover.add(arc_pieces(((p, a),), c)) else stall + 1
             if stall >= _STALL_LIMIT and not restarted:
-                restarted = True
-                stall = 0
-                block_entries, cover = _redraw_block(
-                    block_entries, cover, c, restart_seed, n
-                )
+                stall, restarted = 0, True
+                block_entries, cover = _redraw_block(block_entries, cover, c, restart_seed, n)
 
-    seq = NumeratorSequence(
-        c=c, entries=tuple(all_entries), method="blocks", seed=restart_seed
-    )
+    seq = NumeratorSequence(c=c, entries=tuple(all_entries), method="blocks", seed=restart_seed)
     return seq, BlockSchedule(tuple(blocks))
 
 
-def _redraw_block(block_entries, cover: _SegmentCover, c, seed, block_index):
+def _redraw_block(block_entries, cover: _Cover, c, seed, block_index):
     """Seeded random restart: keep the redraw only if it covers more."""
     rng = random.Random(f"{seed}:{block_index}")
     redraw = [(p, rng.randrange(p)) for p, _ in block_entries]
-    redraw_cover = _SegmentCover()
-    for p, a in redraw:
-        redraw_cover.add_arc(arc_of(p, a, c))
+    redraw_cover = _Cover(cover.span, cover.max_den)
+    redraw_cover.add(arc_pieces(redraw, c))
     if redraw_cover.measure > cover.measure:
         return redraw, redraw_cover
     return block_entries, cover

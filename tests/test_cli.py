@@ -81,6 +81,19 @@ class TestSeqAndCoverage:
             "50486195315490363adb1732f2bdae8f885cfccafb4258e0fac38b05977f8032"
         )
 
+    def test_greedy_unsaturated_golden_file_at_3e4(self, capsys, tmp_path):
+        # 3245 primes at c = 1/4; the digest is the file the Fraction segment
+        # cover wrote (about 14 s then)
+        out_file = tmp_path / "g.json"
+        code, _, _ = run_cli(
+            capsys, "seq", "build", "--method", "greedy", "--bound", "30000",
+            "--c", "1/4", "--out", str(out_file),
+        )
+        assert code == 0
+        assert hashlib.sha256(out_file.read_bytes()).hexdigest() == (
+            "6773ab5c33ad4618783db54c19f0aec687902259f8166e8e036bf91258c59996"
+        )
+
     def test_blocks_build_reports_schedule(self, capsys, tmp_path):
         out_file = tmp_path / "b.json"
         code, out, _ = run_cli(

@@ -1,3 +1,4 @@
+import bisect
 import json
 import math
 import random
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from primecover.arcs import arc_of, measure, normalize_union, rat_str
+from primecover.arcs import arc_of, arc_pieces, measure, normalize_union, rat_str
 from primecover.primes import sieve_range
 from primecover.sequences import (
     METHODS,
@@ -19,10 +20,9 @@ from primecover.sequences import (
     BudgetExhaustedError,
     NumeratorSequence,
     SequenceFileError,
+    _Cover,
     _greedy_pick,
-    _insert_segment,
     _redraw_block,
-    _SegmentCover,
     block_construction,
     constant_sequence,
     greedy_sequence,
@@ -37,6 +37,46 @@ from primecover.sequences import (
 
 F = Fraction
 HALF = F(1, 2)
+
+
+# Oracles: the Fraction segment cover that greedy_sequence and
+# block_construction ran on before the integer _Cover, verbatim.
+
+def _insert_segment(segs: list[list[Fraction]], s: Fraction, e: Fraction) -> Fraction:
+    """Add closed [s, e] to a sorted disjoint segment list; returns measure gained."""
+    lo = bisect.bisect_left(segs, [s, s])
+    i = lo - 1 if lo > 0 and segs[lo - 1][1] >= s else lo
+    new_s, new_e = s, e
+    removed = Fraction(0)
+    j = i
+    while j < len(segs) and segs[j][0] <= e:
+        if segs[j][0] < new_s:
+            new_s = segs[j][0]
+        if segs[j][1] > new_e:
+            new_e = segs[j][1]
+        removed += segs[j][1] - segs[j][0]
+        j += 1
+    segs[i:j] = [[new_s, new_e]]
+    return (new_e - new_s) - removed
+
+
+class _SegmentCover:
+    """Covered set kept as sorted disjoint closed segments inside [0, 1].
+
+    Wrapping arcs are stored as their two pieces; measures are unaffected
+    and _greedy_pick measures the window of a = 0 at both ends of [0, 1].
+    """
+
+    def __init__(self) -> None:
+        self.segments: list[list[Fraction]] = []
+        self.measure = Fraction(0)
+
+    def add_arc(self, arc) -> Fraction:
+        gain = Fraction(0)
+        for s, e in arc.segments():
+            gain += _insert_segment(self.segments, s, e)
+        self.measure += gain
+        return gain
 
 
 def replay_greedy_gains(seq):
@@ -323,6 +363,160 @@ class TestGreedyPickOracle:
                 self.check(cover.segments, rng.choice(SMALL_PRIMES), c)
 
 
+def oracle_greedy(bound, c):
+    """greedy_sequence's entries replayed on the oracle cover and the Fraction scan pick."""
+    cover = _SegmentCover()
+    entries = []
+    for p in sieve_range(bound).primes:
+        a, _ = fraction_scan_pick(cover.segments, cover.measure, p, c)
+        entries.append((p, a))
+        cover.add_arc(arc_of(p, a, c))
+    return tuple(entries)
+
+
+def oracle_blocks(epsilons, c, max_bound, restart_seed=1729):
+    """block_construction's loop on the oracle cover and the Fraction scan pick.
+
+    Returns (entries, [(start, end, epsilon, achieved), ...]), or the
+    budget error's message (its Fractions are short enough for str here).
+    """
+    primes = sieve_range(max_bound).primes
+    idx, x_start, entries, blocks = 0, 1, [], []
+    for n, eps in enumerate(epsilons, start=1):
+        cover, block_entries, stall, restarted = _SegmentCover(), [], 0, False
+        while True:
+            uncovered = 1 - cover.measure
+            if uncovered <= eps and block_entries:
+                end = block_entries[-1][0]
+                blocks.append((x_start, end, eps, uncovered))
+                entries.extend(block_entries)
+                x_start = end
+                break
+            if idx >= len(primes):
+                return (
+                    f"budget exhausted at block {n}: primes up to {max_bound} "
+                    f"leave {uncovered} uncovered, target {eps}"
+                )
+            p = primes[idx]
+            idx += 1
+            a, gain = fraction_scan_pick(cover.segments, cover.measure, p, c)
+            block_entries.append((p, a))
+            cover.add_arc(arc_of(p, a, c))
+            stall = stall + 1 if gain == 0 else 0
+            if stall >= 30 and not restarted:
+                restarted, stall = True, 0
+                rng = random.Random(f"{restart_seed}:{n}")
+                redraw = [(q, rng.randrange(q)) for q, _ in block_entries]
+                redraw_cover = _SegmentCover()
+                for q, r in redraw:
+                    redraw_cover.add_arc(arc_of(q, r, c))
+                if redraw_cover.measure > cover.measure:
+                    block_entries, cover = redraw, redraw_cover
+    return tuple(entries), blocks
+
+
+def integer_cover_of_arcs(arcs):
+    """A span-1 _Cover of Fraction arcs, each piece over the lcm of its ends' denominators."""
+    pieces = []
+    for arc in arcs:
+        for s, e in arc.segments():
+            den = math.lcm(s.denominator, e.denominator)
+            pieces.append((int(s * den), int(e * den), den, None))
+    cover = _Cover(1, max((den for _, _, den, _ in pieces), default=1))
+    cover.add(pieces)
+    return cover
+
+
+class TestIntegerCoverAgainstOracles:
+    """greedy_sequence and block_construction on the integer cover against the Fraction replays."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 400), st.sampled_from(ORACLE_CS))
+    def test_greedy_matches_oracle_replay(self, bound, c):
+        assert greedy_sequence(bound, c).entries == oracle_greedy(bound, c)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.fractions(F(1, 1000), F(999, 1000), max_denominator=1000), min_size=1, max_size=4
+        ),
+        st.sampled_from(ORACLE_CS),
+        st.integers(2, 400),
+    )
+    def test_blocks_match_oracle_replay(self, epsilons, c, max_bound):
+        expected = oracle_blocks(epsilons, c, max_bound)
+        if isinstance(expected, str):
+            with pytest.raises(BudgetExhaustedError) as info:
+                block_construction(epsilons, c, max_bound)
+            assert str(info.value) == expected
+        else:
+            seq, schedule = block_construction(epsilons, c, max_bound)
+            assert seq.entries == expected[0]
+            assert [
+                (b.start, b.end, b.epsilon, b.achieved_uncovered) for b in schedule.blocks
+            ] == expected[1]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(SMALL_PRIMES[:25]),
+                st.integers(0, 10**6),
+                st.fractions(F(1, 10**6), HALF, max_denominator=10**6),
+            ),
+            max_size=30,
+        ),
+        st.fractions(F(1, 10**6), F(999999, 10**6), max_denominator=10**6),
+    )
+    def test_measure_matches_normalize_union(self, triples, eps):
+        arcs = [arc_of(p, a % p, c) for p, a, c in triples]
+        exact = measure(normalize_union(arcs))
+        cover = integer_cover_of_arcs(arcs)
+        assert cover.measure == exact
+        assert cover.full == (exact == 1)
+        assert cover.uncovered_within(eps) == (1 - exact if 1 - exact <= eps else None)
+
+    def test_gap_the_size_of_a_window(self):
+        # a gap exactly one window long has a key length within one of the
+        # window's, so the walk's length filter must not skip it in favour
+        # of a longer gap further on
+        for c in ORACLE_CS:
+            for p in (7, 53, 199):
+                for a in (0, 1, p // 3, p // 2):
+                    exact = ((a - c) / p % 1, 2 * c / p)
+                    longer = ((p - 1 - c - F(1, 3)) / p, (2 * c + F(2, 3)) / p)
+                    for gaps in ([exact], [exact, longer]):
+                        segments = cover_of_gaps(gaps)
+                        covered = 1 - sum(length for _, length in gaps)
+                        assert _greedy_pick(segments, covered, p, c) == (a, 2 * c / p)
+                        assert fraction_scan_pick(segments, covered, p, c) == (a, 2 * c / p)
+
+    def test_touching_arcs_merge_and_fill(self):
+        # [3/4, 5/4] and [1/4, 3/4] touch at both ends: one segment, the full circle
+        cover = _Cover(2, 2)
+        assert cover.add(arc_pieces([(2, 0)], HALF))
+        assert cover.add(arc_pieces([(2, 1)], HALF))
+        assert (cover.skeys, cover.full, cover.measure) == ([0], True, 1)
+        assert not cover.add(arc_pieces([(3, 1)], HALF))
+        assert cover.pick(5, HALF) == 0
+        # greedy at c = 1/2 saturates at p = 7
+        cover = _Cover(2, 7)
+        cover.add(arc_pieces(greedy_sequence(7, HALF).entries, HALF))
+        assert cover.full and cover.measure == 1
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.tuples(st.sampled_from(SMALL_PRIMES), st.integers(0, 10**6)), max_size=40),
+        st.sampled_from(ORACLE_CS),
+    )
+    def test_arc_pieces_cover_measure(self, pairs, c):
+        # the span-v form that greedy_sequence and block_construction use
+        entries = [(p, a % p) for p, a in pairs]
+        cover = _Cover(c.denominator, SMALL_PRIMES[-1])
+        cover.add(arc_pieces(entries, c))
+        assert cover.measure == measure(normalize_union(arc_of(p, a, c) for p, a in entries))
+
+
 class TestUncovered:
     def test_single_prime(self):
         for a in range(3):
@@ -381,6 +575,16 @@ class TestBlocks:
         with pytest.raises(BudgetExhaustedError, match="budget exhausted at block 1"):
             block_construction([F(1, 10**6)], F(1, 100), max_bound=100)
 
+    def test_budget_message_at_scale(self):
+        # the message the Fraction segment cover gave, recorded before the integer cover
+        with pytest.raises(BudgetExhaustedError) as info:
+            block_construction([HALF, F(1, 4), F(1, 8), F(1, 16)], HALF, max_bound=30000)
+        assert str(info.value) == (
+            "budget exhausted at block 4: primes up to 30000 leave ~5.476102e-1 (approximate; "
+            "exact value has a 12640-digit numerator and a 12640-digit denominator) uncovered, "
+            "target 1/16"
+        )
+
     @pytest.mark.skipif(
         not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit"
     )
@@ -420,9 +624,8 @@ class TestBlocks:
     def test_redraw_keeps_better_cover(self):
         c = F(1, 4)
         entries = [(p, 0) for p in (11, 13, 17, 19, 23)]  # clustered, poor cover
-        cover = _SegmentCover()
-        for p, a in entries:
-            cover.add_arc(arc_of(p, a, c))
+        cover = _Cover(c.denominator, 23)
+        cover.add(arc_pieces(entries, c))
         new_entries, new_cover = _redraw_block(entries, cover, c, seed=3, block_index=1)
         assert new_cover.measure >= cover.measure
         # deterministic for a fixed seed
