@@ -1,9 +1,10 @@
 """Command-line surface: reproducible experiments with JSON/CSV reports.
 
-Every run is determined by its parsed configuration (seeds included), so
-identical invocations produce byte-identical output. Rationals cross the
-boundary as "num/den" strings; floats appear only in explicitly
-floating-point fields such as Monte Carlo means and |s_p|.
+Each subcommand's handler reads the parsed `argparse.Namespace` and
+returns its output text. Every run is determined by its arguments (seeds
+included), so identical invocations produce byte-identical output.
+Rationals cross the boundary as "num/den" strings; floats appear only in
+explicitly floating-point fields such as Monte Carlo means and |s_p|.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterator, Optional, Sequence
@@ -51,30 +51,7 @@ from .sievelab import (
 
 # fixed default so undocumented runs stay reproducible
 DEFAULT_SEED = 1729
-DEFAULT_ETA = Fraction(1, 10**14)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    bound: Optional[int] = None
-    c: Optional[Fraction] = None
-    seq_path: Optional[str] = None
-    x: Optional[str] = None
-    y: Optional[str] = None
-    seed: int = DEFAULT_SEED
-    trials: Optional[int] = None
-    exact: bool = False
-    method: Optional[str] = None
-    epsilons: Optional[tuple[Fraction, ...]] = None
-    out_path: Optional[str] = None
-    out_format: str = "json"
-    list_primes: bool = False
-    x_named: Optional[str] = None
-    eta: Fraction = DEFAULT_ETA
-    primes_up_to: Optional[int] = None
-    sparse: Optional[str] = None
-    psi: Optional[str] = None
+DEFAULT_ETA = "1e-14"
 
 
 class CliError(Exception):
@@ -95,56 +72,48 @@ def _json_text(doc) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def _load_seq(config: RunConfig):
-    if config.seq_path is None:
-        raise CliError("a sequence file is required (--seq)")
-    if not Path(config.seq_path).is_file():
+def _load_seq(args: argparse.Namespace):
+    if not Path(args.seq_path).is_file():
         raise CliError("sequence file not found")
-    return load_sequence(config.seq_path)
+    return load_sequence(args.seq_path)
 
 
-def _point(config: RunConfig):
-    if (config.x is None) == (config.x_named is None):
+def _point(args: argparse.Namespace):
+    if (args.x is None) == (args.x_named is None):
         raise CliError("give exactly one of --x or --x-named")
-    if config.x_named is not None:
-        return approximant_named(config.x_named, config.eta)
-    return rational_point(config.x)
+    if args.x_named is not None:
+        return approximant_named(args.x_named, args.eta)
+    return rational_point(args.x)
 
 
-def cmd_primes(config: RunConfig) -> str:
-    if config.bound is None or config.bound < 2:
+def cmd_primes(args: argparse.Namespace) -> str:
+    if args.bound < 2:
         raise CliError("bound must be >= 2")
-    if not config.list_primes:
-        return _json_text({"bound": config.bound, "count": prime_count(config.bound)})
-    table = sieve_range(config.bound)
+    if not args.list_primes:
+        return _json_text({"bound": args.bound, "count": prime_count(args.bound)})
+    table = sieve_range(args.bound)
     return _json_text({"bound": table.bound, "count": table.count(), "primes": list(table.primes)})
 
 
-def cmd_seq_build(config: RunConfig) -> str:
-    if config.bound is None or config.bound < 2:
+def cmd_seq_build(args: argparse.Namespace) -> str:
+    if args.bound < 2:
         raise CliError("bound must be >= 2")
-    if config.c is None:
-        raise CliError("c must be in (0,1/2]")
-    if config.out_path is None:
-        raise CliError("an output file is required (--out)")
     schedule = None
-    if config.method == "greedy":
-        seq = greedy_sequence(config.bound, config.c)
-    elif config.method == "random":
-        seq = random_sequence(config.bound, config.c, config.seed)
-    elif config.method == "constant":
-        seq = constant_sequence(config.bound, config.c)
-    elif config.method == "blocks":
-        if not config.epsilons:
+    if args.method == "greedy":
+        seq = greedy_sequence(args.bound, args.c)
+    elif args.method == "random":
+        seq = random_sequence(args.bound, args.c, args.seed)
+    elif args.method == "constant":
+        seq = constant_sequence(args.bound, args.c)
+    else:
+        if not args.epsilons:
             raise CliError("blocks method needs --epsilons")
         seq, schedule = block_construction(
-            list(config.epsilons), config.c, config.bound, restart_seed=config.seed
+            args.epsilons, args.c, args.bound, restart_seed=args.seed
         )
-    else:
-        raise CliError(f"unknown method {config.method!r}")
-    _write_out(config.out_path, sequence_text(seq, schedule))
+    _write_out(args.out_path, sequence_text(seq, schedule))
     summary = {
-        "out": config.out_path,
+        "out": args.out_path,
         "method": seq.method,
         "c": rat_str(seq.c),
         "seed": seq.seed,
@@ -155,39 +124,35 @@ def cmd_seq_build(config: RunConfig) -> str:
     return _json_text(summary)
 
 
-def cmd_coverage(config: RunConfig) -> str:
-    seq = _load_seq(config)
-    if config.x is None or config.y is None:
-        raise CliError("coverage needs --x and --y")
-    value = uncovered_measure(seq, to_fraction(config.x), to_fraction(config.y))
+def cmd_coverage(args: argparse.Namespace) -> str:
+    seq = _load_seq(args)
+    value = uncovered_measure(seq, to_fraction(args.x), to_fraction(args.y))
     return rat_str(value) + "\n"
 
 
-def cmd_sievelab(config: RunConfig) -> str:
-    if config.x is None or config.y is None:
-        raise CliError("sievelab needs --x and --y")
-    x, y = to_fraction(config.x), to_fraction(config.y)
-    if config.seq_path is not None:
-        seq = _load_seq(config)
+def cmd_sievelab(args: argparse.Namespace) -> str:
+    x, y = to_fraction(args.x), to_fraction(args.y)
+    if args.seq_path is not None:
+        seq = _load_seq(args)
         doc = alpha_and_markov(level_sets(seq, x, y)).to_dict()
         doc["mode"] = "exact"
         c = seq.c
     else:
-        if config.c is None:
+        if args.c is None:
             raise CliError("give --seq or --c")
-        c = config.c
+        c = args.c
         doc = {"x": rat_str(x), "y": rat_str(y), "c": rat_str(c), "mode": "exact"}
-        if not config.exact and config.trials is None:
+        if not args.exact and args.trials is None:
             raise CliError("without --seq, give --exact and/or --mc")
-    if config.exact:
+    if args.exact:
         doc["omega_expectation"] = rat_str(omega_expectation_exact(x, y, c))
-    if config.trials is not None:
-        mean, stderr = omega_expectation_mc(x, y, c, config.trials, config.seed)
+    if args.trials is not None:
+        mean, stderr = omega_expectation_mc(x, y, c, args.trials, args.seed)
         doc["mc"] = {
             "mean": mean,
             "stderr": stderr,
-            "trials": config.trials,
-            "seed": config.seed,
+            "trials": args.trials,
+            "seed": args.seed,
         }
     return _json_text(doc)
 
@@ -216,27 +181,25 @@ def _hit_json(report: HitReport, label: str, c: Fraction) -> str:
     )
 
 
-def cmd_hits(config: RunConfig) -> str:
-    seq = _load_seq(config)
-    point = _point(config)
-    if config.bound is None or config.bound < 2:
+def cmd_hits(args: argparse.Namespace) -> str:
+    seq = _load_seq(args)
+    point = _point(args)
+    if args.bound < 2:
         raise CliError("bound must be >= 2")
-    if config.out_format == "csv":
-        return _hit_csv(hit_classes(point, seq, config.bound))
-    report = hit_primes(point, seq, config.bound)
+    if args.out_format == "csv":
+        return _hit_csv(hit_classes(point, seq, args.bound))
+    report = hit_primes(point, seq, args.bound)
     return _hit_json(report, point.label, seq.c)
 
 
-def cmd_fracparts(config: RunConfig) -> str:
-    point = _point(config)
-    if config.bound is None or config.bound < 2:
+def cmd_fracparts(args: argparse.Namespace) -> str:
+    point = _point(args)
+    if args.bound < 2:
         raise CliError("bound must be >= 2")
-    if config.c is None:
-        raise CliError("c must be in (0,1/2]")
-    if config.out_format == "csv":
-        return _hit_csv(fractional_classes(point, config.c, config.bound))
-    report = fractional_hits(point, config.c, config.bound)
-    return _hit_json(report, point.label, config.c)
+    if args.out_format == "csv":
+        return _hit_csv(fractional_classes(point, args.c, args.bound))
+    report = fractional_hits(point, args.c, args.bound)
+    return _hit_json(report, point.label, args.c)
 
 
 def _float_arg(text: str) -> float:
@@ -251,51 +214,23 @@ def _float_arg(text: str) -> float:
         raise CliError(f"{text!r} is too large for a float") from None
 
 
-def cmd_ergodic(config: RunConfig) -> str:
-    seq = _load_seq(config)
-    if config.primes_up_to is None:
-        raise CliError("ergodic needs --primes-up-to")
-    if config.x is None or config.y is None:
-        raise CliError("ergodic needs --x and --y")
-    x, y = _float_arg(config.x), _float_arg(config.y)
-    if config.sparse == "psi" and config.psi is None:
+def cmd_ergodic(args: argparse.Namespace) -> str:
+    seq = _load_seq(args)
+    x, y = _float_arg(args.x), _float_arg(args.y)
+    if args.sparse == "psi" and args.psi is None:
         raise CliError("--sparse psi needs --psi (log, loglog or sqrt_log)")
-    if config.sparse is not None:
-        primes = sparse_prime_set(config.primes_up_to, config.sparse, config.psi).primes
+    if args.psi is not None and args.sparse != "psi":
+        raise CliError("--psi needs --sparse psi")
+    if args.sparse is not None:
+        primes = sparse_prime_set(args.primes_up_to, args.sparse, args.psi).primes
     else:
-        primes = sieve_range(config.primes_up_to).primes
+        primes = sieve_range(args.primes_up_to).primes
     lines = ["p,a_p,d,abs_s,is_hit,method\n"]
     lines.extend(
         f"{p},{a},{distance!r},{abs(s)!r},{is_hit:d},{method}\n"
         for p, a, distance, s, method, is_hit in ergodic_rows(seq, x, y, primes)
     )
     return "".join(lines)
-
-
-_DISPATCH = {
-    "primes": cmd_primes,
-    "seq": cmd_seq_build,
-    "coverage": cmd_coverage,
-    "sievelab": cmd_sievelab,
-    "hits": cmd_hits,
-    "fracparts": cmd_fracparts,
-    "ergodic": cmd_ergodic,
-}
-
-
-def run(config: RunConfig) -> int:
-    """Dispatch a validated config; returns the process exit status."""
-    try:
-        text = _DISPATCH[config.command](config)
-        # seq build writes its --out file itself and prints a summary
-        if config.out_path is not None and config.command != "seq":
-            _write_out(config.out_path, text)
-            return 0
-    except (CliError, ValueError, RuntimeError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    sys.stdout.write(text)
-    return 0
 
 
 def _write_out(path: str, text: str) -> None:
@@ -333,6 +268,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("primes", help="count (and list) primes up to a bound")
     p.add_argument("--bound", type=int, required=True)
     p.add_argument("--list", action="store_true", dest="list_primes")
+    p.set_defaults(handler=cmd_primes)
 
     s = sub.add_parser("seq", help="build a numerator sequence file")
     s_sub = s.add_subparsers(dest="seq_command", required=True)
@@ -343,11 +279,13 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument("--seed", type=int, default=DEFAULT_SEED)
     b.add_argument("--epsilons", help="comma-separated targets, e.g. 1/2,1/4,1/8")
     b.add_argument("--out", required=True, dest="out_path")
+    b.set_defaults(handler=cmd_seq_build)
 
     cov = sub.add_parser("coverage", help="exact uncovered measure of a prime range")
     cov.add_argument("--seq", required=True, dest="seq_path")
     cov.add_argument("--x", required=True)
     cov.add_argument("--y", required=True)
+    cov.set_defaults(handler=cmd_coverage)
 
     lab = sub.add_parser("sievelab", help="level sets, Markov bound, uncovered expectation")
     lab.add_argument("--seq", dest="seq_path")
@@ -358,24 +296,27 @@ def _build_parser() -> argparse.ArgumentParser:
     lab.add_argument("--mc", type=int, dest="trials")
     lab.add_argument("--seed", type=int, default=DEFAULT_SEED)
     lab.add_argument("--out", dest="out_path")
+    lab.set_defaults(handler=cmd_sievelab)
 
     h = sub.add_parser("hits", help="hit primes of x against a sequence")
     h.add_argument("--seq", required=True, dest="seq_path")
     h.add_argument("--x")
     h.add_argument("--x-named", choices=["sqrt2", "golden"], dest="x_named")
-    h.add_argument("--eta", default=None)
+    h.add_argument("--eta", default=DEFAULT_ETA)
     h.add_argument("--bound", type=int, required=True)
     h.add_argument("--format", choices=["json", "csv"], default="json", dest="out_format")
     h.add_argument("--out", dest="out_path")
+    h.set_defaults(handler=cmd_hits)
 
     f = sub.add_parser("fracparts", help="primes with fractional part of x*p below c")
     f.add_argument("--x")
     f.add_argument("--x-named", choices=["sqrt2", "golden"], dest="x_named")
-    f.add_argument("--eta", default=None)
+    f.add_argument("--eta", default=DEFAULT_ETA)
     f.add_argument("--c", required=True)
     f.add_argument("--bound", type=int, required=True)
     f.add_argument("--format", choices=["json", "csv"], default="json", dest="out_format")
     f.add_argument("--out", dest="out_path")
+    f.set_defaults(handler=cmd_fracparts)
 
     e = sub.add_parser("ergodic", help="twisted averages along primes, CSV")
     e.add_argument("--seq", required=True, dest="seq_path")
@@ -385,52 +326,33 @@ def _build_parser() -> argparse.ArgumentParser:
     e.add_argument("--sparse", choices=["geometric", "psi"])
     e.add_argument("--psi", choices=["log", "loglog", "sqrt_log"])
     e.add_argument("--out", dest="out_path")
+    e.set_defaults(handler=cmd_ergodic)
 
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    c = _parse_c(args.c) if getattr(args, "c", None) is not None else None
-    eta = DEFAULT_ETA
-    if getattr(args, "eta", None) is not None:
-        eta = to_fraction(args.eta)
-        if eta <= 0:
-            raise CliError("eta must be > 0")
-    epsilons = None
-    if getattr(args, "epsilons", None):
-        epsilons = tuple(to_fraction(part) for part in args.epsilons.split(","))
-    return RunConfig(
-        command=args.command,
-        bound=getattr(args, "bound", None),
-        c=c,
-        seq_path=getattr(args, "seq_path", None),
-        x=getattr(args, "x", None),
-        y=getattr(args, "y", None),
-        seed=getattr(args, "seed", DEFAULT_SEED),
-        trials=getattr(args, "trials", None),
-        exact=getattr(args, "exact", False),
-        method=getattr(args, "method", None),
-        epsilons=epsilons,
-        out_path=getattr(args, "out_path", None),
-        out_format=getattr(args, "out_format", "json"),
-        list_primes=getattr(args, "list_primes", False),
-        x_named=getattr(args, "x_named", None),
-        eta=eta,
-        primes_up_to=getattr(args, "primes_up_to", None),
-        sparse=getattr(args, "sparse", None),
-        psi=getattr(args, "psi", None),
-    )
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand; returns the process exit status."""
+    args = _build_parser().parse_args(argv)
     try:
-        config = config_from_args(args)
-    except (CliError, ValueError) as exc:
+        if getattr(args, "c", None) is not None:
+            args.c = _parse_c(args.c)
+        if hasattr(args, "eta"):
+            args.eta = to_fraction(args.eta)
+            if args.eta <= 0:
+                raise CliError("eta must be > 0")
+        if getattr(args, "epsilons", None):
+            args.epsilons = [to_fraction(part) for part in args.epsilons.split(",")]
+        text = args.handler(args)
+        # seq build writes its --out file itself and prints a summary
+        if args.command != "seq" and getattr(args, "out_path", None) is not None:
+            _write_out(args.out_path, text)
+            return 0
+    except (CliError, ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return run(config)
+    sys.stdout.write(text)
+    return 0
 
 
 if __name__ == "__main__":

@@ -1,7 +1,10 @@
 import hashlib
 import json
 import os
+import re
+import shlex
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -498,3 +501,105 @@ class TestReproducibility:
             run_cli(capsys, "seq", "build", "--method", "random", "--bound", "100",
                     "--c", "1/4", "--seed", "11", "--out", str(path))
         assert a.read_bytes() == b.read_bytes()
+
+
+ERRORS = [
+    # (argv, the one stderr line, or 2 where argparse rejects the invocation);
+    # "S" stands for a greedy sequence file to 200 at c = 1/2
+    (("primes", "--bound", "1"), "bound must be >= 2"),
+    (("seq", "build", "--method", "greedy", "--bound", "1", "--c", "1/4", "--out", "o.json"),
+     "bound must be >= 2"),
+    (("seq", "build", "--method", "blocks", "--bound", "100", "--c", "1/2", "--out", "o.json"),
+     "blocks method needs --epsilons"),
+    (("seq", "build", "--method", "blocks", "--bound", "100", "--c", "1/2", "--epsilons=",
+      "--out", "o.json"), "blocks method needs --epsilons"),
+    (("seq", "build", "--method", "blocks", "--bound", "100", "--c", "1/2",
+      "--epsilons", "1/2,x", "--out", "o.json"), "cannot parse rational from 'x'"),
+    (("seq", "build", "--method", "blocks", "--bound", "100", "--c", "1/2",
+      "--epsilons", "2", "--out", "o.json"), "every epsilon must lie in (0, 1)"),
+    (("seq", "build", "--method", "random", "--bound", "100", "--c", "abc", "--out", "o.json"),
+     "c must be in (0,1/2]"),
+    # c is converted before the epsilons
+    (("seq", "build", "--method", "random", "--bound", "100", "--c", "3/4",
+      "--epsilons", "x", "--out", "o.json"), "c must be in (0,1/2]"),
+    (("sievelab", "--x", "2", "--y", "7"), "give --seq or --c"),
+    (("sievelab", "--x", "2", "--y", "7", "--c", "1/2", "--out", "o.json"),
+     "without --seq, give --exact and/or --mc"),
+    (("sievelab", "--x", "7", "--y", "2", "--c", "1/2", "--exact", "--out", "o.json"),
+     "need X < Y, got X=7, Y=2"),
+    (("sievelab", "--x", "2", "--y", "7", "--c", "1/2", "--mc", "0", "--out", "o.json"),
+     "trials must be >= 1, got 0"),
+    (("sievelab", "--seq", "missing.json", "--x", "1", "--y", "10", "--out", "o.json"),
+     "sequence file not found"),
+    (("coverage", "--seq", "S", "--x", "10", "--y", "1"), "need X < Y, got X=10, Y=1"),
+    (("hits", "--seq", "S", "--bound", "100", "--out", "o.json"),
+     "give exactly one of --x or --x-named"),
+    (("hits", "--seq", "S", "--x", "1/3", "--x-named", "sqrt2", "--bound", "100",
+      "--out", "o.json"), "give exactly one of --x or --x-named"),
+    (("hits", "--seq", "S", "--x-named", "sqrt2", "--eta", "0", "--bound", "100",
+      "--out", "o.json"), "eta must be > 0"),
+    (("hits", "--seq", "S", "--x", "1/3", "--bound", "1", "--out", "o.json"),
+     "bound must be >= 2"),
+    (("hits", "--seq", "S", "--x", "1/3", "--bound", "1000", "--out", "o.json"),
+     "sequence has no entry for prime 211"),
+    (("hits", "--seq", "S", "--x", "abc", "--bound", "100"), "cannot parse rational from 'abc'"),
+    (("fracparts", "--x", "1/2", "--c", "1/4", "--bound", "1", "--out", "o.json"),
+     "bound must be >= 2"),
+    (("fracparts", "--x-named", "golden", "--eta", "-1", "--c", "1/4", "--bound", "100",
+      "--out", "o.json"), "eta must be > 0"),
+    # c is converted before eta
+    (("fracparts", "--x", "1/2", "--c", "3/4", "--eta", "0", "--bound", "100",
+      "--out", "o.json"), "c must be in (0,1/2]"),
+    (("ergodic", "--seq", "S", "--x", "0.3", "--y", "0.5", "--primes-up-to", "1",
+      "--out", "o.csv"), "sieve bound must be >= 2, got 1"),
+    (("ergodic", "--seq", "S", "--x", "0.3", "--y", "0.5", "--primes-up-to", "1000",
+      "--out", "o.csv"), "sequence has no entry for prime 211"),
+    (("ergodic", "--seq", "S", "--x", "0.3", "--y", "0.5", "--primes-up-to", "200",
+      "--sparse", "geometric", "--psi", "log", "--out", "o.csv"), "--psi needs --sparse psi"),
+    (("ergodic", "--seq", "S", "--x", "0.3", "--y", "0.5", "--primes-up-to", "200",
+      "--psi", "log", "--out", "o.csv"), "--psi needs --sparse psi"),
+    (("primes",), 2),
+    (("seq", "build", "--method", "foo", "--bound", "10", "--c", "1/4", "--out", "o.json"), 2),
+    (("hits", "--seq", "S", "--x", "1/3", "--bound", "100", "--format", "xml"), 2),
+]
+
+
+class TestErrorSurface:
+    @pytest.mark.parametrize("argv, expected", ERRORS, ids=[" ".join(a) for a, _ in ERRORS])
+    def test_invocation_fails_and_writes_nothing(self, capsys, tmp_path, monkeypatch, argv,
+                                                 expected):
+        monkeypatch.chdir(tmp_path)
+        assert main(["seq", "build", "--method", "greedy", "--bound", "200", "--c", "1/2",
+                     "--out", "S"]) == 0
+        capsys.readouterr()
+        if expected == 2:
+            with pytest.raises(SystemExit) as exc:
+                main(list(argv))
+            assert exc.value.code == 2
+            assert capsys.readouterr().out == ""
+        else:
+            assert run_cli(capsys, *argv) == (1, "", f"error: {expected}\n")
+        assert os.listdir(tmp_path) == ["S"]
+
+
+def readme_commands():
+    """Each `primecover ...` line of README.md's sh blocks, continuations joined."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    commands = []
+    for block in re.findall(r"^```sh\n(.*?)^```", readme, flags=re.M | re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.startswith("primecover "):
+                commands.append(shlex.split(line)[1:])
+    return commands
+
+
+class TestReadmeExamples:
+    def test_every_example_runs(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        commands = readme_commands()
+        assert {argv[0] for argv in commands} == {
+            "primes", "seq", "coverage", "sievelab", "hits", "fracparts", "ergodic",
+        }
+        for argv in commands:
+            code, _, err = run_cli(capsys, *argv)
+            assert (code, err) == (0, ""), argv
