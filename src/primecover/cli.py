@@ -98,6 +98,8 @@ def cmd_primes(args: argparse.Namespace) -> str:
 def cmd_seq_build(args: argparse.Namespace) -> str:
     if args.bound < 2:
         raise CliError("bound must be >= 2")
+    if args.epsilons is not None and args.method != "blocks":
+        raise CliError("--epsilons needs --method blocks")
     schedule = None
     if args.method == "greedy":
         seq = greedy_sequence(args.bound, args.c)
@@ -131,6 +133,8 @@ def cmd_coverage(args: argparse.Namespace) -> str:
 
 
 def cmd_sievelab(args: argparse.Namespace) -> str:
+    if args.seq_path is not None and args.c is not None:
+        raise CliError("give --seq or --c, not both")
     x, y = to_fraction(args.x), to_fraction(args.y)
     if args.seq_path is not None:
         seq = _load_seq(args)

@@ -519,10 +519,16 @@ ERRORS = [
       "--epsilons", "2", "--out", "o.json"), "every epsilon must lie in (0, 1)"),
     (("seq", "build", "--method", "random", "--bound", "100", "--c", "abc", "--out", "o.json"),
      "c must be in (0,1/2]"),
+    (("seq", "build", "--method", "random", "--bound", "100", "--c", "1/2",
+      "--epsilons", "1/2", "--out", "o.json"), "--epsilons needs --method blocks"),
+    (("seq", "build", "--method", "greedy", "--bound", "100", "--c", "1/2",
+      "--epsilons=", "--out", "o.json"), "--epsilons needs --method blocks"),
     # c is converted before the epsilons
     (("seq", "build", "--method", "random", "--bound", "100", "--c", "3/4",
       "--epsilons", "x", "--out", "o.json"), "c must be in (0,1/2]"),
     (("sievelab", "--x", "2", "--y", "7"), "give --seq or --c"),
+    (("sievelab", "--seq", "S", "--c", "1/4", "--x", "2", "--y", "100", "--out", "o.json"),
+     "give --seq or --c, not both"),
     (("sievelab", "--x", "2", "--y", "7", "--c", "1/2", "--out", "o.json"),
      "without --seq, give --exact and/or --mc"),
     (("sievelab", "--x", "7", "--y", "2", "--c", "1/2", "--exact", "--out", "o.json"),

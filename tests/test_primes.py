@@ -1,11 +1,15 @@
 import math
+from bisect import bisect_right
 from fractions import Fraction
+from functools import lru_cache
+from itertools import compress
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from primecover.primes import (
+    _SEGMENT,
     MERTENS,
     harmonic_H,
     harmonic_H_float,
@@ -95,6 +99,83 @@ class TestSieve:
         table = sieve_range(20)
         assert table.in_range(3, 11) == [5, 7, 11]
         assert table.in_range(F(5, 2), 3) == [3]
+
+
+@lru_cache(maxsize=None)
+def full_flag_primes(bound):
+    """The earlier sieve, one flag per integer from 0 to bound, kept as an oracle."""
+    flags = bytearray([1]) * (bound + 1)
+    flags[0:2] = b"\x00\x00"
+    for p in range(2, math.isqrt(bound) + 1):
+        if flags[p]:
+            flags[p * p :: p] = b"\x00" * len(range(p * p, bound + 1, p))
+    return tuple(compress(range(bound + 1), flags))
+
+
+ORACLE_BOUND = 3 * 2 * _SEGMENT
+
+
+def oracle_between(x, y):
+    """Primes p with x < p <= y from the full-flag oracle (y <= ORACLE_BOUND)."""
+    primes = full_flag_primes(ORACLE_BOUND)
+    return list(primes[bisect_right(primes, math.floor(x)) : bisect_right(primes, math.floor(y))])
+
+
+class TestOddOnlyWindows:
+    # a window holds _SEGMENT flags for odd numbers, so it spans 2 * _SEGMENT
+    # numbers; a full sieve's windows start at 3, a primes_between window at
+    # the first odd number above x
+    SPAN = 2 * _SEGMENT
+    EDGES = sorted({e + d for e in (SPAN, 3 + SPAN, 2 * SPAN, 3 + 2 * SPAN) for d in (-2, -1, 0, 1, 2)})
+
+    @pytest.mark.parametrize("bound", EDGES)
+    def test_bounds_at_window_edges(self, bound):
+        expected = oracle_between(1, bound)
+        assert sieve_range(bound).primes == tuple(expected)
+        assert prime_count(bound) == len(expected)
+
+    def test_small_bounds(self):
+        for bound in range(2, 200):
+            assert sieve_range(bound).primes == tuple(oracle_between(1, bound))
+            assert prime_count(bound) == len(oracle_between(1, bound))
+
+    # 727 is the least prime whose square, 528529, exceeds one window's span
+    @pytest.mark.parametrize("x", [
+        727**2 - 1,  # p*p is the first flag of the first window
+        727**2 - 2 * _SEGMENT + 1,  # p*p is the last flag of the first window
+        727**2 - 2 * _SEGMENT - 1,  # p*p is the first flag of the second window
+    ])
+    def test_base_prime_square_on_a_window_edge(self, x):
+        y = 727**2 + 2 * _SEGMENT
+        primes = primes_between(x, y)
+        assert 727**2 not in primes
+        assert primes == oracle_between(x, y)
+
+    def test_full_sieve_ending_on_a_square(self):
+        bound = 727**2
+        assert sieve_range(bound).primes == tuple(oracle_between(1, bound))
+        assert prime_count(bound) == len(oracle_between(1, bound))
+
+    @given(st.fractions(-40, 2500, max_denominator=20), st.fractions(-60, 2500, max_denominator=20))
+    @settings(max_examples=200, deadline=None)
+    def test_primes_between_property(self, x, y):
+        # fractional, negative and empty windows (y <= x, or y below 2)
+        expected = [p for p in sieve_range(max(math.floor(y), 2)).primes if x < p <= y]
+        assert primes_between(x, y) == expected
+
+    @given(st.integers(-3, ORACLE_BOUND - 5000), st.integers(0, 5000))
+    @settings(max_examples=100, deadline=None)
+    def test_primes_between_short_windows_high_up(self, x, length):
+        assert primes_between(x, x + length) == oracle_between(x, x + length)
+
+    def test_primes_between_across_window_edges(self):
+        for x in (0, 1, 2, 3, 4, 2 * _SEGMENT - 7, 2 * _SEGMENT):
+            assert primes_between(x, ORACLE_BOUND) == oracle_between(x, ORACLE_BOUND)
+
+    def test_short_window_near_1e9(self):
+        primes = primes_between(10**9 - 10**4, 10**9)
+        assert len(primes) == 475
+        assert primes == [n for n in range(10**9 - 10**4 + 1, 10**9 + 1) if is_prime(n)]
 
 
 class TestHarmonic:

@@ -1,4 +1,5 @@
 import bisect
+import gc
 import json
 import math
 import random
@@ -794,6 +795,46 @@ class TestLoadSequenceValidation:
         path.write_bytes(b"\xff\xfe")
         with pytest.raises(SequenceFileError, match="not a JSON sequence file"):
             load_sequence(path)
+
+
+
+class TestLoadSequenceCollector:
+    # load_sequence pauses the cyclic garbage collector while it parses;
+    # whatever the outcome, the collector is left as it was found
+    FILES = {
+        "valid": '{"c": "1/4", "entries": [[2, 1], [3, 2]], "method": "custom", "seed": null}',
+        "bad_json": "{",
+        "undecodable": b"\xff\xfe",
+        "wrong_schema": '{"entries": [[2, 1]]}',
+        "bad_entries": '{"c": "1/4", "entries": [[3, 1], [2, 1]]}',
+    }
+
+    @pytest.fixture
+    def restore_collector(self):
+        enabled = gc.isenabled()
+        yield
+        (gc.enable if enabled else gc.disable)()
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize("name", list(FILES))
+    def test_collector_state_kept(self, tmp_path, restore_collector, name, enabled):
+        path = tmp_path / f"{name}.json"
+        content = self.FILES[name]
+        path.write_bytes(content if isinstance(content, bytes) else content.encode())
+        (gc.enable if enabled else gc.disable)()
+        if name == "valid":
+            assert load_sequence(path).entries == ((2, 1), (3, 2))
+        else:
+            with pytest.raises(SequenceFileError):
+                load_sequence(path)
+        assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    def test_collector_state_kept_on_missing_file(self, tmp_path, restore_collector, enabled):
+        (gc.enable if enabled else gc.disable)()
+        with pytest.raises(FileNotFoundError):
+            load_sequence(tmp_path / "missing.json")
+        assert gc.isenabled() is enabled
 
 
 class TestSequenceOrderIndependentHash:
