@@ -100,18 +100,21 @@ def cmd_seq_build(args: argparse.Namespace) -> str:
         raise CliError("bound must be >= 2")
     if args.epsilons is not None and args.method != "blocks":
         raise CliError("--epsilons needs --method blocks")
+    if args.seed is not None and args.method not in ("random", "blocks"):
+        raise CliError("--seed needs --method random or blocks")
+    seed = DEFAULT_SEED if args.seed is None else args.seed
     schedule = None
     if args.method == "greedy":
         seq = greedy_sequence(args.bound, args.c)
     elif args.method == "random":
-        seq = random_sequence(args.bound, args.c, args.seed)
+        seq = random_sequence(args.bound, args.c, seed)
     elif args.method == "constant":
         seq = constant_sequence(args.bound, args.c)
     else:
         if not args.epsilons:
             raise CliError("blocks method needs --epsilons")
         seq, schedule = block_construction(
-            args.epsilons, args.c, args.bound, restart_seed=args.seed
+            args.epsilons, args.c, args.bound, restart_seed=seed
         )
     _write_out(args.out_path, sequence_text(seq, schedule))
     summary = {
@@ -280,7 +283,7 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument("--method", required=True, choices=["random", "greedy", "blocks", "constant"])
     b.add_argument("--bound", type=int, required=True)
     b.add_argument("--c", required=True)
-    b.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    b.add_argument("--seed", type=int, help=f"random and blocks only (default {DEFAULT_SEED})")
     b.add_argument("--epsilons", help="comma-separated targets, e.g. 1/2,1/4,1/8")
     b.add_argument("--out", required=True, dest="out_path")
     b.set_defaults(handler=cmd_seq_build)

@@ -24,8 +24,11 @@ How the exact sums are kept small:
   end (Bernstein, "Fast multiplication and its applications", 2008).
   Adding Fractions in sweep order instead takes a gcd of a denominator
   that grows to the product of all primes at every step.
-- Moments. alpha = sum (k - nu)^2 m_k = S2 - 2 nu S1 + nu^2 S0 with
-  Sj = sum k^j m_k, integer sums over one common denominator.
+- Moments. Over the common denominator L = v*P of the level measures
+  (P the product of the primes), `level_sets` keeps the integer moments
+  Sj = sum k^j n_k of the level numerators n_k. As S0 = L and S1 = nu*L,
+  alpha = sum (k - nu)^2 m_k = (S2*L - S1^2)/L^2 and the Markov bound
+  alpha/nu^2 = (S2*L - S1^2)/S1^2: one Fraction each, no moment Fraction.
 - CRT. The p1*p2 placements of a pair of primes give every centre
   distance r/(p1*p2) exactly once, so the pair expectation is a short
   sum of a trapezoid in integer units.
@@ -50,13 +53,22 @@ HALF = Fraction(1, 2)
 
 @dataclass(frozen=True)
 class LevelSetProfile:
-    """Exact distribution of the counting step function over one range."""
+    """Exact distribution of the counting step function over one range.
+
+    `common` is L = v*P, a multiple of every level measure's denominator;
+    n0 = m_0*L, s1 = sum k*m_k*L and s2 = sum k^2*m_k*L are the integer
+    numerators over L of the empty level and of the first two moments.
+    """
 
     x: Fraction
     y: Fraction
     c: Fraction
     nu: Fraction
     levels: dict[int, Fraction]
+    common: int
+    n0: int
+    s1: int
+    s2: int
 
     def total(self) -> Fraction:
         return sum(self.levels.values(), Fraction(0))
@@ -107,7 +119,8 @@ def level_sets(
     equals nu = 2c * sum(1/p) over the range. Both identities are
     asserted over the common denominator v * P, P the product of the
     primes (the exact denominator of sum(1/p)), which every level
-    measure divides.
+    measure divides; the profile keeps that denominator and the integer
+    moments for `alpha_and_markov`.
     """
     x, y = to_fraction(x), to_fraction(y)
     if not x < y:
@@ -134,9 +147,13 @@ def level_sets(
     nu = 2 * c * harmonic
     common = v * harmonic.denominator
     scaled = [_over(m, common) for m in levels.values()]
+    s1 = sum(k * m for k, m in enumerate(scaled))
+    s2 = sum(k * k * m for k, m in enumerate(scaled))
     assert sum(scaled) == common  # total() == 1
-    assert sum(k * m for k, m in enumerate(scaled)) == _over(nu, common)  # mean_count() == nu
-    return LevelSetProfile(x=x, y=y, c=c, nu=nu, levels=levels)
+    assert s1 == _over(nu, common)  # mean_count() == nu
+    return LevelSetProfile(
+        x=x, y=y, c=c, nu=nu, levels=levels, common=common, n0=scaled[0], s1=s1, s2=s2
+    )
 
 
 def _over(q: Fraction, common: int) -> int:
@@ -149,25 +166,24 @@ def _over(q: Fraction, common: int) -> int:
 def alpha_and_markov(profile: LevelSetProfile) -> SieveReport:
     """Second moment about nu and the resulting bound on the empty level.
 
-    alpha = sum (k - nu)^2 m_k expands to S2 - 2 nu S1 + nu^2 S0 with the
-    moments Sj = sum k^j m_k: the same rational number, but each moment
-    is an integer sum over the levels' common denominator L, and the
-    expansion, taken as S2 - nu (2 S1 - nu S0), costs a few Fraction
-    operations instead of one per level. With no primes in range the
-    bound degenerates: markov_bound is None, standing in for +infinity.
+    alpha = sum (k - nu)^2 m_k expands to S2 - 2 nu S1 + nu^2 S0 in the
+    moments Sj = sum k^j m_k. Over the profile's common denominator L,
+    S0 = L and S1 = nu*L (both asserted by `level_sets`), so with the
+    integer moments s1, s2 the expansion is alpha = (s2*L - s1^2)/L^2 and
+    the Markov bound alpha/nu^2 = (s2*L - s1^2)/s1^2: each is one Fraction
+    of integers, and omega <= markov is the integer inequality
+    n0*s1^2 <= (s2*L - s1^2)*L. With no primes in range the bound
+    degenerates: markov_bound is None, standing in for +infinity.
     """
-    nu = profile.nu
-    levels = profile.levels
-    common = math.lcm(*(m.denominator for m in levels.values()))
-    scaled = [(k, _over(m, common)) for k, m in levels.items()]
-    s0, s1, s2 = (
-        Fraction(sum(k**j * m for k, m in scaled), common) for j in range(3)
-    )
-    alpha = s2 - nu * (2 * s1 - nu * s0)
-    omega = levels.get(0, Fraction(0))
-    markov = alpha / nu**2 if nu > 0 else None
-    if markov is not None:
-        assert omega <= markov
+    common, n0, s1 = profile.common, profile.n0, profile.s1
+    spread = profile.s2 * common - s1 * s1
+    alpha = Fraction(spread, common * common)
+    omega = profile.levels.get(0, Fraction(0))
+    if s1:
+        assert n0 * s1 * s1 <= spread * common  # omega <= markov
+        markov = Fraction(spread, s1 * s1)
+    else:
+        markov = None
     return SieveReport(profile=profile, alpha=alpha, omega_measure=omega, markov_bound=markov)
 
 

@@ -197,6 +197,19 @@ class TestInputAndOutputFiles:
         assert target.read_text() == sequence_text(random_sequence(100, F(1, 4), 1729))
         assert os.listdir(tmp_path) == ["x.json"]  # no temporary file left behind
 
+    @pytest.mark.parametrize(
+        "method, extra, seed",
+        [("random", (), 1729), ("blocks", ("--epsilons", "1/2,1/4"), 1729),
+         ("greedy", (), None), ("constant", (), None)],
+    )
+    def test_seed_default_applies_to_random_and_blocks(self, capsys, tmp_path, method, extra,
+                                                        seed):
+        target = tmp_path / "x.json"
+        code, out, _ = run_cli(capsys, "seq", "build", "--method", method, "--bound", "200",
+                               "--c", "1/2", *extra, "--out", str(target))
+        assert code == 0
+        assert json.loads(out)["seed"] == json.loads(target.read_text())["seed"] == seed
+
 
 class TestSequenceFileGoldens:
     # the files the benchmark's build workload writes, as the json indent
@@ -523,6 +536,10 @@ ERRORS = [
       "--epsilons", "1/2", "--out", "o.json"), "--epsilons needs --method blocks"),
     (("seq", "build", "--method", "greedy", "--bound", "100", "--c", "1/2",
       "--epsilons=", "--out", "o.json"), "--epsilons needs --method blocks"),
+    (("seq", "build", "--method", "greedy", "--bound", "100", "--c", "1/2", "--seed", "7",
+      "--out", "o.json"), "--seed needs --method random or blocks"),
+    (("seq", "build", "--method", "constant", "--bound", "100", "--c", "1/2",
+      "--seed", "1729", "--out", "o.json"), "--seed needs --method random or blocks"),
     # c is converted before the epsilons
     (("seq", "build", "--method", "random", "--bound", "100", "--c", "3/4",
       "--epsilons", "x", "--out", "o.json"), "c must be in (0,1/2]"),

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -10,9 +11,10 @@ from hypothesis import strategies as st
 from primecover.arcs import arc_of, intersect_measure, measure, normalize_union
 from primecover.primes import harmonic_H, primes_between
 from primecover.primes import sieve_range
-from primecover.sequences import NumeratorSequence, random_sequence
+from primecover.sequences import NumeratorSequence, random_sequence, sequence_text
 from primecover.sequences import constant_sequence, uncovered_by, uncovered_measure
 from primecover.sievelab import (
+    LevelSetProfile,
     alpha_and_markov,
     level_sets,
     omega_expectation_exact,
@@ -111,6 +113,11 @@ class TestAlphaMarkov:
                     )
             assert report.alpha == expansion
 
+    def test_profile_needs_its_moments(self):
+        # a profile without its integer moments would report alpha = 0
+        with pytest.raises(TypeError):
+            LevelSetProfile(x=F(1), y=F(3), c=HALF, nu=F(5, 6), levels={0: F(1)})
+
     def test_markov_holds_on_corpus(self):
         rng = random.Random(4)
         for _ in range(20):
@@ -118,6 +125,32 @@ class TestAlphaMarkov:
             seq = random_sequence(y, F(1, 4), seed=rng.randrange(2**32))
             report = alpha_and_markov(level_sets(seq, x, y))
             assert report.omega_measure <= report.markov_bound
+
+
+def int_bytes(n):
+    """Exact bytes of an int, never through its decimal text."""
+    return n.to_bytes(n.bit_length() // 8 + 1, "big", signed=True)
+
+
+class TestBenchmarkLevelsOp:
+    def test_levels_to_5e4_digest(self):
+        # the benchmark's `levels` op: level sets and alpha over (2, 5e4] of
+        # the seed-1729 random sequence, digested from int bytes because
+        # its numbers pass the int-to-str digit limit
+        seq = random_sequence(100_000, F(1, 4), 1729)
+        assert hashlib.sha256(sequence_text(seq).encode()).hexdigest() == (
+            "9edd2aaaa6cd125a80d810d7eb83f2efc306e96dea850832bb4053105e55a12e"
+        )
+        report = alpha_and_markov(level_sets(seq, 2, 50_000))
+        levels = report.profile.levels
+        values = [q for k in sorted(levels) for q in (F(k), levels[k])]
+        values += [report.profile.nu, report.alpha, report.omega_measure, report.markov_bound]
+        h = hashlib.sha256()
+        for q in values:
+            for part in (int_bytes(q.numerator), int_bytes(q.denominator)):
+                h.update(len(part).to_bytes(8, "big"))
+                h.update(part)
+        assert h.hexdigest() == "d8288038dc687000b3afc9b364be3619dadb0fd597e053cee806e11aa8c18e71"
 
 
 class TestPairExpectation:
@@ -408,6 +441,26 @@ class TestIntegerSumsMatchFractionOracles:
         assert level_sets(seq, 2, 5).levels == {0: F(7, 15), 1: F(8, 15)}
         assert_report_matches_oracle(seq, 2, 5)
         assert uncovered_measure(seq, 2, 5) == F(7, 15)
+
+    @pytest.mark.parametrize(
+        "c, x, y",
+        [(HALF, 1, 2000), (F(1, 4), F(3, 2), 1999), (F(2, 7), 1, 2003),
+         (F(3, 7), F(3, 2), 2011), (F(5, 11), 1, 1997)],
+    )
+    def test_level_report_reducible_moments(self, c, x, y):
+        # with 2 in range, 2 divides both L = v*P and S1 = 2*u*(P*H), so
+        # alpha's Fraction(S2*L - S1^2, L^2) is reduced by the constructor;
+        # v shares a prime with the range too
+        seq = random_sequence(y, c, seed=1729)
+        profile = level_sets(seq, x, y)
+        spread = profile.s2 * profile.common - profile.s1**2
+        assert math.gcd(spread, profile.common**2) > 1
+        assert math.gcd(c.denominator, profile.common // c.denominator) > 1
+        report = alpha_and_markov(profile)
+        assert (report.alpha, report.omega_measure, report.markov_bound) == (
+            fraction_alpha_and_markov(profile.levels, profile.nu)
+        )
+        assert_report_matches_oracle(seq, x, y)
 
     def test_prime_two_covers_the_circle_at_half(self):
         # the two candidate arcs of 2 touch at 1/4 and 3/4 and cover everything
