@@ -2,17 +2,7 @@
 per prime denominator: arc coverage on the circle, sieve-style covering
 statistics, hit-prime counts, and twisted ergodic averages."""
 
-from .arcs import (
-    Arc,
-    ArcUnion,
-    arc_of,
-    complement,
-    intersect_measure,
-    measure,
-    normalize_union,
-    rat_str,
-    to_fraction,
-)
+from .arcs import rat_str, to_fraction
 from .ergodic import (
     ErgodicSample,
     SparsePrimeSet,
@@ -61,13 +51,6 @@ from .sievelab import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Arc",
-    "ArcUnion",
-    "arc_of",
-    "complement",
-    "intersect_measure",
-    "measure",
-    "normalize_union",
     "rat_str",
     "to_fraction",
     "PrimeTable",

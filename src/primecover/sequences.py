@@ -24,9 +24,7 @@ from pathlib import Path
 from typing import Iterable, Optional, Union
 
 from .arcs import (
-    ArcUnion,
     RationalLike,
-    arc_of,
     arc_pieces,
     exact_sum,
     rat_str,
@@ -115,9 +113,6 @@ class NumeratorSequence:
             return self.numerators[p]
         except KeyError:
             raise ValueError(f"sequence has no entry for prime {p}") from None
-
-    def arcs_for(self, primes: Iterable[int]) -> list:
-        return [arc_of(p, self.numerator_for(p), self.c) for p in primes]
 
 
 @dataclass(frozen=True)
@@ -301,26 +296,6 @@ class _Cover:
                 hi = Fraction(*self.starts[i]) if i < n else span
                 total += max(0, min(hi, right) - max(lo, left))
         return total / span
-
-
-def _greedy_pick(segments, covered: Fraction, p: int, c: Fraction) -> tuple[int, Fraction]:
-    """(a, gain) for prime p against Fraction segments [s, e] (any order) of measure covered.
-
-    a is the pick of their _Cover of span 1; the gain is a's exact free length.
-    """
-    if covered == 1:
-        return 0, Fraction(0)
-    dens = [(s, e, math.lcm(s.denominator, e.denominator)) for s, e in segments]
-    cover = _Cover(1, max((den for *_, den in dens), default=1))
-    cover.add((int(s * den), int(e * den), den, None) for s, e, den in dens)
-    a = cover.pick(p, c)
-    return a, cover.free(p, c, a)
-
-
-def greedy_step(covered: ArcUnion, p: int, c: RationalLike) -> tuple[int, Fraction]:
-    """Best numerator for prime p against `covered`: (a, exact measure gain), ties to least a."""
-    segments = (seg for arc in covered.arcs for seg in arc.segments())  # sorted but for a wrap
-    return _greedy_pick(segments, covered.measure(), p, to_fraction(c))
 
 
 def greedy_sequence(bound: int, c: RationalLike) -> NumeratorSequence:

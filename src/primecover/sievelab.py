@@ -280,15 +280,13 @@ def omega_expectation_mc(
     c: RationalLike,
     trials: int,
     seed: int,
-    threads: int = 1,
 ) -> tuple[float, float]:
     """Monte Carlo mean and standard error of the uncovered measure.
 
     Each trial draws its numerators from a stream derived from (seed,
     trial index), so results are identical however the trials are
     scheduled; each trial's uncovered measure is computed exactly and
-    only the final aggregation is floated. Trials run one after another;
-    `threads` is accepted for compatibility and ignored.
+    only the final aggregation is floated. Trials run one after another.
     """
     x, y = to_fraction(x), to_fraction(y)
     c = to_fraction(c)
@@ -296,6 +294,8 @@ def omega_expectation_mc(
         raise ValueError(f"trials must be >= 1, got {trials}")
     if not (0 < c <= HALF):
         raise ValueError(f"c must lie in (0, 1/2], got {c}")
+    if not x < y:
+        raise ValueError(f"need X < Y, got X={x}, Y={y}")
     primes = primes_between(x, y)
 
     # every trial's value has a denominator dividing v * P, P = prod p

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from primecover.arcs import arc_of, intersect_measure, measure, normalize_union
+from oracles import arc_of, intersect_measure, measure, normalize_union
 from primecover.cli import main as cli_main
 from primecover.ergodic import (
     reduce_offset,

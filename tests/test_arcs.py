@@ -6,17 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from primecover.arcs import (
-    Arc,
-    ArcUnion,
-    arc_of,
-    complement,
-    intersect_measure,
-    measure,
-    normalize_union,
-    rat_str,
-    to_fraction,
-)
+from oracles import ArcUnion, arc_of, complement, intersect_measure, measure, normalize_union
+from primecover.arcs import Arc, rat_str, to_fraction
 from primecover.arcs import arc_pieces, exact_sum, sweep, union_length
 
 F = Fraction

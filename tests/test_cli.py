@@ -550,6 +550,8 @@ ERRORS = [
      "without --seq, give --exact and/or --mc"),
     (("sievelab", "--x", "7", "--y", "2", "--c", "1/2", "--exact", "--out", "o.json"),
      "need X < Y, got X=7, Y=2"),
+    (("sievelab", "--x", "10", "--y", "5", "--c", "1/4", "--mc", "5", "--out", "o.json"),
+     "need X < Y, got X=10, Y=5"),
     (("sievelab", "--x", "2", "--y", "7", "--c", "1/2", "--mc", "0", "--out", "o.json"),
      "trials must be >= 1, got 0"),
     (("sievelab", "--seq", "missing.json", "--x", "1", "--y", "10", "--out", "o.json"),

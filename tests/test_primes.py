@@ -1,13 +1,12 @@
 import math
 from bisect import bisect_right
 from fractions import Fraction
-from functools import lru_cache
-from itertools import compress
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import full_flag_primes
 from primecover.primes import (
     _SEGMENT,
     MERTENS,
@@ -99,17 +98,6 @@ class TestSieve:
         table = sieve_range(20)
         assert table.in_range(3, 11) == [5, 7, 11]
         assert table.in_range(F(5, 2), 3) == [3]
-
-
-@lru_cache(maxsize=None)
-def full_flag_primes(bound):
-    """The earlier sieve, one flag per integer from 0 to bound, kept as an oracle."""
-    flags = bytearray([1]) * (bound + 1)
-    flags[0:2] = b"\x00\x00"
-    for p in range(2, math.isqrt(bound) + 1):
-        if flags[p]:
-            flags[p * p :: p] = b"\x00" * len(range(p * p, bound + 1, p))
-    return tuple(compress(range(bound + 1), flags))
 
 
 ORACLE_BOUND = 3 * 2 * _SEGMENT

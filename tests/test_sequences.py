@@ -1,4 +1,3 @@
-import bisect
 import gc
 import json
 import math
@@ -12,7 +11,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from primecover.arcs import arc_of, arc_pieces, measure, normalize_union, rat_str
+from oracles import (
+    _greedy_pick,
+    _insert_segment,
+    _SegmentCover,
+    arc_of,
+    fraction_scan_pick,
+    greedy_step,
+    measure,
+    normalize_union,
+    sequence_to_dict,
+)
+from primecover.arcs import arc_pieces
 from primecover.primes import sieve_range
 from primecover.sequences import (
     METHODS,
@@ -22,12 +32,10 @@ from primecover.sequences import (
     NumeratorSequence,
     SequenceFileError,
     _Cover,
-    _greedy_pick,
     _redraw_block,
     block_construction,
     constant_sequence,
     greedy_sequence,
-    greedy_step,
     load_schedule,
     load_sequence,
     random_sequence,
@@ -38,46 +46,6 @@ from primecover.sequences import (
 
 F = Fraction
 HALF = F(1, 2)
-
-
-# Oracles: the Fraction segment cover that greedy_sequence and
-# block_construction ran on before the integer _Cover, verbatim.
-
-def _insert_segment(segs: list[list[Fraction]], s: Fraction, e: Fraction) -> Fraction:
-    """Add closed [s, e] to a sorted disjoint segment list; returns measure gained."""
-    lo = bisect.bisect_left(segs, [s, s])
-    i = lo - 1 if lo > 0 and segs[lo - 1][1] >= s else lo
-    new_s, new_e = s, e
-    removed = Fraction(0)
-    j = i
-    while j < len(segs) and segs[j][0] <= e:
-        if segs[j][0] < new_s:
-            new_s = segs[j][0]
-        if segs[j][1] > new_e:
-            new_e = segs[j][1]
-        removed += segs[j][1] - segs[j][0]
-        j += 1
-    segs[i:j] = [[new_s, new_e]]
-    return (new_e - new_s) - removed
-
-
-class _SegmentCover:
-    """Covered set kept as sorted disjoint closed segments inside [0, 1].
-
-    Wrapping arcs are stored as their two pieces; measures are unaffected
-    and _greedy_pick measures the window of a = 0 at both ends of [0, 1].
-    """
-
-    def __init__(self) -> None:
-        self.segments: list[list[Fraction]] = []
-        self.measure = Fraction(0)
-
-    def add_arc(self, arc) -> Fraction:
-        gain = Fraction(0)
-        for s, e in arc.segments():
-            gain += _insert_segment(self.segments, s, e)
-        self.measure += gain
-        return gain
 
 
 def replay_greedy_gains(seq):
@@ -100,46 +68,6 @@ def exhaustive_best(covered, p, c):
     ]
     best = max(gains)
     return gains.index(best), best
-
-
-def fraction_scan_pick(segments, covered, p, c):
-    """Oracle: the per-candidate Fraction overlap scan that _greedy_pick replaced.
-
-    Kept verbatim apart from names, so the merge walk is checked against
-    the code whose outputs are recorded in the benchmark digests.
-    """
-    radius = c / p
-    full_gain = 2 * radius
-    if not segments:
-        return 0, full_gain
-    if covered == 1:
-        return 0, Fraction(0)
-
-    scaled = [(p * s, p * e) for s, e in segments]
-
-    blocked = bytearray(p)
-    for ps, pe in scaled:
-        lo_base = math.floor(ps - c) + 1
-        hi_base = math.ceil(pe + c) - 1
-        for k in (-1, 0, 1):
-            for a in range(max(lo_base - k * p, 0), min(hi_base - k * p, p - 1) + 1):
-                blocked[a] = 1
-    for a in range(p):
-        if not blocked[a]:
-            return a, full_gain
-
-    overlaps = [Fraction(0)] * p  # in units of 1/p
-    for ps, pe in scaled:
-        lo_base = math.floor(ps - c) + 1
-        hi_base = math.ceil(pe + c) - 1
-        for k in (-1, 0, 1):
-            kp = k * p
-            for a in range(max(lo_base - kp, 0), min(hi_base - kp, p - 1) + 1):
-                overlap = min(pe, a + kp + c) - max(ps, a + kp - c)
-                if overlap > 0:
-                    overlaps[a] += overlap
-    best_a = min(range(p), key=lambda a: (overlaps[a], a))
-    return best_a, full_gain - overlaps[best_a] / p
 
 
 def cover_of_gaps(gaps):
@@ -666,22 +594,6 @@ class TestPersistence:
         assert doc["seed"] is None
         assert doc["entries"][0] == [2, 0]
         assert [p for p, _ in doc["entries"]] == [2, 3, 5, 7]
-
-
-def sequence_to_dict(seq, schedule=None):
-    """Oracle: the document the sequence file held before sequence_text, verbatim."""
-    doc = {
-        "c": rat_str(seq.c),
-        "method": seq.method,
-        "seed": seq.seed,
-        "entries": [[p, a] for p, a in seq.entries],
-    }
-    if schedule is not None:
-        doc["blocks"] = [
-            [b.start, b.end, rat_str(b.epsilon), rat_str(b.achieved_uncovered)]
-            for b in schedule.blocks
-        ]
-    return doc
 
 
 def json_writer_text(seq, schedule=None):

@@ -8,7 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from primecover.arcs import arc_of, intersect_measure, measure, normalize_union
+from oracles import (
+    arc_of,
+    fraction_level_sets,
+    fraction_sweep,
+    intersect_measure,
+    measure,
+    normalize_union,
+)
 from primecover.primes import harmonic_H, primes_between
 from primecover.primes import sieve_range
 from primecover.sequences import NumeratorSequence, random_sequence, sequence_text
@@ -246,11 +253,6 @@ class TestOmegaMonteCarlo:
         arcs = [arc_of(p, rng.randrange(p), F(1, 4)) for p in primes_between(2, 7)]
         assert mean == float(1 - measure(normalize_union(arcs)))
 
-    def test_thread_count_does_not_change_result(self):
-        serial = omega_expectation_mc(2, 50, F(1, 4), trials=40, seed=9, threads=1)
-        threaded = omega_expectation_mc(2, 50, F(1, 4), trials=40, seed=9, threads=4)
-        assert serial == threaded
-
     def test_deterministic(self):
         a = omega_expectation_mc(2, 30, F(1, 2), trials=25, seed=3)
         b = omega_expectation_mc(2, 30, F(1, 2), trials=25, seed=3)
@@ -259,6 +261,12 @@ class TestOmegaMonteCarlo:
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):
             omega_expectation_mc(2, 7, HALF, trials=0, seed=1)
+
+    def test_rejects_empty_or_reversed_range(self):
+        # the same check and message as omega_expectation_exact
+        for x, y in ((10, 5), (7, 7)):
+            with pytest.raises(ValueError, match=f"need X < Y, got X={x}, Y={y}"):
+                omega_expectation_mc(x, y, F(1, 4), trials=5, seed=1)
 
 
 class TestReportSerialization:
@@ -284,37 +292,6 @@ class TestReportSerialization:
 # here as Fractions, independently of arcs.sweep.
 
 WIDTHS = (F(1, 8), F(1, 4), F(2, 7), F(1, 3), F(3, 7), HALF)
-
-
-def fraction_sweep(pieces):
-    """(position, tags starting there, tags ending there), ascending."""
-    events = {}
-    for start, end, tag in pieces:
-        events.setdefault(start, ([], []))[0].append(tag)
-        events.setdefault(end, ([], []))[1].append(tag)
-    for pos in sorted(events):
-        yield (pos, *events[pos])
-
-
-def fraction_level_sets(seq, x, y):
-    primes = primes_between(x, y)
-    arcs = seq.arcs_for(primes)
-    levels = {0: F(0)}
-    prev = F(0)
-    count = 0
-    for pos, starts, ends in fraction_sweep(
-        (s, e, None) for arc in arcs for s, e in arc.segments()
-    ):
-        if pos > prev:
-            levels[count] = levels.get(count, F(0)) + (pos - prev)
-            prev = pos
-        count += len(starts) - len(ends)
-    if prev < 1:
-        levels[count] = levels.get(count, F(0)) + (1 - prev)
-    for k in range(max(levels)):
-        levels.setdefault(k, F(0))
-    nu = sum((2 * seq.c / p for p in primes), F(0))
-    return levels, nu
 
 
 def fraction_alpha_and_markov(levels, nu):
