@@ -23,7 +23,7 @@ from .hits import (
     rational_point,
     sqrt2_approximant,
 )
-from .primes import PrimeTable, harmonic_H, harmonic_H_float, sieve_range
+from .primes import harmonic_H, harmonic_H_float, sieve_range
 from .sequences import (
     Block,
     BlockSchedule,
@@ -53,7 +53,6 @@ __version__ = "0.1.0"
 __all__ = [
     "rat_str",
     "to_fraction",
-    "PrimeTable",
     "sieve_range",
     "harmonic_H",
     "harmonic_H_float",

@@ -82,7 +82,9 @@ def _point(args: argparse.Namespace):
     if (args.x is None) == (args.x_named is None):
         raise CliError("give exactly one of --x or --x-named")
     if args.x_named is not None:
-        return approximant_named(args.x_named, args.eta)
+        return approximant_named(args.x_named, args.eta or DEFAULT_ETA)
+    if args.eta is not None:
+        raise CliError("--eta needs --x-named")
     return rational_point(args.x)
 
 
@@ -91,8 +93,8 @@ def cmd_primes(args: argparse.Namespace) -> str:
         raise CliError("bound must be >= 2")
     if not args.list_primes:
         return _json_text({"bound": args.bound, "count": prime_count(args.bound)})
-    table = sieve_range(args.bound)
-    return _json_text({"bound": table.bound, "count": table.count(), "primes": list(table.primes)})
+    primes = sieve_range(args.bound)
+    return _json_text({"bound": args.bound, "count": len(primes), "primes": list(primes)})
 
 
 def cmd_seq_build(args: argparse.Namespace) -> str:
@@ -231,7 +233,7 @@ def cmd_ergodic(args: argparse.Namespace) -> str:
     if args.sparse is not None:
         primes = sparse_prime_set(args.primes_up_to, args.sparse, args.psi).primes
     else:
-        primes = sieve_range(args.primes_up_to).primes
+        primes = sieve_range(args.primes_up_to)
     lines = ["p,a_p,d,abs_s,is_hit,method\n"]
     lines.extend(
         f"{p},{a},{distance!r},{abs(s)!r},{is_hit:d},{method}\n"
@@ -309,7 +311,7 @@ def _build_parser() -> argparse.ArgumentParser:
     h.add_argument("--seq", required=True, dest="seq_path")
     h.add_argument("--x")
     h.add_argument("--x-named", choices=["sqrt2", "golden"], dest="x_named")
-    h.add_argument("--eta", default=DEFAULT_ETA)
+    h.add_argument("--eta", help=f"with --x-named only (default {DEFAULT_ETA})")
     h.add_argument("--bound", type=int, required=True)
     h.add_argument("--format", choices=["json", "csv"], default="json", dest="out_format")
     h.add_argument("--out", dest="out_path")
@@ -318,7 +320,7 @@ def _build_parser() -> argparse.ArgumentParser:
     f = sub.add_parser("fracparts", help="primes with fractional part of x*p below c")
     f.add_argument("--x")
     f.add_argument("--x-named", choices=["sqrt2", "golden"], dest="x_named")
-    f.add_argument("--eta", default=DEFAULT_ETA)
+    f.add_argument("--eta", help=f"with --x-named only (default {DEFAULT_ETA})")
     f.add_argument("--c", required=True)
     f.add_argument("--bound", type=int, required=True)
     f.add_argument("--format", choices=["json", "csv"], default="json", dest="out_format")
@@ -344,7 +346,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         if getattr(args, "c", None) is not None:
             args.c = _parse_c(args.c)
-        if hasattr(args, "eta"):
+        if getattr(args, "eta", None) is not None:
             args.eta = to_fraction(args.eta)
             if args.eta <= 0:
                 raise CliError("eta must be > 0")

@@ -173,8 +173,6 @@ def hit_classes(x: RealApproximant, seq: NumeratorSequence, bound: int) -> Itera
 
     so each prime costs a few integer operations and no Fraction.
     """
-    if bound < 2:
-        raise ValueError(f"bound must be >= 2, got {bound}")
     h, k = x.value.numerator, x.value.denominator
     e, big_e = x.eta.numerator, x.eta.denominator
     u, v = seq.c.numerator, seq.c.denominator
@@ -182,7 +180,7 @@ def hit_classes(x: RealApproximant, seq: NumeratorSequence, bound: int) -> Itera
     spread = e * k * v
     threshold = u * k * big_e
     numerator_for = seq.numerator_for
-    for p in sieve_range(bound).primes:
+    for p in sieve_range(bound):
         kp = k * p
         r = (h * p - numerator_for(p) * k) % kp
         n = min(r, kp - r)
@@ -228,8 +226,6 @@ def fractional_classes(x: RealApproximant, c: RationalLike, bound: int) -> Itera
     an exact integer one.
     """
     c = to_fraction(c)
-    if bound < 2:
-        raise ValueError(f"bound must be >= 2, got {bound}")
     if x.eta * bound >= Fraction(1, 4):
         raise ValueError(
             f"x is too imprecise for this range: eta * bound = {x.eta * bound} >= 1/4"
@@ -241,7 +237,7 @@ def fractional_classes(x: RealApproximant, c: RationalLike, bound: int) -> Itera
     cut = u * k * big_e
     cut_exact = u * k  # the comparison when eta = 0, in units of 1/(k*v)
     ek = e * k
-    for p in sieve_range(bound).primes:
+    for p in sieve_range(bound):
         r = h * p % k
         if e == 0:
             yield p, r, k, r * v < cut_exact, False

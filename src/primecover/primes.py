@@ -8,8 +8,10 @@ to sqrt(bound). Windows can start anywhere, so `primes_between(x, y)`
 sieves (x, y] alone. `prime_count` keeps only the base primes and one
 window: pi(1e7) takes about 0.04 s, and pi(1e9) about 7 s at 21 MiB
 peak RSS (2-core VM, Python 3.11.7). `sieve_range` returns every prime
-as a Python int, so its memory grows with pi(bound): about 245 MiB peak
-at 1e8, and several GiB at 1e9.
+as a Python int in one tuple, so its memory grows with pi(bound): about
+245 MiB peak at 1e8, and several GiB at 1e9. It is also the one check of
+a sieve bound: every per-prime scan calls it before any per-prime work,
+so a bound below 2 fails there, with one message.
 
 Harmonic sums come in two flavors: exact rational (denominators grow
 like primorials, practical to roughly Y <= 1e4; added up a product tree,
@@ -20,8 +22,6 @@ which mode they used.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress
 from typing import Iterable, Iterator
@@ -32,27 +32,6 @@ _SEGMENT = 1 << 18  # flags per window, one per odd number
 
 # Mertens: sum_{p<=x} 1/p = ln ln x + M + o(1)
 MERTENS = 0.2615
-
-
-@dataclass(frozen=True)
-class PrimeTable:
-    """All primes up to `bound`, ascending."""
-
-    bound: int
-    primes: tuple[int, ...]
-
-    def count(self) -> int:
-        return len(self.primes)
-
-    def in_range(self, x: RationalLike, y: RationalLike) -> list[int]:
-        """Primes p with x < p <= y.
-
-        For an integer p, x < p <= y exactly when floor(x) < p <= floor(y),
-        so two bisections of the sorted table find the slice.
-        """
-        lo = bisect_right(self.primes, math.floor(to_fraction(x)))
-        hi = bisect_right(self.primes, math.floor(to_fraction(y)))
-        return list(self.primes[lo:hi])
 
 
 def _segments(low: int, high: int) -> Iterator[tuple[int, bytearray]]:
@@ -92,11 +71,11 @@ def _odd_primes(low: int, high: int) -> Iterator[int]:
     )
 
 
-def sieve_range(bound: int) -> PrimeTable:
-    """Segmented sieve of Eratosthenes over [2, bound]: 2, then the odd primes."""
+def sieve_range(bound: int) -> tuple[int, ...]:
+    """Every prime up to bound, ascending: 2, then the odd primes of the windows."""
     if bound < 2:
         raise ValueError(f"sieve bound must be >= 2, got {bound}")
-    return PrimeTable(bound, tuple(chain((2,), _odd_primes(3, bound))))
+    return tuple(chain((2,), _odd_primes(3, bound)))
 
 
 def prime_count(bound: int) -> int:

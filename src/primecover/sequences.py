@@ -153,20 +153,16 @@ def random_sequence(bound: int, c: RationalLike, seed: int) -> NumeratorSequence
     randrange is rejection-sampled internally, so there is no modulo bias,
     and the same seed always reproduces the same sequence.
     """
-    if bound < 2:
-        raise ValueError(f"bound must be >= 2, got {bound}")
     c = to_fraction(c)
     rng = random.Random(seed)
-    entries = tuple((p, rng.randrange(p)) for p in sieve_range(bound).primes)
+    entries = tuple((p, rng.randrange(p)) for p in sieve_range(bound))
     return NumeratorSequence(c=c, entries=entries, method="random", seed=seed)
 
 
 def constant_sequence(bound: int, c: RationalLike) -> NumeratorSequence:
     """All-zero baseline: every arc clusters around 0 (a known-bad control)."""
-    if bound < 2:
-        raise ValueError(f"bound must be >= 2, got {bound}")
     c = to_fraction(c)
-    entries = tuple((p, 0) for p in sieve_range(bound).primes)
+    entries = tuple((p, 0) for p in sieve_range(bound))
     return NumeratorSequence(c=c, entries=entries, method="constant")
 
 
@@ -300,14 +296,12 @@ class _Cover:
 
 def greedy_sequence(bound: int, c: RationalLike) -> NumeratorSequence:
     """For each prime in increasing order pick a_p maximizing covered measure."""
-    if bound < 2:
-        raise ValueError(f"bound must be >= 2, got {bound}")
     c = to_fraction(c)
     if not (0 < c <= Fraction(1, 2)):
         raise ValueError(f"c must lie in (0, 1/2], got {c}")
     cover = _Cover(c.denominator, bound)
     entries = []
-    for p in sieve_range(bound).primes:
+    for p in sieve_range(bound):
         a = cover.pick(p, c)
         entries.append((p, a))
         cover.add(arc_pieces(((p, a),), c))
@@ -359,10 +353,10 @@ def block_construction(
     eps_list = [to_fraction(e) for e in epsilons]
     if any(not (0 < e < 1) for e in eps_list):
         raise ValueError("every epsilon must lie in (0, 1)")
-    if max_bound < 2:
-        raise ValueError(f"max_bound must be >= 2, got {max_bound}")
+    if not (0 < c <= Fraction(1, 2)):
+        raise ValueError(f"c must lie in (0, 1/2], got {c}")
 
-    primes = sieve_range(max_bound).primes
+    primes = sieve_range(max_bound)
     idx, x_start = 0, 1
     all_entries: list[tuple[int, int]] = []
     blocks: list[Block] = []

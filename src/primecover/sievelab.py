@@ -49,6 +49,8 @@ from .primes import harmonic_sum, is_prime, primes_between
 from .sequences import NumeratorSequence, uncovered_by
 
 HALF = Fraction(1, 2)
+# most arc endpoints omega_expectation_exact sweeps; (2, 1e4] would have 11,475,244
+MAX_ENDPOINTS = 500_000
 
 
 @dataclass(frozen=True)
@@ -219,7 +221,6 @@ def omega_expectation_exact(
     x: RationalLike,
     y: RationalLike,
     c: RationalLike,
-    max_endpoints: int = 500_000,
 ) -> Fraction:
     """Expected uncovered measure over uniform random numerators, exactly.
 
@@ -246,10 +247,10 @@ def omega_expectation_exact(
     if not primes:
         return Fraction(1)
     endpoint_count = sum(2 * (p + 1) for p in primes)
-    if endpoint_count > max_endpoints:
+    if endpoint_count > MAX_ENDPOINTS:
         raise ValueError(
             f"range too large for the exact sweep: {endpoint_count} arc endpoints "
-            f"exceed the budget of {max_endpoints}"
+            f"exceed the budget of {MAX_ENDPOINTS}"
         )
 
     v = c.denominator

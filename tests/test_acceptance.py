@@ -91,7 +91,7 @@ def test_criterion_2_markov_step(corpus):
 def test_criterion_3_bernoulli_variance():
     checked = 0
     for c in (F(1, 8), F(1, 4), HALF):
-        for p in sieve_range(100).primes:
+        for p in sieve_range(100):
             seq = random_sequence(p, c, seed=p)
             rep = alpha_and_markov(level_sets(seq, p - 1, p))
             q = 2 * c / p
@@ -103,7 +103,7 @@ def test_criterion_3_bernoulli_variance():
 def test_criterion_4_pair_expectation():
     start = time.monotonic()
     assert pair_expectation(2, 3, HALF) == F(1, 6)
-    primes = sieve_range(50).primes
+    primes = sieve_range(50)
     worst = F(0)
     for c in (F(1, 8), F(1, 4), HALF):
         for p1, p2 in itertools.combinations(primes, 2):
@@ -184,7 +184,7 @@ def test_criterion_9_equidistribution():
     start = time.monotonic()
     x = sqrt2_approximant(F(1, 10**14))
     rep = fractional_hits(x, F(1, 4), 10**5)
-    pi_bound = sieve_range(10**5).count()
+    pi_bound = len(sieve_range(10**5))
     density_gap = abs(len(rep.hits) / pi_bound - 0.25)
     elapsed = time.monotonic() - start
     report(9, len(rep.ambiguous) == 0 and density_gap <= 0.02 and elapsed < 30,
@@ -193,7 +193,7 @@ def test_criterion_9_equidistribution():
 
 
 def test_criterion_10_ergodic_oracle_equivalence():
-    primes = sieve_range(9973).primes
+    primes = sieve_range(9973)
     rng = random.Random(424242)
     worst = 0.0
     violations = 0

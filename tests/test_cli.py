@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from primecover.cli import main
+from primecover.cli import DEFAULT_ETA, main
 from primecover.ergodic import convergence_series
 from primecover.primes import sieve_range
 from primecover.sequences import load_sequence, random_sequence, sequence_text
@@ -44,7 +44,7 @@ class TestPrimesCommand:
 
     @pytest.mark.parametrize("bound", [2, 3, 4, 10, 97, 100, 1000, 7919, 10**4])
     def test_listing_bytes_match_sieve(self, capsys, bound):
-        primes = list(sieve_range(bound).primes)
+        primes = list(sieve_range(bound))
         doc = {"bound": bound, "count": len(primes), "primes": primes}
         code, out, _ = run_cli(capsys, "primes", "--bound", str(bound), "--list")
         assert code == 0
@@ -305,6 +305,10 @@ class TestHitsCommands:
         assert lines[0] == "p,distance_num,distance_den,hit,ambiguous"
         assert len(lines) == 1 + 25  # header + pi(100)
 
+    def test_x_named_without_eta_uses_default_eta(self, capsys, seq_file):
+        base = ("hits", "--seq", seq_file, "--x-named", "sqrt2", "--bound", "100")
+        assert run_cli(capsys, *base) == run_cli(capsys, *base, "--eta", DEFAULT_ETA)
+
     def test_fracparts_json(self, capsys):
         code, out, _ = run_cli(
             capsys, "fracparts", "--x", "1/2", "--c", "1/4", "--bound", "100"
@@ -466,7 +470,7 @@ class TestErgodicCommand:
         assert code == 0
         seq = load_sequence(seq_file)
         samples = convergence_series(seq, float("0.3"), float("0.7123"),
-                                     list(sieve_range(300).primes))
+                                     list(sieve_range(300)))
         expected = [[str(s.p), str(s.a), repr(s.distance), repr(abs(s.s)),
                      str(int(s.is_hit)), s.method] for s in samples]
         assert [line.split(",") for line in out.splitlines()[1:]] == expected
@@ -565,11 +569,15 @@ ERRORS = [
       "--out", "o.json"), "eta must be > 0"),
     (("hits", "--seq", "S", "--x", "1/3", "--bound", "1", "--out", "o.json"),
      "bound must be >= 2"),
+    (("hits", "--seq", "S", "--x", "1/3", "--eta", "1", "--bound", "100", "--out", "o.json"),
+     "--eta needs --x-named"),
     (("hits", "--seq", "S", "--x", "1/3", "--bound", "1000", "--out", "o.json"),
      "sequence has no entry for prime 211"),
     (("hits", "--seq", "S", "--x", "abc", "--bound", "100"), "cannot parse rational from 'abc'"),
     (("fracparts", "--x", "1/2", "--c", "1/4", "--bound", "1", "--out", "o.json"),
      "bound must be >= 2"),
+    (("fracparts", "--x", "1/3", "--eta", "1", "--c", "1/4", "--bound", "50", "--out", "o.json"),
+     "--eta needs --x-named"),
     (("fracparts", "--x-named", "golden", "--eta", "-1", "--c", "1/4", "--bound", "100",
       "--out", "o.json"), "eta must be > 0"),
     # c is converted before eta

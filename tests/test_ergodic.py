@@ -22,7 +22,7 @@ from primecover.sequences import NumeratorSequence, greedy_sequence
 F = Fraction
 TWO_OVER_PI = 2.0 / math.pi
 
-PRIMES_TO_9973 = sieve_range(9973).primes
+PRIMES_TO_9973 = sieve_range(9973)
 
 
 def e(t):
@@ -186,7 +186,7 @@ class TestExactHitFlag:
         # y, mixed with random ones; y = j/8 puts many exactly on an end
         exact_y = F(y)
         entries = []
-        for p in sieve_range(bound).primes:
+        for p in sieve_range(bound):
             ends = {math.floor(p * exact_y + s * c) % p for s in (-1, 1)}
             ends |= {math.ceil(p * exact_y + s * c) % p for s in (-1, 1)}
             pick = st.one_of(st.sampled_from(sorted(ends)), st.integers(0, p - 1))

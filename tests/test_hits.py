@@ -28,7 +28,7 @@ HALF = F(1, 2)
 
 
 def seq_from_rule(bound, c, rule):
-    entries = tuple((p, rule(p) % p) for p in sieve_range(bound).primes)
+    entries = tuple((p, rule(p) % p) for p in sieve_range(bound))
     return NumeratorSequence(to_c(c), entries)
 
 
@@ -77,13 +77,13 @@ class TestHitPrimes:
     def test_nearest_residue_hits_everything(self):
         seq = seq_from_rule(100, HALF, lambda p: (2 * p + 3) // 6)  # round(p/3)
         report = hit_primes(rational_point(F(1, 3)), seq, 100)
-        assert list(report.hits) == list(sieve_range(100).primes)
+        assert list(report.hits) == list(sieve_range(100))
         assert report.ambiguous == ()
 
     def test_zero_with_constant_sequence(self):
         seq = constant_sequence(50, F(1, 4))
         report = hit_primes(rational_point(0), seq, 50)
-        assert list(report.hits) == list(sieve_range(50).primes)
+        assert list(report.hits) == list(sieve_range(50))
 
     def test_antipodal_sequence_never_hits(self):
         seq = seq_from_rule(50, F(1, 4), lambda p: p // 2)
@@ -133,7 +133,7 @@ class TestHitPrimes:
 class TestFractionalHits:
     def test_zero_hits_everything(self):
         report = fractional_hits(rational_point(0), F(1, 4), 50)
-        assert list(report.hits) == list(sieve_range(50).primes)
+        assert list(report.hits) == list(sieve_range(50))
 
     def test_half_only_two(self):
         report = fractional_hits(rational_point(HALF), F(1, 4), 100)
@@ -144,7 +144,7 @@ class TestFractionalHits:
         x = sqrt2_approximant(F(1, 10**14))
         report = fractional_hits(x, F(1, 4), 10**4)
         assert report.ambiguous == ()
-        density = len(report.hits) / len(sieve_range(10**4).primes)
+        density = len(report.hits) / len(sieve_range(10**4))
         assert abs(density - 0.25) <= 0.02
 
     def test_rational_cycle_oracle(self):
@@ -153,7 +153,7 @@ class TestFractionalHits:
         x = rational_point(F(a, q))
         report = fractional_hits(x, c, bound)
         expected = 0
-        for p in sieve_range(bound).primes:
+        for p in sieve_range(bound):
             if (F(a, q) * p) % 1 < c:
                 expected += 1
             # sanity: the predicate really only depends on p mod q
@@ -209,7 +209,7 @@ class TestLogLogHeuristic:
 
 def fraction_hit_rows(x, seq, bound):
     rows = []
-    for p in sieve_range(bound).primes:
+    for p in sieve_range(bound):
         a = seq.numerator_for(p)
         threshold = seq.c / p
         dist = circle_distance(x.value, Fraction(a, p))
@@ -224,7 +224,7 @@ def fraction_hit_rows(x, seq, bound):
 
 def fraction_fractional_rows(x, c, bound):
     rows = []
-    for p in sieve_range(bound).primes:
+    for p in sieve_range(bound):
         f = (x.value * p) % ONE
         delta = p * x.eta
         if delta == 0:
@@ -266,7 +266,7 @@ def etas(draw, top):
 
 @st.composite
 def numerator_sequences(draw, bound, c):
-    primes = sieve_range(bound).primes
+    primes = sieve_range(bound)
     raw = draw(st.lists(st.integers(0, 10**6), min_size=len(primes), max_size=len(primes)))
     return NumeratorSequence(c, tuple((p, a % p) for p, a in zip(primes, raw)))
 

@@ -34,12 +34,12 @@ class TestPrimeCount:
     @given(st.integers(2, 10**5))
     @settings(max_examples=60, deadline=None)
     def test_matches_sieve(self, bound):
-        assert prime_count(bound) == sieve_range(bound).count()
+        assert prime_count(bound) == len(sieve_range(bound))
 
     def test_segment_edges(self):
         # bounds at the square-root piece and the first 2^18-window edges
         for bound in (2, 3, 4, 8, 9, 2**18 + 512, 2**18 + 513, 2**18 + 514):
-            assert prime_count(bound) == sieve_range(bound).count()
+            assert prime_count(bound) == len(sieve_range(bound))
 
     def test_rejects_small_bound(self):
         with pytest.raises(ValueError):
@@ -48,26 +48,25 @@ class TestPrimeCount:
 
 class TestSieve:
     def test_small(self):
-        assert sieve_range(10).primes == (2, 3, 5, 7)
+        assert sieve_range(10) == (2, 3, 5, 7)
 
     def test_edge(self):
-        assert sieve_range(2).primes == (2,)
+        assert sieve_range(2) == (2,)
 
     def test_rejects_below_two(self):
         with pytest.raises(ValueError):
             sieve_range(1)
 
     def test_against_trial_division(self):
-        assert list(sieve_range(2000).primes) == trial_division_primes(2000)
+        assert list(sieve_range(2000)) == trial_division_primes(2000)
 
     def test_pi_of_one_million(self):
-        table = sieve_range(10**6)
-        assert table.count() == 78498
+        assert len(sieve_range(10**6)) == 78498
 
     def test_segment_boundaries(self):
         # bounds straddling the segment size must not drop or repeat primes
         for bound in (2**18 - 1, 2**18, 2**18 + 1, 2**18 + 500):
-            primes = sieve_range(bound).primes
+            primes = sieve_range(bound)
             assert len(primes) == len(set(primes))
             assert all(is_prime(p) for p in primes[-5:])
 
@@ -79,25 +78,20 @@ class TestSieve:
         (7, 29),  # x prime (excluded), y prime (included)
         (F(14, 2), F(58, 2)),  # the same primes as Fractions
         (29, 7),  # empty: x > y
-        (97, 1000),  # past the table
+        (97, 1000),  # a window reaching past 100
     ])
-    def test_in_range_matches_comparison_oracle(self, x, y):
-        table = sieve_range(100)
-        expected = [p for p in table.primes if x < p <= y]
-        assert table.in_range(x, y) == expected
-        assert primes_between(x, y) == [p for p in sieve_range(max(int(y), 2)).primes if x < p <= y]
+    def test_primes_between_matches_comparison_oracle(self, x, y):
+        assert primes_between(x, y) == [p for p in sieve_range(max(int(y), 2)) if x < p <= y]
 
     @given(st.fractions(-30, 130, max_denominator=50), st.fractions(-30, 130, max_denominator=50))
     @settings(max_examples=200)
-    def test_in_range_property(self, x, y):
-        table = sieve_range(100)
-        assert table.in_range(x, y) == [p for p in table.primes if x < p <= y]
-        assert table.in_range(str(x), str(y)) == table.in_range(x, y)
+    def test_primes_between_against_table(self, x, y):
+        assert primes_between(x, y) == [p for p in sieve_range(130) if x < p <= y]
+        assert primes_between(str(x), str(y)) == primes_between(x, y)
 
-    def test_in_range_uses_half_open_interval(self):
-        table = sieve_range(20)
-        assert table.in_range(3, 11) == [5, 7, 11]
-        assert table.in_range(F(5, 2), 3) == [3]
+    def test_primes_between_uses_half_open_interval(self):
+        assert primes_between(3, 11) == [5, 7, 11]
+        assert primes_between(F(5, 2), 3) == [3]
 
 
 ORACLE_BOUND = 3 * 2 * _SEGMENT
@@ -119,12 +113,12 @@ class TestOddOnlyWindows:
     @pytest.mark.parametrize("bound", EDGES)
     def test_bounds_at_window_edges(self, bound):
         expected = oracle_between(1, bound)
-        assert sieve_range(bound).primes == tuple(expected)
+        assert sieve_range(bound) == tuple(expected)
         assert prime_count(bound) == len(expected)
 
     def test_small_bounds(self):
         for bound in range(2, 200):
-            assert sieve_range(bound).primes == tuple(oracle_between(1, bound))
+            assert sieve_range(bound) == tuple(oracle_between(1, bound))
             assert prime_count(bound) == len(oracle_between(1, bound))
 
     # 727 is the least prime whose square, 528529, exceeds one window's span
@@ -141,14 +135,14 @@ class TestOddOnlyWindows:
 
     def test_full_sieve_ending_on_a_square(self):
         bound = 727**2
-        assert sieve_range(bound).primes == tuple(oracle_between(1, bound))
+        assert sieve_range(bound) == tuple(oracle_between(1, bound))
         assert prime_count(bound) == len(oracle_between(1, bound))
 
     @given(st.fractions(-40, 2500, max_denominator=20), st.fractions(-60, 2500, max_denominator=20))
     @settings(max_examples=200, deadline=None)
     def test_primes_between_property(self, x, y):
         # fractional, negative and empty windows (y <= x, or y below 2)
-        expected = [p for p in sieve_range(max(math.floor(y), 2)).primes if x < p <= y]
+        expected = [p for p in sieve_range(max(math.floor(y), 2)) if x < p <= y]
         assert primes_between(x, y) == expected
 
     @given(st.integers(-3, ORACLE_BOUND - 5000), st.integers(0, 5000))

@@ -23,6 +23,7 @@ from oracles import (
     sequence_to_dict,
 )
 from primecover.arcs import arc_pieces
+from primecover.hits import fractional_classes, hit_classes, rational_point
 from primecover.primes import sieve_range
 from primecover.sequences import (
     METHODS,
@@ -117,9 +118,28 @@ class TestRandomSequence:
         frac_below_half = sum(1 for p, a in seq.entries if a < p / 2) / len(seq.entries)
         assert abs(frac_below_half - 0.5) <= 0.02
 
-    def test_rejects_small_bound(self):
-        with pytest.raises(ValueError):
-            random_sequence(1, HALF, 0)
+
+# every per-prime scan leaves its bound to sieve_range; generators are consumed
+SMALL_BOUND_ENTRY_POINTS = {
+    "random_sequence": lambda bound: random_sequence(bound, HALF, 0),
+    "constant_sequence": lambda bound: constant_sequence(bound, HALF),
+    "greedy_sequence": lambda bound: greedy_sequence(bound, HALF),
+    "block_construction": lambda bound: block_construction([HALF], HALF, bound),
+    "sieve_range": sieve_range,
+    "hit_classes": lambda bound: list(
+        hit_classes(rational_point(F(1, 3)), constant_sequence(10, HALF), bound)
+    ),
+    "fractional_classes": lambda bound: list(
+        fractional_classes(rational_point(F(1, 3)), F(1, 4), bound)
+    ),
+}
+
+
+@pytest.mark.parametrize("name", SMALL_BOUND_ENTRY_POINTS)
+@pytest.mark.parametrize("bound", [1, 0, -7])
+def test_rejects_small_bound(name, bound):
+    with pytest.raises(ValueError, match=f"^sieve bound must be >= 2, got {bound}$"):
+        SMALL_BOUND_ENTRY_POINTS[name](bound)
 
 
 class TestValidation:
@@ -213,7 +233,7 @@ class TestGreedy:
             assert a == oracle_a
 
 
-SMALL_PRIMES = sieve_range(200).primes
+SMALL_PRIMES = sieve_range(200)
 ORACLE_CS = [F(1, 8), F(1, 4), F(2, 7), F(1, 3), HALF]
 
 
@@ -296,7 +316,7 @@ def oracle_greedy(bound, c):
     """greedy_sequence's entries replayed on the oracle cover and the Fraction scan pick."""
     cover = _SegmentCover()
     entries = []
-    for p in sieve_range(bound).primes:
+    for p in sieve_range(bound):
         a, _ = fraction_scan_pick(cover.segments, cover.measure, p, c)
         entries.append((p, a))
         cover.add_arc(arc_of(p, a, c))
@@ -309,7 +329,7 @@ def oracle_blocks(epsilons, c, max_bound, restart_seed=1729):
     Returns (entries, [(start, end, epsilon, achieved), ...]), or the
     budget error's message (its Fractions are short enough for str here).
     """
-    primes = sieve_range(max_bound).primes
+    primes = sieve_range(max_bound)
     idx, x_start, entries, blocks = 0, 1, [], []
     for n, eps in enumerate(epsilons, start=1):
         cover, block_entries, stall, restarted = _SegmentCover(), [], 0, False
@@ -524,7 +544,7 @@ class TestBlocks:
         limit = sys.get_int_max_str_digits()
         try:
             sys.set_int_max_str_digits(0)
-            uncovered = 1 - sum(2 * c / p for p in sieve_range(30).primes)
+            uncovered = 1 - sum(2 * c / p for p in sieve_range(30))
             num_digits, den_digits = len(str(uncovered.numerator)), len(str(uncovered.denominator))
             sys.set_int_max_str_digits(640)
             with pytest.raises(BudgetExhaustedError) as info:
@@ -541,6 +561,11 @@ class TestBlocks:
     def test_bad_epsilon_rejected(self):
         with pytest.raises(ValueError):
             block_construction([F(3, 2)], HALF, max_bound=100)
+
+    @pytest.mark.parametrize("c", [F(0), F(-1, 4), F(3, 4)])
+    def test_c_outside_range_rejected_before_sieving(self, c):
+        with pytest.raises(ValueError, match="c must lie in"):
+            block_construction([HALF], c, max_bound=200)
 
     def test_blocks_consume_disjoint_prime_ranges(self):
         seq, schedule = block_construction([HALF, HALF, HALF], HALF, max_bound=10**4)

@@ -231,7 +231,7 @@ class TestOmegaExact:
 
     def test_range_too_large_guard(self):
         with pytest.raises(ValueError, match="range too large"):
-            omega_expectation_exact(2, 10**4, F(1, 4), max_endpoints=1000)
+            omega_expectation_exact(2, 10**4, F(1, 4))
 
     def test_empty_range(self):
         assert omega_expectation_exact(7, 10, F(1, 2)) == 1
@@ -354,7 +354,7 @@ def prime_ranges(draw, top=200):
 
 @st.composite
 def drawn_sequences(draw, c, bound=200):
-    primes = sieve_range(bound).primes
+    primes = sieve_range(bound)
     entries = tuple((p, draw(st.integers(0, p - 1))) for p in primes)
     return NumeratorSequence(c, entries)
 
