@@ -4,16 +4,13 @@ statistics, hit-prime counts, and twisted ergodic averages."""
 
 from .arcs import rat_str, to_fraction
 from .ergodic import (
-    ErgodicSample,
     SparsePrimeSet,
-    convergence_series,
     s_closed,
     s_direct,
     sparse_prime_set,
 )
 from .hits import (
     HitReport,
-    HitRow,
     RealApproximant,
     approximant_named,
     fractional_hits,
@@ -77,7 +74,6 @@ __all__ = [
     "omega_expectation_mc",
     "RealApproximant",
     "HitReport",
-    "HitRow",
     "hit_primes",
     "fractional_hits",
     "loglog_heuristic",
@@ -85,11 +81,9 @@ __all__ = [
     "sqrt2_approximant",
     "golden_approximant",
     "approximant_named",
-    "ErgodicSample",
     "SparsePrimeSet",
     "s_direct",
     "s_closed",
-    "convergence_series",
     "sparse_prime_set",
     "__version__",
 ]

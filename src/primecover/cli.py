@@ -89,8 +89,6 @@ def _point(args: argparse.Namespace):
 
 
 def cmd_primes(args: argparse.Namespace) -> str:
-    if args.bound < 2:
-        raise CliError("bound must be >= 2")
     if not args.list_primes:
         return _json_text({"bound": args.bound, "count": prime_count(args.bound)})
     primes = sieve_range(args.bound)
@@ -98,8 +96,6 @@ def cmd_primes(args: argparse.Namespace) -> str:
 
 
 def cmd_seq_build(args: argparse.Namespace) -> str:
-    if args.bound < 2:
-        raise CliError("bound must be >= 2")
     if args.epsilons is not None and args.method != "blocks":
         raise CliError("--epsilons needs --method blocks")
     if args.seed is not None and args.method not in ("random", "blocks"):
@@ -193,8 +189,6 @@ def _hit_json(report: HitReport, label: str, c: Fraction) -> str:
 def cmd_hits(args: argparse.Namespace) -> str:
     seq = _load_seq(args)
     point = _point(args)
-    if args.bound < 2:
-        raise CliError("bound must be >= 2")
     if args.out_format == "csv":
         return _hit_csv(hit_classes(point, seq, args.bound))
     report = hit_primes(point, seq, args.bound)
@@ -203,8 +197,6 @@ def cmd_hits(args: argparse.Namespace) -> str:
 
 def cmd_fracparts(args: argparse.Namespace) -> str:
     point = _point(args)
-    if args.bound < 2:
-        raise CliError("bound must be >= 2")
     if args.out_format == "csv":
         return _hit_csv(fractional_classes(point, args.c, args.bound))
     report = fractional_hits(point, args.c, args.bound)
@@ -352,6 +344,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 raise CliError("eta must be > 0")
         if getattr(args, "epsilons", None):
             args.epsilons = [to_fraction(part) for part in args.epsilons.split(",")]
+        if getattr(args, "bound", 2) < 2:
+            raise CliError("bound must be >= 2")
         text = args.handler(args)
         # seq build writes its --out file itself and prints a summary
         if args.command != "seq" and getattr(args, "out_path", None) is not None:

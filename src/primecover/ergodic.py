@@ -77,20 +77,6 @@ def s_closed(p: int, a: int, x: float, y: float) -> complex:
     return ratio * _e(x + 0.5 * (p - 1) * d)
 
 
-@dataclass(frozen=True)
-class ErgodicSample:
-    """One prime's average with its hit classification."""
-
-    p: int
-    a: int
-    x: float
-    y: float
-    s: complex
-    method: str
-    distance: float
-    is_hit: bool
-
-
 # (p, a_p, |d|, s, method, is_hit)
 ErgodicRow = tuple[int, int, float, complex, str, bool]
 
@@ -112,7 +98,8 @@ def ergodic_rows(
         p * dist <= c  <=>  n*v <= u*k
 
     the hits.hit_classes inequality with eta = 0. The float distance is
-    reported, never compared.
+    reported, never compared. Hits keep |s| bounded away from 0, while a
+    prime at distance |d| has |s| <= 1/(2 p |d|).
     """
     h, k = Fraction(y).as_integer_ratio()
     v = seq.c.denominator
@@ -133,24 +120,6 @@ def ergodic_rows(
         kp = k * p
         r = (h * p - a * k) % kp
         yield p, a, abs(d), s, method, min(r, kp - r) * v <= threshold
-
-
-def convergence_series(
-    seq: NumeratorSequence,
-    x: float,
-    y: float,
-    primes: Iterable[int],
-) -> list[ErgodicSample]:
-    """ergodic_rows as samples.
-
-    A sample is a hit when p times the circle distance from y to a_p/p is
-    at most the sequence's c; hits keep |s| bounded away from 0 while
-    distant primes have |s| <= 1/(2 p d).
-    """
-    return [
-        ErgodicSample(p, a, x, y, s, method, distance, is_hit)
-        for p, a, distance, s, method, is_hit in ergodic_rows(seq, x, y, primes)
-    ]
 
 
 @dataclass(frozen=True)

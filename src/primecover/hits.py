@@ -105,16 +105,6 @@ def circle_distance(a: Fraction, b: Fraction) -> Fraction:
     return min(d, ONE - d)
 
 
-@dataclass(frozen=True)
-class HitRow:
-    """Per-prime detail: the exact distance (or fractional part) and status."""
-
-    p: int
-    distance: Fraction
-    hit: bool
-    ambiguous: bool
-
-
 # (p, distance or fractional-part numerator, its denominator, hit, ambiguous)
 Classified = tuple[int, int, int, bool, bool]
 
@@ -150,10 +140,6 @@ def _report(bound: int, hits: list[int], ambiguous: list[int], heuristic: float)
         ratio=len(hits) / heuristic if heuristic > 0 else 0.0,
         hit_reciprocal_sum=math.fsum(1.0 / p for p in hits),
     )
-
-
-def _rows(classes: Iterator[Classified]) -> list[HitRow]:
-    return [HitRow(p, Fraction(n, den), hit, unsure) for p, n, den, hit, unsure in classes]
 
 
 def hit_classes(x: RealApproximant, seq: NumeratorSequence, bound: int) -> Iterator[Classified]:
@@ -193,11 +179,6 @@ def hit_classes(x: RealApproximant, seq: NumeratorSequence, bound: int) -> Itera
             yield p, n, kp, False, True
 
 
-def hit_rows(x: RealApproximant, seq: NumeratorSequence, bound: int) -> list[HitRow]:
-    """hit_classes as rows, each distance an exact reduced Fraction."""
-    return _rows(hit_classes(x, seq, bound))
-
-
 def hit_primes(x: RealApproximant, seq: NumeratorSequence, bound: int) -> HitReport:
     primes, hits, ambiguous = _tally(hit_classes(x, seq, bound))
     # the sum of harmonic_H_float(1, bound), over the primes already sieved
@@ -222,8 +203,9 @@ def fractional_classes(x: RealApproximant, c: RationalLike, bound: int) -> Itera
         {value*p} + delta <  c  <=>  (f + d)*v < u*k*E
         {value*p} - delta >= c  <=>  (f - d)*v >= u*k*E
 
-    and, when eta = 0, {value*p} < c <=> r*v < u*k. Every comparison is
-    an exact integer one.
+    Every comparison is an exact integer one. eta = 0 takes the same
+    comparisons: then E = 1 and d = 0, so the first two always hold, the
+    prime is a hit iff r*v < u*k, and it is never ambiguous.
     """
     c = to_fraction(c)
     if x.eta * bound >= Fraction(1, 4):
@@ -235,13 +217,9 @@ def fractional_classes(x: RealApproximant, c: RationalLike, bound: int) -> Itera
     u, v = c.numerator, c.denominator
     one = k * big_e
     cut = u * k * big_e
-    cut_exact = u * k  # the comparison when eta = 0, in units of 1/(k*v)
     ek = e * k
     for p in sieve_range(bound):
         r = h * p % k
-        if e == 0:
-            yield p, r, k, r * v < cut_exact, False
-            continue
         f, d = r * big_e, p * ek
         if f >= d and f + d < one:
             if (f + d) * v < cut:
@@ -253,11 +231,6 @@ def fractional_classes(x: RealApproximant, c: RationalLike, bound: int) -> Itera
         else:
             # the band wraps past 0: both sides of the cut are possible
             yield p, r, k, False, True
-
-
-def fractional_rows(x: RealApproximant, c: RationalLike, bound: int) -> list[HitRow]:
-    """fractional_classes as rows, each fractional part an exact reduced Fraction."""
-    return _rows(fractional_classes(x, c, bound))
 
 
 def fractional_hits(x: RealApproximant, c: RationalLike, bound: int) -> HitReport:

@@ -147,13 +147,21 @@ class BlockSchedule:
         return self.blocks[-1].end if self.blocks else 1
 
 
+def _checked_c(c: RationalLike) -> Fraction:
+    """c as a Fraction, checked to lie in (0, 1/2] before any prime is sieved."""
+    c = to_fraction(c)
+    if not (0 < c <= Fraction(1, 2)):
+        raise ValueError(f"c must lie in (0, 1/2], got {c}")
+    return c
+
+
 def random_sequence(bound: int, c: RationalLike, seed: int) -> NumeratorSequence:
     """Independent uniform a_p in {0, ..., p-1} for each prime p <= bound.
 
     randrange is rejection-sampled internally, so there is no modulo bias,
     and the same seed always reproduces the same sequence.
     """
-    c = to_fraction(c)
+    c = _checked_c(c)
     rng = random.Random(seed)
     entries = tuple((p, rng.randrange(p)) for p in sieve_range(bound))
     return NumeratorSequence(c=c, entries=entries, method="random", seed=seed)
@@ -161,7 +169,7 @@ def random_sequence(bound: int, c: RationalLike, seed: int) -> NumeratorSequence
 
 def constant_sequence(bound: int, c: RationalLike) -> NumeratorSequence:
     """All-zero baseline: every arc clusters around 0 (a known-bad control)."""
-    c = to_fraction(c)
+    c = _checked_c(c)
     entries = tuple((p, 0) for p in sieve_range(bound))
     return NumeratorSequence(c=c, entries=entries, method="constant")
 
@@ -296,9 +304,7 @@ class _Cover:
 
 def greedy_sequence(bound: int, c: RationalLike) -> NumeratorSequence:
     """For each prime in increasing order pick a_p maximizing covered measure."""
-    c = to_fraction(c)
-    if not (0 < c <= Fraction(1, 2)):
-        raise ValueError(f"c must lie in (0, 1/2], got {c}")
+    c = _checked_c(c)
     cover = _Cover(c.denominator, bound)
     entries = []
     for p in sieve_range(bound):
@@ -341,20 +347,24 @@ def block_construction(
     Block n consumes primes after the previous block's end, each placed
     greedily against a fresh covered set, until the block's uncovered
     measure drops to epsilon_n; the prime reaching the target becomes the
-    block's end. If a block stalls (a long run of zero-gain steps, which
-    cannot happen while gaps remain at c = 1/2 but can in degenerate
-    configurations for smaller c), its numerators are redrawn once from a
-    seeded stream and the better of the two coverings is kept.
+    block's end.
+
+    Every step gains, so the seeded redraw after _STALL_LIMIT flat steps
+    never runs. For c < 1/2 the point 1/2 stays uncovered: prime 2 can
+    only be first on a fresh cover, where it takes a = 0, and an odd q
+    has no centre within c/q of 1/2. The window of p centred at
+    (p-1)/(2p) ends at 1/2 - (1/2 - c)/p, inside the uncovered interval
+    around 1/2, whose radius is at least (1/2 - c)/q for the largest
+    q < p placed. For c = 1/2 the windows of p cover the circle, so a
+    flat step would need a full cover, which meets every target first.
 
     Raises BudgetExhaustedError when max_bound is reached before the
     current block meets its target.
     """
-    c = to_fraction(c)
+    c = _checked_c(c)
     eps_list = [to_fraction(e) for e in epsilons]
     if any(not (0 < e < 1) for e in eps_list):
         raise ValueError("every epsilon must lie in (0, 1)")
-    if not (0 < c <= Fraction(1, 2)):
-        raise ValueError(f"c must lie in (0, 1/2], got {c}")
 
     primes = sieve_range(max_bound)
     idx, x_start = 0, 1

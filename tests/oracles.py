@@ -336,3 +336,11 @@ def fraction_level_sets(seq, x, y):
         levels.setdefault(k, F(0))
     nu = sum((2 * seq.c / p for p in primes), F(0))
     return levels, nu
+
+
+# ---------------------------------------------------------------------------
+# Per-prime scans read with exact distances.
+
+def exact_rows(classes):
+    """(p, n, den, hit, ambiguous) tuples as (p, Fraction(n, den), hit, ambiguous)."""
+    return [(p, Fraction(n, den), hit, amb) for p, n, den, hit, amb in classes]

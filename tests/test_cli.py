@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from primecover.cli import DEFAULT_ETA, main
-from primecover.ergodic import convergence_series
+from primecover.ergodic import ergodic_rows
 from primecover.primes import sieve_range
 from primecover.sequences import load_sequence, random_sequence, sequence_text
 from primecover.sievelab import omega_expectation_exact
@@ -334,8 +334,8 @@ class TestHitsCommands:
 
 
 class TestScanGoldenFiles:
-    # digests of what the Fraction loops of hit_rows and fractional_rows
-    # printed; the integer cross-multiplication must keep every byte
+    # digests of what the Fraction classification loops printed; the
+    # integer cross-multiplication must keep every byte
     @pytest.fixture(scope="class")
     def random_seq(self, tmp_path_factory):
         path = tmp_path_factory.mktemp("golden") / "r.json"
@@ -462,17 +462,16 @@ class TestErgodicCommand:
         assert out == decimal
 
     def test_decimal_point_output_unchanged(self, capsys, seq_file):
-        # a decimal string still reaches convergence_series as float(string)
+        # a decimal string still reaches ergodic_rows as float(string)
         code, out, _ = run_cli(
             capsys, "ergodic", "--seq", seq_file, "--x", "0.3", "--y", "0.7123",
             "--primes-up-to", "300",
         )
         assert code == 0
         seq = load_sequence(seq_file)
-        samples = convergence_series(seq, float("0.3"), float("0.7123"),
-                                     list(sieve_range(300)))
-        expected = [[str(s.p), str(s.a), repr(s.distance), repr(abs(s.s)),
-                     str(int(s.is_hit)), s.method] for s in samples]
+        rows = list(ergodic_rows(seq, float("0.3"), float("0.7123"), list(sieve_range(300))))
+        expected = [[str(p), str(a), repr(distance), repr(abs(s)), str(int(is_hit)), method]
+                    for p, a, distance, s, method, is_hit in rows]
         assert [line.split(",") for line in out.splitlines()[1:]] == expected
 
     def test_psi_mode_needs_psi(self, capsys, seq_file):
@@ -569,6 +568,8 @@ ERRORS = [
       "--out", "o.json"), "eta must be > 0"),
     (("hits", "--seq", "S", "--x", "1/3", "--bound", "1", "--out", "o.json"),
      "bound must be >= 2"),
+    # the bound is checked before the handler reads the sequence file
+    (("hits", "--seq", "missing.json", "--x", "1/3", "--bound", "1"), "bound must be >= 2"),
     (("hits", "--seq", "S", "--x", "1/3", "--eta", "1", "--bound", "100", "--out", "o.json"),
      "--eta needs --x-named"),
     (("hits", "--seq", "S", "--x", "1/3", "--bound", "1000", "--out", "o.json"),

@@ -8,14 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from primecover.ergodic import (
-    ErgodicSample,
-    convergence_series,
+    ergodic_rows,
     reduce_offset,
     s_closed,
     s_direct,
     sparse_prime_set,
 )
-from primecover.hits import hit_rows, rational_point
+from primecover.hits import hit_classes, rational_point
 from primecover.primes import sieve_range
 from primecover.sequences import NumeratorSequence, greedy_sequence
 
@@ -130,10 +129,10 @@ class TestConvergenceSeries:
         p = 97
         a = seq.numerator_for(p)
         y = a / p + 1.0 / (3.0 * p)
-        samples = convergence_series(seq, 0.3, y, [p])
-        (sample,) = samples
-        assert sample.is_hit
-        assert abs(sample.s) >= TWO_OVER_PI - 1e-9
+        rows = list(ergodic_rows(seq, 0.3, y, [p]))
+        ((_, _, _, s, _, is_hit),) = rows
+        assert is_hit
+        assert abs(s) >= TWO_OVER_PI - 1e-9
 
     def test_distant_primes_decay(self):
         seq = greedy_sequence(300, F(1, 2))
@@ -141,24 +140,23 @@ class TestConvergenceSeries:
         for p in primes:
             a = seq.numerator_for(p)
             y = (a / p + math.log(p) / p) % 1.0
-            (sample,) = convergence_series(seq, 0.1, y, [p])
-            assert abs(sample.s) <= 1.0 / (2.0 * math.log(p)) + 1e-9
+            ((_, _, _, s, _, _),) = list(ergodic_rows(seq, 0.1, y, [p]))
+            assert abs(s) <= 1.0 / (2.0 * math.log(p)) + 1e-9
 
     def test_empty_list(self):
         seq = greedy_sequence(10, F(1, 2))
-        assert convergence_series(seq, 0.1, 0.2, []) == []
+        assert list(ergodic_rows(seq, 0.1, 0.2, [])) == []
 
     def test_missing_prime_rejected(self):
         seq = greedy_sequence(10, F(1, 2))
         with pytest.raises(ValueError):
-            convergence_series(seq, 0.1, 0.2, [11])
+            list(ergodic_rows(seq, 0.1, 0.2, [11]))
 
     def test_hit_flag_consistency(self):
         seq = greedy_sequence(50, F(1, 4))
         primes = [p for p, _ in seq.entries]
-        for sample in convergence_series(seq, 0.25, 0.6180339887, primes):
-            assert sample.is_hit == (sample.p * sample.distance <= 0.25)
-            assert isinstance(sample, ErgodicSample)
+        for p, _, distance, _, _, is_hit in ergodic_rows(seq, 0.25, 0.6180339887, primes):
+            assert is_hit == (p * distance <= 0.25)
 
 
 class TestExactHitFlag:
@@ -166,10 +164,10 @@ class TestExactHitFlag:
         # 625033 * |1/4 - 156258/625033| = 1/4 = c exactly; arcs are closed,
         # but the rounded float product lands just above 0.25
         seq = NumeratorSequence(F(1, 4), ((625033, 156258),))
-        (sample,) = convergence_series(seq, 0.3, 0.25, [625033])
+        ((p, _, distance, _, _, is_hit),) = list(ergodic_rows(seq, 0.3, 0.25, [625033]))
         assert F(625033) * abs(F(1, 4) - F(156258, 625033)) == F(1, 4)
-        assert not sample.p * sample.distance <= 0.25
-        assert sample.is_hit
+        assert not p * distance <= 0.25
+        assert is_hit
 
     @given(
         st.data(),
@@ -192,9 +190,9 @@ class TestExactHitFlag:
             pick = st.one_of(st.sampled_from(sorted(ends)), st.integers(0, p - 1))
             entries.append((p, data.draw(pick)))
         seq = NumeratorSequence(c, tuple(entries))
-        rows = hit_rows(rational_point(exact_y), seq, bound)
-        samples = convergence_series(seq, 0.3, y, [p for p, _ in entries])
-        assert [s.is_hit for s in samples] == [row.hit for row in rows]
+        classes = hit_classes(rational_point(exact_y), seq, bound)
+        rows = ergodic_rows(seq, 0.3, y, [p for p, _ in entries])
+        assert [row[5] for row in rows] == [hit for _, _, _, hit, _ in classes]
 
 
 class TestSparsePrimeSet:

@@ -5,17 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import exact_rows
 from primecover.arcs import ONE
 from primecover.hits import (
-    HitRow,
     RealApproximant,
     approximant_named,
     circle_distance,
+    fractional_classes,
     fractional_hits,
-    fractional_rows,
     golden_approximant,
+    hit_classes,
     hit_primes,
-    hit_rows,
     loglog_heuristic,
     rational_point,
     sqrt2_approximant,
@@ -103,9 +103,9 @@ class TestHitPrimes:
         # distance equals c/p: a hit when eta = 0, ambiguous when eta > 0
         seq = NumeratorSequence(F(1, 4), ((2, 0), (3, 1)))
         x = rational_point(F(1, 3) + F(1, 12))
-        assert hit_rows(x, seq, 3)[1] == HitRow(3, F(1, 12), True, False)
+        assert exact_rows(hit_classes(x, seq, 3))[1] == (3, F(1, 12), True, False)
         fuzzy = x.__class__(x.value, F(1, 1000), "fuzzy")
-        assert hit_rows(fuzzy, seq, 3)[1].ambiguous
+        assert exact_rows(hit_classes(fuzzy, seq, 3))[1][3]
 
     def test_expected_hit_count_identity(self):
         # averaged over x, the number of hit primes up to the bound is the
@@ -122,12 +122,12 @@ class TestHitPrimes:
         seq = seq_from_rule(200, F(1, 4), lambda p: p // 3)
         coarse = sqrt2_approximant(F(1, 10**4))
         fine = sqrt2_approximant(F(1, 10**12))
-        coarse_rows = {r.p: r for r in hit_rows(coarse, seq, 200)}
-        fine_rows = {r.p: r for r in hit_rows(fine, seq, 200)}
-        for p, row in coarse_rows.items():
-            if not row.ambiguous:
-                assert fine_rows[p].hit == row.hit
-                assert not fine_rows[p].ambiguous
+        coarse_rows = {r[0]: r for r in exact_rows(hit_classes(coarse, seq, 200))}
+        fine_rows = {r[0]: r for r in exact_rows(hit_classes(fine, seq, 200))}
+        for p, (_, _, hit, ambiguous) in coarse_rows.items():
+            if not ambiguous:
+                assert fine_rows[p][2] == hit
+                assert not fine_rows[p][3]
 
 
 class TestFractionalHits:
@@ -174,10 +174,10 @@ class TestFractionalHits:
         from primecover.hits import RealApproximant
 
         x = RealApproximant(F(1, 2), F(1, 10**6), "fuzzy half")
-        rows = fractional_rows(x, F(1, 4), 10)
-        by_p = {r.p: r for r in rows}
-        assert by_p[2].ambiguous  # {2x} = 0 sits on the wrap cut
-        assert by_p[3].hit is False and not by_p[3].ambiguous
+        rows = exact_rows(fractional_classes(x, F(1, 4), 10))
+        by_p = {r[0]: r for r in rows}
+        assert by_p[2][3]  # {2x} = 0 sits on the wrap cut
+        assert by_p[3][2] is False and not by_p[3][3]
 
 
 class TestLogLogHeuristic:
@@ -203,7 +203,7 @@ class TestLogLogHeuristic:
 
 
 # -------------------------------------------------- Fraction oracles
-# The Fraction versions of hit_rows and fractional_rows that the integer
+# The Fraction versions of hit_classes and fractional_classes that the integer
 # cross-multiplication replaced, kept as the reference the new loops must equal.
 
 
@@ -214,11 +214,11 @@ def fraction_hit_rows(x, seq, bound):
         threshold = seq.c / p
         dist = circle_distance(x.value, Fraction(a, p))
         if dist + x.eta <= threshold:
-            rows.append(HitRow(p, dist, True, False))
+            rows.append((p, dist, True, False))
         elif dist - x.eta > threshold:
-            rows.append(HitRow(p, dist, False, False))
+            rows.append((p, dist, False, False))
         else:
-            rows.append(HitRow(p, dist, False, True))
+            rows.append((p, dist, False, True))
     return rows
 
 
@@ -228,16 +228,16 @@ def fraction_fractional_rows(x, c, bound):
         f = (x.value * p) % ONE
         delta = p * x.eta
         if delta == 0:
-            rows.append(HitRow(p, f, f < c, False))
+            rows.append((p, f, f < c, False))
         elif f - delta >= 0 and f + delta < ONE:
             if f + delta < c:
-                rows.append(HitRow(p, f, True, False))
+                rows.append((p, f, True, False))
             elif f - delta >= c:
-                rows.append(HitRow(p, f, False, False))
+                rows.append((p, f, False, False))
             else:
-                rows.append(HitRow(p, f, False, True))
+                rows.append((p, f, False, True))
         else:
-            rows.append(HitRow(p, f, False, True))
+            rows.append((p, f, False, True))
     return rows
 
 
@@ -278,14 +278,15 @@ class TestIntegerClassificationOracle:
         eta = data.draw(etas(F(1, 8)))
         seq = data.draw(numerator_sequences(bound, c))
         x = RealApproximant(value, eta, "drawn")
-        assert hit_rows(x, seq, bound) == fraction_hit_rows(x, seq, bound)
+        assert exact_rows(hit_classes(x, seq, bound)) == fraction_hit_rows(x, seq, bound)
 
     @given(st.data(), rationals(), widths(), st.integers(2, 120))
     @settings(max_examples=150, deadline=None)
     def test_fractional_rows_match_fraction_oracle(self, data, value, c, bound):
         eta = data.draw(etas(F(1, 4 * bound)))
         x = RealApproximant(value, eta, "drawn")
-        assert fractional_rows(x, c, bound) == fraction_fractional_rows(x, c, bound)
+        rows = exact_rows(fractional_classes(x, c, bound))
+        assert rows == fraction_fractional_rows(x, c, bound)
 
     @given(st.data(), st.integers(2, 120))
     @settings(max_examples=100, deadline=None)
@@ -300,16 +301,18 @@ class TestIntegerClassificationOracle:
         side = data.draw(st.sampled_from((-1, 1)))
         x = RealApproximant(F(a, p) + side * (c / p + shift) + data.draw(st.integers(-2, 2)),
                             eta, "near")
-        assert hit_rows(x, seq, bound) == fraction_hit_rows(x, seq, bound)
+        assert exact_rows(hit_classes(x, seq, bound)) == fraction_hit_rows(x, seq, bound)
 
     def test_sqrt2_at_scale_matches_fraction_oracle(self):
         from primecover.sequences import random_sequence
 
         seq = random_sequence(3000, F(1, 4), seed=3)
         x = sqrt2_approximant(F(1, 10**16))
-        assert hit_rows(x, seq, 3000) == fraction_hit_rows(x, seq, 3000)
+        assert exact_rows(hit_classes(x, seq, 3000)) == fraction_hit_rows(x, seq, 3000)
         y = golden_approximant(F(1, 10**16))
-        assert fractional_rows(y, F(1, 4), 3000) == fraction_fractional_rows(y, F(1, 4), 3000)
+        assert exact_rows(fractional_classes(y, F(1, 4), 3000)) == fraction_fractional_rows(
+            y, F(1, 4), 3000
+        )
 
 
 class TestClassificationBoundaries:
@@ -319,7 +322,7 @@ class TestClassificationBoundaries:
 
     def row_for_three(self, value, eta=ETA):
         x = RealApproximant(value, eta, "edge")
-        rows = hit_rows(x, self.SEQ, 3)
+        rows = exact_rows(hit_classes(x, self.SEQ, 3))
         assert rows == fraction_hit_rows(x, self.SEQ, 3)
         return rows[1]
 
@@ -327,17 +330,17 @@ class TestClassificationBoundaries:
     @pytest.mark.parametrize("turns", [-1, 0, 2])
     def test_distance_plus_eta_on_threshold_is_a_hit(self, side, turns):
         row = self.row_for_three(F(1, 3) + side * (F(1, 12) - self.ETA) + turns)
-        assert row == HitRow(3, F(1, 12) - self.ETA, True, False)
+        assert row == (3, F(1, 12) - self.ETA, True, False)
 
     @pytest.mark.parametrize("side", [-1, 1])
     @pytest.mark.parametrize("turns", [-1, 0, 2])
     def test_distance_minus_eta_on_threshold_is_ambiguous(self, side, turns):
         row = self.row_for_three(F(1, 3) + side * (F(1, 12) + self.ETA) + turns)
-        assert row == HitRow(3, F(1, 12) + self.ETA, False, True)
+        assert row == (3, F(1, 12) + self.ETA, False, True)
 
     def test_just_past_the_band_is_a_miss(self):
         row = self.row_for_three(F(1, 3) + F(1, 12) + self.ETA + F(1, 10**30))
-        assert (row.hit, row.ambiguous) == (False, False)
+        assert row[2:] == (False, False)
 
     def test_half_width_threshold_wraps_through_zero(self):
         # c = 1/2 at p = 2 with a_2 = 0: every point is within 1/4 of 0 or is on it
@@ -345,35 +348,35 @@ class TestClassificationBoundaries:
         for value, status in ((F(3, 4), (True, False)), (F(-1, 4), (True, False)),
                               (F(1, 4) + F(1, 10**20), (False, False))):
             x = RealApproximant(value, F(0), "edge")
-            rows = hit_rows(x, seq, 2)
+            rows = exact_rows(hit_classes(x, seq, 2))
             assert rows == fraction_hit_rows(x, seq, 2)
-            assert (rows[0].hit, rows[0].ambiguous) == status
+            assert rows[0][2:] == status
 
     # fracparts at bound 2: only p = 2, so f = {2*value} and delta = 2*eta
 
     def fractional_row(self, value, c=F(1, 4), eta=F(1, 100)):
         x = RealApproximant(value, eta, "edge")
-        rows = fractional_rows(x, c, 2)
+        rows = exact_rows(fractional_classes(x, c, 2))
         assert rows == fraction_fractional_rows(x, c, 2)
         return rows[0]
 
     def test_band_touching_zero_is_classified(self):
         row = self.fractional_row(F(1, 100))  # f - delta = 0
-        assert row == HitRow(2, F(1, 50), True, False)
+        assert row == (2, F(1, 50), True, False)
 
     def test_band_touching_one_is_ambiguous(self):
         row = self.fractional_row(F(1, 2) - F(1, 100))  # f + delta = 1
-        assert row == HitRow(2, F(49, 50), False, True)
+        assert row == (2, F(49, 50), False, True)
 
     def test_band_reaching_c_from_below_is_ambiguous(self):
         row = self.fractional_row(F(1, 8) - F(1, 100))  # f + delta = c
-        assert (row.hit, row.ambiguous) == (False, True)
+        assert row[2:] == (False, True)
 
     def test_band_leaving_c_from_above_is_a_miss(self):
         row = self.fractional_row(F(1, 8) + F(1, 100) + 3)  # f - delta = c
-        assert row == HitRow(2, F(1, 4) + F(1, 50), False, False)
+        assert row == (2, F(1, 4) + F(1, 50), False, False)
 
     def test_exact_point_on_c_is_a_miss(self):
         row = self.fractional_row(F(-7, 8), eta=F(0))  # f = c
-        assert row == HitRow(2, F(1, 4), False, False)
-        assert self.fractional_row(F(-7, 8) - F(1, 10**30), eta=F(0)).hit
+        assert row == (2, F(1, 4), False, False)
+        assert self.fractional_row(F(-7, 8) - F(1, 10**30), eta=F(0))[2]

@@ -119,6 +119,17 @@ class TestRandomSequence:
         assert abs(frac_below_half - 0.5) <= 0.02
 
 
+# c is checked before the bound is sieved: bound 1 would fail the sieve
+@pytest.mark.parametrize("build", [
+    lambda c: random_sequence(1, c, 7),
+    lambda c: constant_sequence(1, c),
+], ids=["random_sequence", "constant_sequence"])
+@pytest.mark.parametrize("c", [F(0), F(-1, 4), F(3, 4)])
+def test_c_outside_range_rejected_before_sieving(build, c):
+    with pytest.raises(ValueError, match="^c must lie in"):
+        build(c)
+
+
 # every per-prime scan leaves its bound to sieve_range; generators are consumed
 SMALL_BOUND_ENTRY_POINTS = {
     "random_sequence": lambda bound: random_sequence(bound, HALF, 0),
@@ -574,6 +585,24 @@ class TestBlocks:
         covered_ranges = [(b.start, b.end) for b in schedule.blocks]
         for (s1, e1), (s2, e2) in zip(covered_ranges, covered_ranges[1:]):
             assert e1 == s2
+
+    @pytest.mark.parametrize("epsilons", [[HALF, F(1, 4), F(1, 8), F(1, 16)], [F(1, 1000)]])
+    @pytest.mark.parametrize("c", [HALF, F(49, 100), F(2, 5), F(1, 4), F(1, 10)])
+    def test_every_step_gains(self, monkeypatch, epsilons, c):
+        # no step is flat (see block_construction), so the stall redraw never runs
+        grew = []
+        add = _Cover.add
+
+        def recording_add(cover, pieces):
+            grew.append(add(cover, pieces))
+            return grew[-1]
+
+        monkeypatch.setattr(_Cover, "add", recording_add)
+        try:
+            block_construction(epsilons, c, max_bound=5000)
+        except BudgetExhaustedError:
+            pass
+        assert grew and all(grew)
 
     def test_redraw_keeps_better_cover(self):
         c = F(1, 4)
