@@ -12,11 +12,14 @@ half-width c/p has measure exactly 2c/p wherever its center sits.
 - `sweep` is the one place where endpoints are ordered: unions, level
   sets, the exact expectation and the Monte Carlo trials all walk its
   output, so they share one order and one tie rule.
-- `union_length` is the exact length of a union of pieces.
+- `union_length` is the exact length of a union of pieces, and
+  `runs_length` the exact length of runs that are already disjoint.
 - `exact_sum` adds numerators over many denominators up a product tree
   with one gcd at the end, instead of Fraction additions that take a
   gcd at every step.
-- `to_fraction` parses rationals and `rat_str` prints them as "num/den".
+- `to_fraction` parses rationals, `checked_c` also checks that the
+  half-width constant c lies in (0, 1/2], and `rat_str` prints
+  rationals as "num/den".
 
 `Arc` is a closed arc with Fraction endpoints. Only the Fraction oracles
 of the tests build Arcs; it stays here because the benchmark's tracer
@@ -34,6 +37,7 @@ from typing import Iterable, Iterator, Union
 RationalLike = Union[Fraction, int, str]
 
 ZERO = Fraction(0)
+HALF = Fraction(1, 2)
 ONE = Fraction(1)
 
 
@@ -49,6 +53,14 @@ def to_fraction(value: RationalLike) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"cannot parse rational from {value!r}") from exc
     raise TypeError(f"expected rational-like value, got {type(value).__name__}")
+
+
+def checked_c(value: RationalLike) -> Fraction:
+    """The arc half-width constant c as a Fraction, checked to lie in (0, 1/2]."""
+    c = to_fraction(value)
+    if not (0 < c <= HALF):
+        raise ValueError(f"c must lie in (0, 1/2], got {c}")
+    return c
 
 
 def rat_str(q: Fraction) -> str:
@@ -184,15 +196,20 @@ def _runs(pieces: Iterable[tuple[int, int, int, object]]) -> Iterator[tuple[int,
             yield (*run_start, num, den)
 
 
-def union_length(pieces: Iterable[tuple[int, int, int, object]]) -> Fraction:
-    """Exact length of the union of closed pieces (start, end, den, tag).
+def runs_length(runs: Iterable[tuple[int, int, int, int]]) -> Fraction:
+    """Exact total length of disjoint runs (start, start_den, end, end_den).
 
     The length is the sum of the run ends minus the sum of the run
     starts. Those numerators are added up per denominator as integers,
     and the per-denominator totals go to one exact_sum.
     """
     totals: defaultdict[int, int] = defaultdict(int)
-    for start, start_den, end, end_den in _runs(pieces):
+    for start, start_den, end, end_den in runs:
         totals[start_den] -= start
         totals[end_den] += end
     return exact_sum((num, den) for den, num in totals.items())
+
+
+def union_length(pieces: Iterable[tuple[int, int, int, object]]) -> Fraction:
+    """Exact length of the union of closed pieces (start, end, den, tag)."""
+    return runs_length(_runs(pieces))

@@ -19,7 +19,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterator, Optional, Sequence
 
-from .arcs import to_fraction, rat_str
+from .arcs import checked_c, rat_str, to_fraction
 from .ergodic import ergodic_rows, sparse_prime_set
 from .hits import (
     Classified,
@@ -60,12 +60,9 @@ class CliError(Exception):
 
 def _parse_c(text: str) -> Fraction:
     try:
-        c = to_fraction(text)
+        return checked_c(text)
     except ValueError:
         raise CliError("c must be in (0,1/2]") from None
-    if not (0 < c <= Fraction(1, 2)):
-        raise CliError("c must be in (0,1/2]")
-    return c
 
 
 def _json_text(doc) -> str:
@@ -111,9 +108,7 @@ def cmd_seq_build(args: argparse.Namespace) -> str:
     else:
         if not args.epsilons:
             raise CliError("blocks method needs --epsilons")
-        seq, schedule = block_construction(
-            args.epsilons, args.c, args.bound, restart_seed=seed
-        )
+        seq, schedule = block_construction(args.epsilons, args.c, args.bound, seed=seed)
     _write_out(args.out_path, sequence_text(seq, schedule))
     summary = {
         "out": args.out_path,

@@ -26,17 +26,15 @@ from typing import Iterable, Optional, Union
 from .arcs import (
     RationalLike,
     arc_pieces,
-    exact_sum,
+    checked_c,
     rat_str,
+    runs_length,
     to_fraction,
     union_length,
 )
 from .primes import primes_between, sieve_range
 
 METHODS = ("random", "greedy", "blocks", "constant", "custom")
-
-# consecutive zero-gain greedy steps that trigger the block random restart
-_STALL_LIMIT = 30
 
 # fractional bits of the greedy pick's fixed point; any value picks exactly,
 # and more bits only leave fewer near-ties to confirm with Fraction
@@ -92,8 +90,7 @@ class NumeratorSequence:
     seed: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if not (0 < self.c <= Fraction(1, 2)):
-            raise ValueError(f"c must lie in (0, 1/2], got {self.c}")
+        checked_c(self.c)
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
         prev = 1
@@ -147,21 +144,13 @@ class BlockSchedule:
         return self.blocks[-1].end if self.blocks else 1
 
 
-def _checked_c(c: RationalLike) -> Fraction:
-    """c as a Fraction, checked to lie in (0, 1/2] before any prime is sieved."""
-    c = to_fraction(c)
-    if not (0 < c <= Fraction(1, 2)):
-        raise ValueError(f"c must lie in (0, 1/2], got {c}")
-    return c
-
-
 def random_sequence(bound: int, c: RationalLike, seed: int) -> NumeratorSequence:
     """Independent uniform a_p in {0, ..., p-1} for each prime p <= bound.
 
     randrange is rejection-sampled internally, so there is no modulo bias,
     and the same seed always reproduces the same sequence.
     """
-    c = _checked_c(c)
+    c = checked_c(c)
     rng = random.Random(seed)
     entries = tuple((p, rng.randrange(p)) for p in sieve_range(bound))
     return NumeratorSequence(c=c, entries=entries, method="random", seed=seed)
@@ -169,7 +158,7 @@ def random_sequence(bound: int, c: RationalLike, seed: int) -> NumeratorSequence
 
 def constant_sequence(bound: int, c: RationalLike) -> NumeratorSequence:
     """All-zero baseline: every arc clusters around 0 (a known-bad control)."""
-    c = _checked_c(c)
+    c = checked_c(c)
     entries = tuple((p, 0) for p in sieve_range(bound))
     return NumeratorSequence(c=c, entries=entries, method="constant")
 
@@ -181,15 +170,15 @@ class _Cover:
     floor(x * 2^b), b = 2B + 1 for B the bit length of max_den, as in
     arcs.sweep. span = v takes arcs.arc_pieces for c = u/v as they are.
     gaps[i] is the key length of the gap before segment i. The one segment
-    [0, span] is full and adds nothing. The covered length telescopes into
-    one integer per den; the key lengths bound it within n / 2^b.
+    [0, span] is full and adds nothing. The key lengths bound the covered
+    length within n / 2^b; the exact measure is computed from the segment
+    ends only when it is asked for.
     """
 
     def __init__(self, span: int, max_den: int) -> None:
-        self.span, self.max_den, self.shift = span, max_den, 2 * max_den.bit_length() + 1
+        self.span, self.shift = span, 2 * max_den.bit_length() + 1
         self.top = span << self.shift  # the key of the point span
         self.skeys, self.ekeys, self.starts, self.ends, self.gaps = [], [], [], [], [self.top]
-        self.totals: defaultdict[int, int] = defaultdict(int)  # den -> run ends minus starts
         self.key_length, self.full = 0, False
 
     def add(self, pieces: Iterable[tuple[int, int, int, object]]) -> bool:
@@ -206,12 +195,6 @@ class _Cover:
             if lo < hi:  # equal keys are equal points, so either pair will do
                 ks, s = min((ks, s), (skeys[lo], starts[lo]))
                 ke, e = max((ke, e), (ekeys[hi - 1], ends[hi - 1]))
-            totals = self.totals
-            for (sn, sd), (en, ed) in zip(starts[lo:hi], ends[lo:hi]):
-                totals[sd] += sn
-                totals[ed] -= en
-            totals[s[1]] -= s[0]
-            totals[e[1]] += e[0]
             self.key_length += ke - ks - sum(ekeys[lo:hi]) + sum(skeys[lo:hi])
             skeys[lo:hi], ekeys[lo:hi], starts[lo:hi], ends[lo:hi] = [ks], [ke], [s], [e]
             after = skeys[lo + 1] if lo + 1 < len(skeys) else self.top
@@ -221,8 +204,8 @@ class _Cover:
 
     @property
     def measure(self) -> Fraction:
-        """Exact covered measure: one exact_sum of the per-den numerators."""
-        return exact_sum((n, d) for d, n in self.totals.items() if n) / self.span
+        """Exact covered measure: the segments telescope in one O(n) pass."""
+        return runs_length((*s, *e) for s, e in zip(self.starts, self.ends)) / self.span
 
     def uncovered_within(self, eps: Fraction) -> Optional[Fraction]:
         """The exact uncovered measure if at most eps < 1, else None; summed only near eps."""
@@ -304,7 +287,7 @@ class _Cover:
 
 def greedy_sequence(bound: int, c: RationalLike) -> NumeratorSequence:
     """For each prime in increasing order pick a_p maximizing covered measure."""
-    c = _checked_c(c)
+    c = checked_c(c)
     cover = _Cover(c.denominator, bound)
     entries = []
     for p in sieve_range(bound):
@@ -340,7 +323,7 @@ def block_construction(
     epsilons: list[RationalLike],
     c: RationalLike,
     max_bound: int,
-    restart_seed: int = 1729,
+    seed: int = 1729,
 ) -> tuple[NumeratorSequence, BlockSchedule]:
     """Greedy-within-block construction with exact coverage certificates.
 
@@ -349,10 +332,11 @@ def block_construction(
     measure drops to epsilon_n; the prime reaching the target becomes the
     block's end.
 
-    Every step gains, so the seeded redraw after _STALL_LIMIT flat steps
-    never runs. For c < 1/2 the point 1/2 stays uncovered: prime 2 can
-    only be first on a fresh cover, where it takes a = 0, and an odd q
-    has no centre within c/q of 1/2. The window of p centred at
+    Nothing is drawn at random: seed is only recorded as the sequence's
+    seed. Every step gains, so each step is pick, append and add. For
+    c < 1/2 the point 1/2 stays uncovered: prime 2 can only be first on
+    a fresh cover, where it takes a = 0, and an odd q has no centre
+    within c/q of 1/2. The window of p centred at
     (p-1)/(2p) ends at 1/2 - (1/2 - c)/p, inside the uncovered interval
     around 1/2, whose radius is at least (1/2 - c)/q for the largest
     q < p placed. For c = 1/2 the windows of p cover the circle, so a
@@ -361,7 +345,7 @@ def block_construction(
     Raises BudgetExhaustedError when max_bound is reached before the
     current block meets its target.
     """
-    c = _checked_c(c)
+    c = checked_c(c)
     eps_list = [to_fraction(e) for e in epsilons]
     if any(not (0 < e < 1) for e in eps_list):
         raise ValueError("every epsilon must lie in (0, 1)")
@@ -374,7 +358,6 @@ def block_construction(
     for n, eps in enumerate(eps_list, start=1):
         cover = _Cover(c.denominator, max_bound)
         block_entries: list[tuple[int, int]] = []
-        stall, restarted = 0, False
         while True:
             if (achieved := cover.uncovered_within(eps)) is not None:  # never for an empty cover
                 end = block_entries[-1][0]
@@ -391,24 +374,10 @@ def block_construction(
             idx += 1
             a = cover.pick(p, c)
             block_entries.append((p, a))
-            stall = 0 if cover.add(arc_pieces(((p, a),), c)) else stall + 1
-            if stall >= _STALL_LIMIT and not restarted:
-                stall, restarted = 0, True
-                block_entries, cover = _redraw_block(block_entries, cover, c, restart_seed, n)
+            cover.add(arc_pieces(((p, a),), c))
 
-    seq = NumeratorSequence(c=c, entries=tuple(all_entries), method="blocks", seed=restart_seed)
+    seq = NumeratorSequence(c=c, entries=tuple(all_entries), method="blocks", seed=seed)
     return seq, BlockSchedule(tuple(blocks))
-
-
-def _redraw_block(block_entries, cover: _Cover, c, seed, block_index):
-    """Seeded random restart: keep the redraw only if it covers more."""
-    rng = random.Random(f"{seed}:{block_index}")
-    redraw = [(p, rng.randrange(p)) for p, _ in block_entries]
-    redraw_cover = _Cover(cover.span, cover.max_den)
-    redraw_cover.add(arc_pieces(redraw, c))
-    if redraw_cover.measure > cover.measure:
-        return redraw, redraw_cover
-    return block_entries, cover
 
 
 # ---------------------------------------------------------------------------

@@ -44,11 +44,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .arcs import RationalLike, arc_pieces, exact_sum, rat_str, sweep, to_fraction
+from .arcs import RationalLike, arc_pieces, checked_c, exact_sum, rat_str, sweep, to_fraction
 from .primes import harmonic_sum, is_prime, primes_between
 from .sequences import NumeratorSequence, uncovered_by
 
-HALF = Fraction(1, 2)
 # most arc endpoints omega_expectation_exact sweeps; (2, 1e4] would have 11,475,244
 MAX_ENDPOINTS = 500_000
 
@@ -207,9 +206,7 @@ def pair_expectation(p1: int, p2: int, c: RationalLike) -> Fraction:
         raise ValueError(f"need p1 < p2, got {p1} >= {p2}")
     if not (is_prime(p1) and is_prime(p2)):
         raise ValueError(f"{p1} and {p2} must both be prime")
-    c = to_fraction(c)
-    if not (0 < c <= HALF):
-        raise ValueError(f"c must lie in (0, 1/2], got {c}")
+    c = checked_c(c)
     u, v = c.numerator, c.denominator
     inner, reach = 2 * u * p1, u * (p1 + p2)  # 2*H2 and H1 + H2
     total = inner + 2 * sum(min(inner, reach - r * v) for r in range(1, -(-reach // v)))
@@ -238,9 +235,7 @@ def omega_expectation_exact(
     E = (exact_sum of those over p, plus v * Q_final) / (v * P).
     """
     x, y = to_fraction(x), to_fraction(y)
-    c = to_fraction(c)
-    if not (0 < c <= HALF):
-        raise ValueError(f"c must lie in (0, 1/2], got {c}")
+    c = checked_c(c)
     if not x < y:
         raise ValueError(f"need X < Y, got X={x}, Y={y}")
     primes = primes_between(x, y)
@@ -290,11 +285,9 @@ def omega_expectation_mc(
     only the final aggregation is floated. Trials run one after another.
     """
     x, y = to_fraction(x), to_fraction(y)
-    c = to_fraction(c)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    if not (0 < c <= HALF):
-        raise ValueError(f"c must lie in (0, 1/2], got {c}")
+    c = checked_c(c)
     if not x < y:
         raise ValueError(f"need X < Y, got X={x}, Y={y}")
     primes = primes_between(x, y)

@@ -33,7 +33,6 @@ from primecover.sequences import (
     NumeratorSequence,
     SequenceFileError,
     _Cover,
-    _redraw_block,
     block_construction,
     constant_sequence,
     greedy_sequence,
@@ -604,16 +603,14 @@ class TestBlocks:
             pass
         assert grew and all(grew)
 
-    def test_redraw_keeps_better_cover(self):
-        c = F(1, 4)
-        entries = [(p, 0) for p in (11, 13, 17, 19, 23)]  # clustered, poor cover
-        cover = _Cover(c.denominator, 23)
-        cover.add(arc_pieces(entries, c))
-        new_entries, new_cover = _redraw_block(entries, cover, c, seed=3, block_index=1)
-        assert new_cover.measure >= cover.measure
-        # deterministic for a fixed seed
-        again, _ = _redraw_block(entries, cover, c, seed=3, block_index=1)
-        assert again == new_entries
+    @pytest.mark.parametrize("seed", [1729, 5, -3])
+    def test_seed_only_labels_the_sequence(self, seed):
+        eps, c = [HALF, F(1, 3)], F(1, 3)
+        default_seq, default_schedule = block_construction(eps, c, max_bound=2000)
+        seq, schedule = block_construction(eps, c, max_bound=2000, seed=seed)
+        assert seq.seed == seed
+        assert seq.entries == default_seq.entries
+        assert schedule == default_schedule
 
     def test_schedule_validation(self):
         with pytest.raises(ValueError):
