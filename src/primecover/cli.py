@@ -33,6 +33,7 @@ from .hits import (
 )
 from .primes import prime_count, sieve_range
 from .sequences import (
+    DEFAULT_SEED,
     block_construction,
     constant_sequence,
     greedy_sequence,
@@ -49,8 +50,6 @@ from .sievelab import (
     omega_expectation_mc,
 )
 
-# fixed default so undocumented runs stay reproducible
-DEFAULT_SEED = 1729
 DEFAULT_ETA = "1e-14"
 
 
@@ -95,20 +94,19 @@ def cmd_primes(args: argparse.Namespace) -> str:
 def cmd_seq_build(args: argparse.Namespace) -> str:
     if args.epsilons is not None and args.method != "blocks":
         raise CliError("--epsilons needs --method blocks")
-    if args.seed is not None and args.method not in ("random", "blocks"):
-        raise CliError("--seed needs --method random or blocks")
-    seed = DEFAULT_SEED if args.seed is None else args.seed
+    if args.seed is not None and args.method != "random":
+        raise CliError("--seed needs --method random")
     schedule = None
     if args.method == "greedy":
         seq = greedy_sequence(args.bound, args.c)
     elif args.method == "random":
-        seq = random_sequence(args.bound, args.c, seed)
+        seq = random_sequence(args.bound, args.c, DEFAULT_SEED if args.seed is None else args.seed)
     elif args.method == "constant":
         seq = constant_sequence(args.bound, args.c)
     else:
         if not args.epsilons:
             raise CliError("blocks method needs --epsilons")
-        seq, schedule = block_construction(args.epsilons, args.c, args.bound, seed=seed)
+        seq, schedule = block_construction(args.epsilons, args.c, args.bound)
     _write_out(args.out_path, sequence_text(seq, schedule))
     summary = {
         "out": args.out_path,
@@ -272,7 +270,7 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument("--method", required=True, choices=["random", "greedy", "blocks", "constant"])
     b.add_argument("--bound", type=int, required=True)
     b.add_argument("--c", required=True)
-    b.add_argument("--seed", type=int, help=f"random and blocks only (default {DEFAULT_SEED})")
+    b.add_argument("--seed", type=int, help=f"random only (default {DEFAULT_SEED})")
     b.add_argument("--epsilons", help="comma-separated targets, e.g. 1/2,1/4,1/8")
     b.add_argument("--out", required=True, dest="out_path")
     b.set_defaults(handler=cmd_seq_build)

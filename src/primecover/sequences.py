@@ -36,6 +36,9 @@ from .primes import primes_between, sieve_range
 
 METHODS = ("random", "greedy", "blocks", "constant", "custom")
 
+# fixed default so undocumented runs stay reproducible; blocks files record it
+DEFAULT_SEED = 1729
+
 # fractional bits of the greedy pick's fixed point; any value picks exactly,
 # and more bits only leave fewer near-ties to confirm with Fraction
 _FIXED_BITS = 64
@@ -90,7 +93,7 @@ class NumeratorSequence:
     seed: Optional[int] = None
 
     def __post_init__(self) -> None:
-        checked_c(self.c)
+        object.__setattr__(self, "c", checked_c(self.c))
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
         prev = 1
@@ -323,7 +326,6 @@ def block_construction(
     epsilons: list[RationalLike],
     c: RationalLike,
     max_bound: int,
-    seed: int = 1729,
 ) -> tuple[NumeratorSequence, BlockSchedule]:
     """Greedy-within-block construction with exact coverage certificates.
 
@@ -332,11 +334,11 @@ def block_construction(
     measure drops to epsilon_n; the prime reaching the target becomes the
     block's end.
 
-    Nothing is drawn at random: seed is only recorded as the sequence's
-    seed. Every step gains, so each step is pick, append and add. For
-    c < 1/2 the point 1/2 stays uncovered: prime 2 can only be first on
-    a fresh cover, where it takes a = 0, and an odd q has no centre
-    within c/q of 1/2. The window of p centred at
+    Nothing is drawn at random; the sequence records DEFAULT_SEED as its
+    seed, as blocks files always have. Every step gains, so each step is
+    pick, append and add. For c < 1/2 the point 1/2 stays uncovered:
+    prime 2 can only be first on a fresh cover, where it takes a = 0, and
+    an odd q has no centre within c/q of 1/2. The window of p centred at
     (p-1)/(2p) ends at 1/2 - (1/2 - c)/p, inside the uncovered interval
     around 1/2, whose radius is at least (1/2 - c)/q for the largest
     q < p placed. For c = 1/2 the windows of p cover the circle, so a
@@ -376,7 +378,7 @@ def block_construction(
             block_entries.append((p, a))
             cover.add(arc_pieces(((p, a),), c))
 
-    seq = NumeratorSequence(c=c, entries=tuple(all_entries), method="blocks", seed=seed)
+    seq = NumeratorSequence(c=c, entries=tuple(all_entries), method="blocks", seed=DEFAULT_SEED)
     return seq, BlockSchedule(tuple(blocks))
 
 

@@ -210,20 +210,6 @@ class TestInputAndOutputFiles:
         assert code == 0
         assert json.loads(out)["seed"] == json.loads(target.read_text())["seed"] == seed
 
-    def test_blocks_seed_only_labels_the_file(self, capsys, tmp_path):
-        texts = []
-        for seed in ((), ("--seed", "5")):
-            target = tmp_path / f"b{len(texts)}.json"
-            code, _, _ = run_cli(capsys, "seq", "build", "--method", "blocks", "--bound", "2000",
-                                 "--c", "1/3", "--epsilons", "1/2,1/3", *seed, "--out", str(target))
-            assert code == 0
-            texts.append(target.read_text().split("\n"))
-        default, seeded = texts
-        assert len(default) == len(seeded)
-        assert [(a, b) for a, b in zip(default, seeded) if a != b] == [
-            ('  "seed": 1729', '  "seed": 5')
-        ]
-
 
 class TestSequenceFileGoldens:
     # the files the benchmark's build workload writes, as the json indent
@@ -554,9 +540,11 @@ ERRORS = [
     (("seq", "build", "--method", "greedy", "--bound", "100", "--c", "1/2",
       "--epsilons=", "--out", "o.json"), "--epsilons needs --method blocks"),
     (("seq", "build", "--method", "greedy", "--bound", "100", "--c", "1/2", "--seed", "7",
-      "--out", "o.json"), "--seed needs --method random or blocks"),
+      "--out", "o.json"), "--seed needs --method random"),
     (("seq", "build", "--method", "constant", "--bound", "100", "--c", "1/2",
-      "--seed", "1729", "--out", "o.json"), "--seed needs --method random or blocks"),
+      "--seed", "1729", "--out", "o.json"), "--seed needs --method random"),
+    (("seq", "build", "--method", "blocks", "--bound", "100", "--c", "1/2",
+      "--epsilons", "1/2", "--seed", "1729", "--out", "o.json"), "--seed needs --method random"),
     # c is converted before the epsilons
     (("seq", "build", "--method", "random", "--bound", "100", "--c", "3/4",
       "--epsilons", "x", "--out", "o.json"), "c must be in (0,1/2]"),

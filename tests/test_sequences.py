@@ -22,7 +22,7 @@ from oracles import (
     normalize_union,
     sequence_to_dict,
 )
-from primecover.arcs import arc_pieces
+from primecover.arcs import arc_pieces, rat_str
 from primecover.hits import fractional_classes, hit_classes, rational_point
 from primecover.primes import sieve_range
 from primecover.sequences import (
@@ -164,6 +164,11 @@ class TestValidation:
     def test_c_range(self):
         with pytest.raises(ValueError):
             NumeratorSequence(F(3, 4), ((2, 0),))
+
+    def test_c_stored_as_fraction(self):
+        seq = NumeratorSequence("1/4", ((2, 0),))
+        assert seq.c == F(1, 4) and type(seq.c) is F
+        assert rat_str(seq.c) == "1/4"
 
     def test_unknown_method(self):
         with pytest.raises(ValueError):
@@ -602,15 +607,6 @@ class TestBlocks:
         except BudgetExhaustedError:
             pass
         assert grew and all(grew)
-
-    @pytest.mark.parametrize("seed", [1729, 5, -3])
-    def test_seed_only_labels_the_sequence(self, seed):
-        eps, c = [HALF, F(1, 3)], F(1, 3)
-        default_seq, default_schedule = block_construction(eps, c, max_bound=2000)
-        seq, schedule = block_construction(eps, c, max_bound=2000, seed=seed)
-        assert seq.seed == seed
-        assert seq.entries == default_seq.entries
-        assert schedule == default_schedule
 
     def test_schedule_validation(self):
         with pytest.raises(ValueError):
