@@ -9,14 +9,18 @@ half-width c/p has measure exactly 2c/p wherever its center sits.
 - `arc_pieces` turns (p, a_p) pairs into pieces: with c = u/v the arc
   of a/p is [a*v - u, a*v + u] in units of 1/(p*v), and the arc of 0
   splits at 0, so no Fraction is built per endpoint.
-- `sweep` is the one place where endpoints are ordered: unions, level
-  sets, the exact expectation and the Monte Carlo trials all walk its
-  output, so they share one order and one tie rule.
-- `union_length` is the exact length of a union of pieces, and
-  `runs_length` the exact length of runs that are already disjoint.
-- `exact_sum` adds numerators over many denominators up a product tree
-  with one gcd at the end, instead of Fraction additions that take a
-  gcd at every step.
+- Endpoints are sorted in two places, both by the exact integer key
+  floor(x * 2^b) of `sweep`. `sweep` walks every endpoint in order for
+  the level sets and the exact expectation. `union_length`, which the
+  Monte Carlo trials and the coverage reports use, is one merge of the
+  pieces sorted by start key: it needs the runs only, not the count
+  between them. `runs_length` is the exact length of runs that are
+  already disjoint.
+- `tree_sum` adds numerators over many denominators up a product tree
+  and takes no gcd; `exact_sum` is its one-gcd Fraction. Adding
+  Fractions one at a time instead takes a gcd at every step.
+- `coprime_fraction` makes a Fraction of coprime ints without the gcd
+  the constructor would take, for sums whose reduced form is known.
 - `to_fraction` parses rationals, `checked_c` also checks that the
   half-width constant c lies in (0, 1/2], and `rat_str` prints
   rationals as "num/den".
@@ -28,6 +32,7 @@ imports it and counts the segments that `Arc.segments` returns.
 
 from __future__ import annotations
 
+import sys
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -126,20 +131,20 @@ def arc_pieces(
             yield 0, u, p, p
 
 
-def exact_sum(terms: Iterable[tuple[int, int]]) -> Fraction:
-    """Exact sum of n/d over integer pairs (n, d) with d > 0.
+def tree_sum(terms: Iterable[tuple[int, int]]) -> tuple[int, int]:
+    """(N, D) with N/D the exact sum of n/d over integer pairs (n, d), d > 0.
 
     Neighbouring pairs combine as (n1*d2 + n2*d1, d1*d2) up a balanced
     product tree (Bernstein, "Fast multiplication and its applications",
-    2008), so the operands of each level have about equal size, and the
-    only gcd is the one the final Fraction takes. Adding Fractions one
-    at a time instead takes a gcd of the growing denominator per term.
-    Terms with distinct prime denominators multiply up to exactly their
-    product, which is then the reduced denominator of the sum.
+    2008), so the operands of each level have about equal size. D is the
+    product of all the d's, and no gcd is taken. If the d's are distinct
+    primes and no d divides its n, N/D is already reduced: for each p,
+    N = n_p * (D/p) mod p, and p divides neither factor. No terms give
+    (0, 1).
     """
     layer = list(terms)
     if not layer:
-        return ZERO
+        return 0, 1
     while len(layer) > 1:
         paired = [
             (n1 * d2 + n2 * d1, d1 * d2)
@@ -148,7 +153,34 @@ def exact_sum(terms: Iterable[tuple[int, int]]) -> Fraction:
         if len(layer) % 2:
             paired.append(layer[-1])
         layer = paired
-    return Fraction(*layer[0])
+    return layer[0]
+
+
+def exact_sum(terms: Iterable[tuple[int, int]]) -> Fraction:
+    """Exact sum of n/d over integer pairs (n, d) with d > 0, as one reduced Fraction.
+
+    The only gcd is the one the Fraction takes of the `tree_sum` result.
+    """
+    return Fraction(*tree_sum(terms))
+
+
+if sys.version_info >= (3, 12):
+    _from_coprime = Fraction._from_coprime_ints
+else:
+    def _from_coprime(n: int, d: int) -> Fraction:
+        return Fraction(n, d, _normalize=False)
+
+
+def coprime_fraction(n: int, d: int) -> Fraction:
+    """n/d as a Fraction, for coprime ints n and d > 0, without a gcd.
+
+    Fraction(n, d) takes gcd(n, d), which is quadratic in CPython and
+    dominates once n and d have a million bits. Skipping it needs private
+    API: `Fraction._from_coprime_ints` from Python 3.12, the `_normalize`
+    flag before. The caller must know that the pair is reduced; a pair
+    that is not makes a Fraction that compares unequal to its value.
+    """
+    return _from_coprime(n, d)
 
 
 def sweep(
@@ -170,6 +202,7 @@ def sweep(
     shift = 2 * max(map(itemgetter(2), pieces)).bit_length() + 1
     events = [((start << shift) // den, start, den, True, tag) for start, _, den, tag in pieces]
     events += [((end << shift) // den, end, den, False, tag) for _, end, den, tag in pieces]
+    del pieces  # the walk reads the events only; the piece tuples would add to its peak
     events.sort(key=itemgetter(0))
     last = events[0][0]
     starts, ends = [], []
@@ -181,19 +214,6 @@ def sweep(
         at_num, at_den = num, den
         (starts if is_start else ends).append(tag)
     yield at_num, at_den, starts, ends
-
-
-def _runs(pieces: Iterable[tuple[int, int, int, object]]) -> Iterator[tuple[int, int, int, int]]:
-    """(start, start_den, end, end_den) of each maximal run of a union of closed pieces."""
-    # Every endpoint of a closed piece is covered, so a run opens where the
-    # count of open pieces leaves zero and closes where it returns to zero.
-    count = 0
-    for num, den, starts, ends in sweep(pieces):
-        if not count:
-            run_start = num, den
-        count += len(starts) - len(ends)
-        if not count:
-            yield (*run_start, num, den)
 
 
 def runs_length(runs: Iterable[tuple[int, int, int, int]]) -> Fraction:
@@ -211,5 +231,28 @@ def runs_length(runs: Iterable[tuple[int, int, int, int]]) -> Fraction:
 
 
 def union_length(pieces: Iterable[tuple[int, int, int, object]]) -> Fraction:
-    """Exact length of the union of closed pieces (start, end, den, tag)."""
-    return runs_length(_runs(pieces))
+    """Exact length of the union of closed pieces (start, end, den, tag).
+
+    The pieces are sorted by the start key of `sweep`, and one merge
+    grows a run while the next piece starts at or before the run's end
+    key: closed pieces that touch share a point, so they join one run.
+    The runs then go to `runs_length`.
+    """
+    pieces = list(pieces)
+    if not pieces:
+        return ZERO
+    shift = 2 * max(map(itemgetter(2), pieces)).bit_length() + 1
+    keyed = [((start << shift) // den, start, end, den) for start, end, den, _ in pieces]
+    keyed.sort(key=itemgetter(0))
+    runs = []
+    top = -1  # end key of the open run
+    for key, start, end, den in keyed:
+        end_key = (end << shift) // den
+        if key > top:
+            if top >= 0:
+                runs.append((*run_start, *run_end))
+            run_start, run_end, top = (start, den), (end, den), end_key
+        elif end_key > top:
+            run_end, top = (end, den), end_key
+    runs.append((*run_start, *run_end))
+    return runs_length(runs)

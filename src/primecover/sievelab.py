@@ -20,15 +20,26 @@ How the exact sums are kept small:
   each sweep position adds an integer multiple of its numerator to one
   integer kept per prime, and no Fraction is added up along the sweep.
 - Product tree. The per-prime integers n_p/p are combined once by
-  `arcs.exact_sum`, pairwise up a balanced tree, with one gcd at the
-  end (Bernstein, "Fast multiplication and its applications", 2008).
-  Adding Fractions in sweep order instead takes a gcd of a denominator
-  that grows to the product of all primes at every step.
-- Moments. Over the common denominator L = v*P of the level measures
-  (P the product of the primes), `level_sets` keeps the integer moments
-  Sj = sum k^j n_k of the level numerators n_k. As S0 = L and S1 = nu*L,
+  `arcs.tree_sum`, pairwise up a balanced tree (Bernstein, "Fast
+  multiplication and its applications", 2008). Adding Fractions in sweep
+  order instead takes a gcd of a denominator that grows to the product of
+  all primes at every step.
+- Known factors, no big gcd. Every denominator in a report is made of v
+  and the primes of the range, so each value is reduced by a gcd with a
+  small number, or with Q below, never with P (the product of the
+  primes), and the Fraction is built by `arcs.coprime_fraction`. The
+  tree of a level runs over its terms n_p/p with p not dividing n_p, so
+  its denominator is already reduced (see `arcs.tree_sum`); the terms
+  that p divides are integers, and only a gcd with v is left. CPython's
+  gcd is quadratic, and at (2, 1e6] the big gcds of plain Fractions took
+  about 30 of 45 s.
+- Moments. Over the common denominator L = v*P of the level measures,
+  `level_sets` keeps the integer moments S1 = sum k*m_k*L = 2u*Q, from
+  H = Q/P with c = u/v, and S2 = sum k^2*m_k*L, one tree over the
+  per-prime numerators sum_k k^2*n_(k,p). No level is scaled to L. Then
   alpha = sum (k - nu)^2 m_k = (S2*L - S1^2)/L^2 and the Markov bound
-  alpha/nu^2 = (S2*L - S1^2)/S1^2: one Fraction each, no moment Fraction.
+  alpha/nu^2 = (S2*L - S1^2)/S1^2 are one Fraction each, and
+  `alpha_and_markov` gives the proofs of their reductions.
 - CRT. The p1*p2 placements of a pair of primes give every centre
   distance r/(p1*p2) exactly once, so the pair expectation is a short
   sum of a trapezoid in integer units.
@@ -42,11 +53,23 @@ import random
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from itertools import repeat
+from operator import floordiv, mod
+from typing import Iterable, Optional
 
-from .arcs import RationalLike, arc_pieces, checked_c, exact_sum, rat_str, sweep, to_fraction
-from .primes import harmonic_sum, is_prime, primes_between
-from .sequences import NumeratorSequence, uncovered_by
+from .arcs import (
+    RationalLike,
+    arc_pieces,
+    checked_c,
+    coprime_fraction,
+    exact_sum,
+    rat_str,
+    sweep,
+    to_fraction,
+    tree_sum,
+)
+from .primes import is_prime, primes_between
+from .sequences import NumeratorSequence, uncovered_by, uniform_numerators
 
 # most arc endpoints omega_expectation_exact sweeps; (2, 1e4] would have 11,475,244
 MAX_ENDPOINTS = 500_000
@@ -57,8 +80,8 @@ class LevelSetProfile:
     """Exact distribution of the counting step function over one range.
 
     `common` is L = v*P, a multiple of every level measure's denominator;
-    n0 = m_0*L, s1 = sum k*m_k*L and s2 = sum k^2*m_k*L are the integer
-    numerators over L of the empty level and of the first two moments.
+    s1 = sum k*m_k*L and s2 = sum k^2*m_k*L are the integer numerators
+    over L of the first two moments.
     """
 
     x: Fraction
@@ -67,15 +90,8 @@ class LevelSetProfile:
     nu: Fraction
     levels: dict[int, Fraction]
     common: int
-    n0: int
     s1: int
     s2: int
-
-    def total(self) -> Fraction:
-        return sum(self.levels.values(), Fraction(0))
-
-    def mean_count(self) -> Fraction:
-        return sum((k * m for k, m in self.levels.items()), Fraction(0))
 
     def to_dict(self) -> dict:
         return {
@@ -113,48 +129,92 @@ def level_sets(
     level measures telescope: at a position x where the count steps
     from k to k', the run of level k ends and one of level k' starts, so
     x adds to m_k and is taken from m_k', and level 0 ends at the point
-    1 (= v/1). Each level keeps one integer numerator per prime, in units
-    of 1/(p*v); the per-prime numerators go to one exact_sum per level.
+    1 (= v/1). Level k keeps one integer n_(k,p) per prime, and
+    m_k = (v*[k = 0] + sum_p n_(k,p)/p)/v.
 
-    The result is exact: sum of level measures is 1 and the mean count
-    equals nu = 2c * sum(1/p) over the range. Both identities are
-    asserted over the common denominator v * P, P the product of the
-    primes (the exact denominator of sum(1/p)), which every level
-    measure divides; the profile keeps that denominator and the integer
-    moments for `alpha_and_markov`.
+    Reduction. v*m_k is the integer W_k = v*[k = 0] + sum n_(k,p)/p over
+    the primes that divide their n_(k,p), plus the tree sum R/D over the
+    other terms, which is reduced (`arcs.tree_sum`). N = W_k*D + R is then
+    prime to D as R is, so m_k = N/(v*D) needs only gcd(N, v), a small gcd.
+
+    Both identities are asserted exactly in the per-prime integers, with
+    no tree. For distinct primes p and integers t_p, sum t_p/p = 0
+    exactly when p divides every t_p and the quotients t_p/p sum to 0:
+    the sum times P is t_p*(P/p) modulo p. The levels sum to 1 exactly
+    when this holds for t_p = sum_k n_(k,p), which the sweep makes 0 for
+    every p, and the mean count is nu = 2c*H exactly when it holds for
+    t_p = sum_k k*n_(k,p) - 2u over the primes of the range. A prime's
+    arc has length 2u/p on the circle scaled to [0, v], and a position
+    moves between primes only at an integer point of [0, v], where n/p
+    is an integer, so the second holds for a correct sweep.
     """
     x, y = to_fraction(x), to_fraction(y)
     if not x < y:
         raise ValueError(f"need X < Y, got X={x}, Y={y}")
     primes = primes_between(x, y)
     c = seq.c
-    v = c.denominator
+    u, v = c.numerator, c.denominator
 
-    numerators: defaultdict[int, defaultdict[int, int]] = defaultdict(lambda: defaultdict(int))
+    rows: dict[int, dict[int, int]] = {p: {} for p in primes}  # p -> {k: n_(k,p)}
     count = 0
     for n, p, starts, ends in sweep(arc_pieces(((p, seq.numerator_for(p)) for p in primes), c)):
         new = count + len(starts) - len(ends)
         if new != count:
-            numerators[count][p] += n
-            numerators[new][p] -= n
+            row = rows[p]
+            row[count] = row.get(count, 0) + n
+            row[new] = row.get(new, 0) - n
             count = new
-    numerators[0][1] += v
-    levels = {
-        k: exact_sum((n, p) for p, n in numerators[k].items() if n) / v
-        for k in range(max(numerators) + 1)
-    }
 
-    harmonic = harmonic_sum(primes)
-    nu = 2 * c * harmonic
-    common = v * harmonic.denominator
-    scaled = [_over(m, common) for m in levels.values()]
-    s1 = sum(k * m for k, m in enumerate(scaled))
-    s2 = sum(k * k * m for k, m in enumerate(scaled))
-    assert sum(scaled) == common  # total() == 1
-    assert s1 == _over(nu, common)  # mean_count() == nu
+    top = max(map(max, filter(None, rows.values())), default=0)
+    wholes = [v] + [0] * top  # W_k
+    terms: list[list[tuple[int, int]]] = [[] for _ in range(top + 1)]
+    firsts, seconds = [], []  # sum_k k*n_(k,p) and sum_k k^2*n_(k,p), in the order of primes
+    for p, row in rows.items():
+        first = second = 0
+        for k, n in row.items():
+            if n % p:
+                terms[k].append((n, p))
+            else:
+                wholes[k] += n // p
+            first += k * n
+            second += k * k * n
+        firsts.append(first - 2 * u)
+        seconds.append(second)
+    assert not any(map(sum, map(dict.values, rows.values())))  # the levels sum to 1
+    del rows  # about 2 MB at (2, 5e4]; the trees would otherwise add to it at the peak
+    assert not any(map(mod, firsts, primes)) and not sum(map(floordiv, firsts, primes))  # mean nu
+
+    levels = {}
+    for k, (whole, level_terms) in enumerate(zip(wholes, terms)):
+        rest, den = tree_sum(level_terms)
+        num = whole * den + rest
+        g = math.gcd(num % v, v)
+        levels[k] = coprime_fraction(num // g, v * den // g)
+    del terms  # before the moment tree, as rows before the level trees
+    harmonic, s2, whole_product = _harmonic_and_second(seconds, primes)
     return LevelSetProfile(
-        x=x, y=y, c=c, nu=nu, levels=levels, common=common, n0=scaled[0], s1=s1, s2=s2
+        x=x, y=y, c=c, nu=2 * c * coprime_fraction(harmonic, whole_product), levels=levels,
+        common=v * whole_product, s1=2 * u * harmonic, s2=s2,
     )
+
+
+def _harmonic_and_second(seconds: Iterable[int], primes: list[int]) -> tuple[int, int, int]:
+    """(Q, S, P) with sum 1/p = Q/P and sum s_p/p = S/P over the primes.
+
+    The tree of `arcs.tree_sum` with two numerators per node, so the two
+    sums share each product d1*d2. P is the product of the primes, and
+    Q/P is reduced (`primes.harmonic_sum`).
+    """
+    layer = list(zip(repeat(1), seconds, primes)) or [(0, 0, 1)]
+    while len(layer) > 1:
+        paired = [
+            (a1 * d2 + a2 * d1, b1 * d2 + b2 * d1, d1 * d2)
+            for (a1, b1, d1), (a2, b2, d2) in zip(layer[0::2], layer[1::2])
+        ]
+        if len(layer) % 2:
+            paired.append(layer[-1])
+        layer = paired
+    return layer[0]
 
 
 def _over(q: Fraction, common: int) -> int:
@@ -168,21 +228,45 @@ def alpha_and_markov(profile: LevelSetProfile) -> SieveReport:
     """Second moment about nu and the resulting bound on the empty level.
 
     alpha = sum (k - nu)^2 m_k expands to S2 - 2 nu S1 + nu^2 S0 in the
-    moments Sj = sum k^j m_k. Over the profile's common denominator L,
-    S0 = L and S1 = nu*L (both asserted by `level_sets`), so with the
-    integer moments s1, s2 the expansion is alpha = (s2*L - s1^2)/L^2 and
-    the Markov bound alpha/nu^2 = (s2*L - s1^2)/s1^2: each is one Fraction
-    of integers, and omega <= markov is the integer inequality
-    n0*s1^2 <= (s2*L - s1^2)*L. With no primes in range the bound
-    degenerates: markov_bound is None, standing in for +infinity.
+    moments Sj = sum k^j m_k. Over the profile's common denominator
+    L = v*P, S0 = L and S1 = nu*L = 2u*Q (H = Q/P), so with the integer
+    moments s1, s2 and spread = s2*L - s1^2, alpha = spread/L^2 and the
+    Markov bound alpha/nu^2 = spread/s1^2. With no primes in range the
+    bound degenerates: markov_bound is None, standing in for +infinity.
+
+    Alpha. For a prime p of the range with p not dividing 2u, spread is
+    -4u^2*Q^2 modulo p, and p does not divide Q = sum P/q (it is P/p
+    modulo p), so p does not divide spread. Every other prime divides
+    L^2 = (v*P)^2 as often as (v*w)^2, w the product of the primes of the
+    range that divide 2u, so gcd(spread, L^2) = gcd(spread, (v*w)^2): a
+    gcd with a small number.
+
+    Markov. h = gcd(spread, Q) = gcd(s2*v*P mod Q, Q) = gcd(s2*v mod Q, Q),
+    as P is prime to Q: one gcd of numbers the size of Q, not of s1^2.
+    Then gcd(spread, s1^2) = gcd(spread, (2u*h)^2). At a prime l dividing
+    spread a times and Q q times, h holds l min(a, q) times; if a <= q
+    both sides hold l a times, as 2q >= a, and otherwise h holds it q
+    times and the two sides agree term by term. h is 1 when spread and Q
+    are coprime, but it is often 2 or some other small number.
+
+    omega <= markov is asserted as the integer inequality
+    a*s1^2 <= spread*b for omega = a/b.
     """
-    common, n0, s1 = profile.common, profile.n0, profile.s1
+    c, common, s1 = profile.c, profile.common, profile.s1
+    u, v = c.numerator, c.denominator
     spread = profile.s2 * common - s1 * s1
-    alpha = Fraction(spread, common * common)
-    omega = profile.levels.get(0, Fraction(0))
+    w = math.prod(p for p in primes_between(profile.x, min(profile.y, 2 * u)) if 2 * u % p == 0)
+    small = (v * w) ** 2
+    g = math.gcd(spread % small, small)
+    alpha = coprime_fraction(spread // g, common * common // g)
+    omega = profile.levels[0]
     if s1:
-        assert n0 * s1 * s1 <= spread * common  # omega <= markov
-        markov = Fraction(spread, s1 * s1)
+        square = s1 * s1
+        harmonic_num = s1 // (2 * u)
+        small = (2 * u * math.gcd(profile.s2 * v % harmonic_num, harmonic_num)) ** 2
+        g = math.gcd(spread % small, small)
+        markov = coprime_fraction(spread // g, square // g)
+        assert omega.numerator * square <= spread * omega.denominator  # omega <= markov
     else:
         markov = None
     return SieveReport(profile=profile, alpha=alpha, omega_measure=omega, markov_bound=markov)
@@ -297,7 +381,7 @@ def omega_expectation_mc(
     values = []
     for i in range(trials):
         rng = random.Random(_trial_seed(seed, i))
-        value = uncovered_by([(p, rng.randrange(p)) for p in primes], c)
+        value = uncovered_by(uniform_numerators(rng, primes), c)
         values.append(_over(value, common))
 
     # mean = S/(T*L) and variance = sum (T*V_i - S)^2 / (T^2 * L^2 * (T - 1))

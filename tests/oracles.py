@@ -6,8 +6,9 @@ Covered sets here are Fraction arcs and segment lists: the arc layer
 `_greedy_pick`, `arcs_for`) that the library carried before every
 production path moved to the integer sweep pieces of `primecover.arcs`
 (`arc_pieces`, `sweep`, `union_length`) and `sequences._Cover`, plus the
-earlier Fraction segment cover, greedy scan, sequence document, sieve
-and level-set sweep, each kept verbatim apart from names.
+earlier Fraction segment cover, greedy scan, sequence document, sieve,
+level-set sweep and its Fraction re-sums (`total`, `mean_count`), and
+the sweep form of a union (`runs`), each kept verbatim apart from names.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from functools import lru_cache
 from itertools import compress
 from typing import Iterable, Sequence
 
-from primecover.arcs import ONE, ZERO, Arc, RationalLike, _runs, rat_str, to_fraction
+from primecover.arcs import ONE, ZERO, Arc, RationalLike, rat_str, sweep, to_fraction
 from primecover.primes import primes_between
 from primecover.sequences import _Cover
 
@@ -30,6 +31,23 @@ HALF = Fraction(1, 2)
 
 # ---------------------------------------------------------------------------
 # The Fraction arc layer: arcs of half-width c/p and their normalized unions.
+
+def runs(pieces):
+    """(start, start_den, end, end_den) of each maximal run of a union of closed pieces.
+
+    The sweep form of the union that arcs.union_length computed before
+    its merge, kept verbatim apart from its name.
+    """
+    # Every endpoint of a closed piece is covered, so a run opens where the
+    # count of open pieces leaves zero and closes where it returns to zero.
+    count = 0
+    for num, den, starts, ends in sweep(pieces):
+        if not count:
+            run_start = num, den
+        count += len(starts) - len(ends)
+        if not count:
+            yield (*run_start, num, den)
+
 
 def arc_of(p: int, a: int, c: RationalLike) -> Arc:
     """Arc of half-width c/p centered at a/p, taken on the circle.
@@ -100,7 +118,7 @@ def normalize_union(arcs: Iterable[Arc]) -> ArcUnion:
             pieces += [(start, den, den, None), (0, end - den, den, None)]
     merged = [
         (Fraction(start, start_den), Fraction(end, end_den))
-        for start, start_den, end, end_den in _runs(pieces)
+        for start, start_den, end, end_den in runs(pieces)
     ]
     if not merged:
         return EMPTY_UNION
@@ -315,6 +333,16 @@ def fraction_sweep(pieces):
         events.setdefault(end, ([], []))[1].append(tag)
     for pos in sorted(events):
         yield (pos, *events[pos])
+
+
+def total(profile):
+    """The sum of the level measures, as LevelSetProfile.total gave it."""
+    return sum(profile.levels.values(), Fraction(0))
+
+
+def mean_count(profile):
+    """The mean of the counting function, as LevelSetProfile.mean_count gave it."""
+    return sum((k * m for k, m in profile.levels.items()), Fraction(0))
 
 
 def fraction_level_sets(seq, x, y):

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import ArcUnion, arc_of, complement, intersect_measure, measure, normalize_union
+from oracles import ArcUnion, arc_of, complement, intersect_measure, measure, normalize_union, runs
 from primecover.arcs import Arc, rat_str, to_fraction
-from primecover.arcs import arc_pieces, exact_sum, sweep, union_length
+from primecover.arcs import arc_pieces, coprime_fraction, exact_sum, runs_length, sweep, tree_sum, union_length
 
 F = Fraction
 
@@ -272,6 +272,28 @@ class TestIntegerUnits:
     def test_exact_sum_of_nothing(self):
         assert exact_sum([]) == 0
 
+    @given(st.lists(st.tuples(st.integers(-10**30, 10**30), st.integers(1, 10**30)), max_size=40))
+    def test_tree_sum_keeps_every_denominator(self, terms):
+        num, den = tree_sum(terms)
+        assert den == math.prod(d for _, d in terms)
+        assert F(num, den) == sum((F(n, d) for n, d in terms), F(0))
+
+    @given(st.lists(st.sampled_from([2, 3, 5, 7, 11, 13, 97, 101, 7919]), unique=True), st.data())
+    def test_tree_sum_over_distinct_primes_is_reduced(self, primes, data):
+        # no p divides its numerator, so N/D needs no gcd
+        terms = [(data.draw(st.integers(-10**6, 10**6).filter(lambda n: n % p)), p) for p in primes]
+        num, den = tree_sum(terms)
+        assert math.gcd(num, den) == 1
+
+    @given(st.integers(-10**40, 10**40), st.integers(1, 10**40))
+    def test_coprime_fraction_is_the_reduced_fraction(self, n, d):
+        g = math.gcd(n, d)
+        value = coprime_fraction(n // g, d // g)
+        expected = F(n, d)
+        assert type(value) is F
+        assert (value.numerator, value.denominator) == (expected.numerator, expected.denominator)
+        assert value == expected and hash(value) == hash(expected)
+
     @given(st.lists(st.tuples(st.integers(0, 30), st.integers(0, 30), st.integers(1, 30)), max_size=12))
     def test_sweep_groups_equal_positions(self, raw):
         pieces = [(min(s, e), max(s, e), d, i) for i, (s, e, d) in enumerate(raw)]
@@ -292,3 +314,36 @@ class TestIntegerUnits:
                     den = s.denominator * e.denominator
                     pieces.append((s.numerator * e.denominator, e.numerator * s.denominator, den, None))
             assert union_length(pieces) == measure(normalize_union(family))
+
+
+@st.composite
+def closed_pieces(draw):
+    """Pieces (start, end, den, tag) inside [0, den]: touching ends, duplicates and split arcs."""
+    dens = draw(st.lists(st.sampled_from([1, 2, 3, 4, 6, 7, 12, 13]), min_size=1, max_size=3))
+    pieces = []
+    for _ in range(draw(st.integers(0, 10))):
+        den = draw(st.sampled_from(dens))
+        kind = draw(st.sampled_from(["plain", "copy", "touch", "wrap"]))
+        if kind == "copy" and pieces:
+            pieces.append(draw(st.sampled_from(pieces)))
+        elif kind == "touch" and pieces:
+            # starts where an earlier piece ends, over its own denominator
+            s, e, d, _ = draw(st.sampled_from(pieces))
+            start = e * den // d if e * den % d == 0 else e * den // d + 1
+            end = draw(st.integers(min(start, den), den))
+            pieces.append((min(start, den), end, den, None))
+        elif kind == "wrap":
+            # an arc through 0 split at 0, as arc_pieces splits a = 0
+            width = draw(st.integers(0, den))
+            pieces += [(den - width, den, den, None), (0, width, den, None)]
+        else:
+            a, b = draw(st.integers(0, den)), draw(st.integers(0, den))
+            pieces.append((min(a, b), max(a, b), den, None))
+    return pieces
+
+
+class TestUnionMerge:
+    @given(closed_pieces())
+    @settings(max_examples=300)
+    def test_merge_equals_the_sweep_runs(self, pieces):
+        assert union_length(pieces) == runs_length(runs(pieces))

@@ -42,6 +42,7 @@ from primecover.sequences import (
     save_sequence,
     sequence_text,
     uncovered_measure,
+    uniform_numerators,
 )
 
 F = Fraction
@@ -116,6 +117,25 @@ class TestRandomSequence:
         seq = random_sequence(10**4, HALF, seed=5)
         frac_below_half = sum(1 for p, a in seq.entries if a < p / 2) / len(seq.entries)
         assert abs(frac_below_half - 0.5) <= 0.02
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.just(2),
+                st.integers(1, 70).flatmap(lambda k: st.sampled_from([2**k - 1, 2**k + 1])),
+                st.integers(2**32 + 1, 2**80),
+                st.integers(2, 10**6),
+            ),
+            max_size=30,
+        ),
+        st.integers(0, 2**64),
+    )
+    def test_draws_are_the_randrange_stream(self, bounds, seed):
+        # 2^k + 1 rejects almost half of its draws, 2^k - 1 almost none
+        rng, ours = random.Random(seed), random.Random(seed)
+        expected = [(p, rng.randrange(p)) for p in bounds]
+        assert uniform_numerators(ours, bounds) == expected
+        assert ours.getstate() == rng.getstate()  # the same number of draws
 
 
 # c is checked before the bound is sieved: bound 1 would fail the sieve

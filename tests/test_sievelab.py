@@ -13,8 +13,10 @@ from oracles import (
     fraction_level_sets,
     fraction_sweep,
     intersect_measure,
+    mean_count,
     measure,
     normalize_union,
+    total,
 )
 from primecover.primes import harmonic_H, primes_between
 from primecover.primes import sieve_range
@@ -65,8 +67,8 @@ class TestLevelSets:
         seq = NumeratorSequence(HALF, ((2, 0), (3, 1)))
         profile = level_sets(seq, 1, 3)
         assert profile.levels == {0: F(1, 4), 1: F(2, 3), 2: F(1, 12)}
-        assert profile.total() == 1
-        assert profile.mean_count() == HALF + F(1, 3)
+        assert total(profile) == 1
+        assert mean_count(profile) == HALF + F(1, 3)
 
     def test_mean_count_identity_on_random_corpus(self):
         rng = random.Random(12)
@@ -75,8 +77,8 @@ class TestLevelSets:
             c = rng.choice([F(1, 8), F(1, 4), F(1, 2), F(3, 8)])
             seq = random_sequence(y, c, seed=rng.randrange(2**32))
             profile = level_sets(seq, x, y)
-            assert profile.total() == 1
-            assert profile.mean_count() == 2 * c * harmonic_H(x, y)
+            assert total(profile) == 1
+            assert mean_count(profile) == 2 * c * harmonic_H(x, y)
 
     def test_missing_prime_rejected(self):
         seq = NumeratorSequence(HALF, ((2, 0),))
@@ -449,6 +451,59 @@ class TestIntegerSumsMatchFractionOracles:
         assert omega_expectation_exact(24, 28, F(1, 4)) == 1
         assert omega_expectation_mc(24, 28, F(1, 4), 3, 5) == (1.0, 0.0)
         assert uncovered_measure(seq, 24, 28) == 1
+
+
+# ---------------------------------------------------------------------------
+# The reports reduced by their known factors against the Fraction oracle:
+# numerator and denominator of every value. In c = u/v, u even (2/7, 4/9),
+# u sharing a prime with the range (w > 1 for alpha: 2/7, 3/7, 5/11 and
+# 6/13 once 2, 3, 5 or 13 is in range), and v sharing one (1/3, 2/9).
+
+REDUCTION_WIDTHS = (F(1, 4), F(2, 7), F(3, 7), F(5, 11), F(6, 13), F(4, 9), F(2, 9), F(1, 3), HALF)
+
+
+def pairs_of(report):
+    values = [report.profile.nu, report.alpha, report.omega_measure, report.markov_bound]
+    values += [report.profile.levels[k] for k in sorted(report.profile.levels)]
+    return [None if q is None else (q.numerator, q.denominator) for q in values]
+
+
+def oracle_pairs(seq, x, y):
+    levels, nu = fraction_level_sets(seq, x, y)
+    alpha, omega, markov = fraction_alpha_and_markov(levels, nu)
+    values = [nu, alpha, omega, markov] + [levels[k] for k in sorted(levels)]
+    return [None if q is None else (q.numerator, q.denominator) for q in values]
+
+
+def markov_cofactor(profile):
+    """h = gcd(spread mod Q, Q), Q the numerator of sum 1/p, which alpha_and_markov reduces by."""
+    u, v = profile.c.numerator, profile.c.denominator
+    q = profile.s1 // (2 * u)
+    return math.gcd(profile.s2 * v % q, q)
+
+
+class TestReductionByKnownFactors:
+    @given(st.data(), st.sampled_from(REDUCTION_WIDTHS), prime_ranges(top=120))
+    @settings(max_examples=80, deadline=None)
+    def test_reduced_report_is_the_fraction_report(self, data, c, bounds):
+        seq = data.draw(drawn_sequences(c, bound=120))
+        assert pairs_of(alpha_and_markov(level_sets(seq, *bounds))) == oracle_pairs(seq, *bounds)
+
+    @pytest.mark.parametrize("c, x, y", [(F(3, 7), 1, 60), (F(6, 13), F(3, 2), 80), (F(2, 7), 1, 50)])
+    def test_alpha_with_primes_of_the_range_in_2u(self, c, x, y):
+        u = c.numerator
+        assert math.prod(p for p in primes_between(x, y) if 2 * u % p == 0) > 1  # w > 1
+        seq = random_sequence(y, c, seed=7)
+        assert pairs_of(alpha_and_markov(level_sets(seq, x, y))) == oracle_pairs(seq, x, y)
+
+    @pytest.mark.parametrize("c, y", [(F(1, 4), 23), (F(2, 9), 17), (F(3, 7), 17), (F(1, 8), 7), (F(1, 8), 11)])
+    def test_markov_when_spread_shares_a_factor_with_q(self, c, y):
+        # the cofactors here are 2, 8, 2, 71 and 886 = 2 * 443: an even count of
+        # odd primes makes Q even, and an odd prime of Q can divide spread too
+        seq = random_sequence(y, c, seed=1729)
+        profile = level_sets(seq, 2, y)
+        assert markov_cofactor(profile) > 1
+        assert pairs_of(alpha_and_markov(profile)) == oracle_pairs(seq, 2, y)
 
 
 class TestPairExpectationInputs:
