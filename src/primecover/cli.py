@@ -129,6 +129,8 @@ def cmd_coverage(args: argparse.Namespace) -> str:
 def cmd_sievelab(args: argparse.Namespace) -> str:
     if args.seq_path is not None and args.c is not None:
         raise CliError("give --seq or --c, not both")
+    if args.seed is not None and args.trials is None:
+        raise CliError("--seed needs --mc")
     x, y = to_fraction(args.x), to_fraction(args.y)
     if args.seq_path is not None:
         seq = _load_seq(args)
@@ -145,13 +147,9 @@ def cmd_sievelab(args: argparse.Namespace) -> str:
     if args.exact:
         doc["omega_expectation"] = rat_str(omega_expectation_exact(x, y, c))
     if args.trials is not None:
-        mean, stderr = omega_expectation_mc(x, y, c, args.trials, args.seed)
-        doc["mc"] = {
-            "mean": mean,
-            "stderr": stderr,
-            "trials": args.trials,
-            "seed": args.seed,
-        }
+        seed = DEFAULT_SEED if args.seed is None else args.seed
+        mean, stderr = omega_expectation_mc(x, y, c, args.trials, seed)
+        doc["mc"] = {"mean": mean, "stderr": stderr, "trials": args.trials, "seed": seed}
     return _json_text(doc)
 
 
@@ -211,12 +209,8 @@ def _float_arg(text: str) -> float:
 def cmd_ergodic(args: argparse.Namespace) -> str:
     seq = _load_seq(args)
     x, y = _float_arg(args.x), _float_arg(args.y)
-    if args.sparse == "psi" and args.psi is None:
-        raise CliError("--sparse psi needs --psi (log, loglog or sqrt_log)")
-    if args.psi is not None and args.sparse != "psi":
-        raise CliError("--psi needs --sparse psi")
     if args.sparse is not None:
-        primes = sparse_prime_set(args.primes_up_to, args.sparse, args.psi).primes
+        primes = sparse_prime_set(args.primes_up_to, args.sparse).primes
     else:
         primes = sieve_range(args.primes_up_to)
     lines = ["p,a_p,d,abs_s,is_hit,method\n"]
@@ -288,7 +282,7 @@ def _build_parser() -> argparse.ArgumentParser:
     lab.add_argument("--y", required=True)
     lab.add_argument("--exact", action="store_true")
     lab.add_argument("--mc", type=int, dest="trials")
-    lab.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    lab.add_argument("--seed", type=int, help=f"with --mc only (default {DEFAULT_SEED})")
     lab.add_argument("--out", dest="out_path")
     lab.set_defaults(handler=cmd_sievelab)
 
@@ -317,8 +311,8 @@ def _build_parser() -> argparse.ArgumentParser:
     e.add_argument("--x", required=True)
     e.add_argument("--y", required=True)
     e.add_argument("--primes-up-to", type=int, required=True, dest="primes_up_to")
-    e.add_argument("--sparse", choices=["geometric", "psi"])
-    e.add_argument("--psi", choices=["log", "loglog", "sqrt_log"])
+    e.add_argument("--sparse", choices=["geometric", "psi"],
+                   help="geometric: least prime above 4^n; psi: least prime above 2^n")
     e.add_argument("--out", dest="out_path")
     e.set_defaults(handler=cmd_ergodic)
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Iterator, Optional
 
 from .arcs import RationalLike, to_fraction
@@ -101,7 +100,7 @@ def ergodic_rows(
     reported, never compared. Hits keep |s| bounded away from 0, while a
     prime at distance |d| has |s| <= 1/(2 p |d|).
     """
-    h, k = Fraction(y).as_integer_ratio()
+    h, k = y.as_integer_ratio()
     v = seq.c.denominator
     threshold = seq.c.numerator * k
     numerator_for = seq.numerator_for
@@ -141,9 +140,10 @@ def sparse_prime_set(
     geometric: least prime above 4^n for n >= 1; log-weights decay
     geometrically, so the weight sum converges.
 
-    psi: same idea on the denser skeleton 2^n, certified against a named
-    slower-growing weight psi in {log, loglog, sqrt_log}; the partial sum
-    of psi(p)/p over the members is recorded alongside the log-weight sum.
+    psi: same idea on the denser skeleton 2^n. Given a named
+    slower-growing weight psi in {log, loglog, sqrt_log}, the partial sum
+    of psi(p)/p over the members is recorded alongside the log-weight sum;
+    without one, both psi fields are None.
     """
     if bound < 2:
         raise ValueError(f"bound must be >= 2, got {bound}")
@@ -152,15 +152,13 @@ def sparse_prime_set(
             raise ValueError("psi is only meaningful with mode='psi'")
         skeleton_base = 4
         generator = "least prime above 4^n"
-        psi_fn = None
     elif mode == "psi":
-        if psi not in _PSI_FUNCTIONS:
+        if psi is not None and psi not in _PSI_FUNCTIONS:
             raise ValueError(
                 f"unknown psi name {psi!r}; choose from {sorted(_PSI_FUNCTIONS)}"
             )
         skeleton_base = 2
-        generator = f"least prime above 2^n, psi={psi}"
-        psi_fn = _PSI_FUNCTIONS[psi]
+        generator = "least prime above 2^n" + (f", psi={psi}" if psi else "")
     else:
         raise ValueError(f"unknown mode {mode!r}; choose 'geometric' or 'psi'")
 
@@ -174,11 +172,11 @@ def sparse_prime_set(
         n += 1
 
     weight_sum = math.fsum(math.log(p) / p for p in members)
-    psi_weight = math.fsum(psi_fn(p) / p for p in members) if psi_fn else None
+    psi_weight = math.fsum(_PSI_FUNCTIONS[psi](p) / p for p in members) if psi else None
     return SparsePrimeSet(
         primes=tuple(members),
         weight_sum=weight_sum,
         generator=generator,
-        psi_name=psi if psi_fn else None,
+        psi_name=psi,
         psi_weight_sum=psi_weight,
     )

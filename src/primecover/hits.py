@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, NamedTuple
 
-from .arcs import ONE, RationalLike, to_fraction
+from .arcs import RationalLike, to_fraction
 from .primes import MERTENS, harmonic_H_float, sieve_range
 from .sequences import NumeratorSequence
 
@@ -39,9 +39,9 @@ class RealApproximant:
             raise ValueError(f"eta must be >= 0, got {self.eta}")
 
 
-def rational_point(value: RationalLike, label: str = "") -> RealApproximant:
+def rational_point(value: RationalLike) -> RealApproximant:
     v = to_fraction(value)
-    return RealApproximant(v, Fraction(0), label or f"rational {v}")
+    return RealApproximant(v, Fraction(0), f"rational {v}")
 
 
 def _convergents(coefficients: Iterator[int]) -> Iterator[tuple[int, int]]:
@@ -98,11 +98,6 @@ def approximant_named(name: str, eta: RationalLike = Fraction(1, 10**14)) -> Rea
             f"unknown named point {name!r}; choose from {sorted(NAMED_APPROXIMANTS)}"
         ) from None
     return builder(eta)
-
-
-def circle_distance(a: Fraction, b: Fraction) -> Fraction:
-    d = (a - b) % ONE
-    return min(d, ONE - d)
 
 
 # (p, distance or fractional-part numerator, its denominator, hit, ambiguous)

@@ -143,9 +143,6 @@ class BlockSchedule:
         if any(x >= y for x, y in zip(bounds, bounds[1:])):
             raise ValueError("block boundaries must be strictly increasing")
 
-    def final_bound(self) -> int:
-        return self.blocks[-1].end if self.blocks else 1
-
 
 def uniform_numerators(rng: random.Random, primes: Iterable[int]) -> list[tuple[int, int]]:
     """(p, a) with a uniform in {0, ..., p-1} for each p, drawn from rng.
@@ -445,17 +442,6 @@ def sequence_text(seq: NumeratorSequence, schedule: Optional[BlockSchedule] = No
     )
 
 
-def schedule_from_dict(doc: dict) -> Optional[BlockSchedule]:
-    if "blocks" not in doc:
-        return None
-    return BlockSchedule(
-        tuple(
-            Block(int(s), int(e), to_fraction(eps), to_fraction(ach))
-            for s, e, eps, ach in doc["blocks"]
-        )
-    )
-
-
 def save_sequence(
     seq: NumeratorSequence,
     path: Union[str, Path],
@@ -518,7 +504,3 @@ def load_sequence(path: Union[str, Path]) -> NumeratorSequence:
     finally:
         if gc_enabled:
             gc.enable()
-
-
-def load_schedule(path: Union[str, Path]) -> Optional[BlockSchedule]:
-    return schedule_from_dict(json.loads(Path(path).read_text()))

@@ -7,8 +7,9 @@ Covered sets here are Fraction arcs and segment lists: the arc layer
 production path moved to the integer sweep pieces of `primecover.arcs`
 (`arc_pieces`, `sweep`, `union_length`) and `sequences._Cover`, plus the
 earlier Fraction segment cover, greedy scan, sequence document, sieve,
-level-set sweep and its Fraction re-sums (`total`, `mean_count`), and
-the sweep form of a union (`runs`), each kept verbatim apart from names.
+level-set sweep and its Fraction re-sums (`total`, `mean_count`), the
+sweep form of a union (`runs`) and the Fraction circle distance of the
+hit test (`circle_distance`), each kept verbatim apart from names.
 """
 
 from __future__ import annotations
@@ -368,6 +369,11 @@ def fraction_level_sets(seq, x, y):
 
 # ---------------------------------------------------------------------------
 # Per-prime scans read with exact distances.
+
+def circle_distance(a: Fraction, b: Fraction) -> Fraction:
+    d = (a - b) % ONE
+    return min(d, ONE - d)
+
 
 def exact_rows(classes):
     """(p, n, den, hit, ambiguous) tuples as (p, Fraction(n, den), hit, ambiguous)."""

@@ -150,7 +150,7 @@ def test_criterion_7_block_certificates():
     start = time.monotonic()
     seq, schedule = block_construction([HALF, HALF, HALF], HALF, max_bound=10**5)
     elapsed = time.monotonic() - start
-    ok = schedule.final_bound() <= 10**5 and elapsed < 120
+    ok = schedule.blocks[-1].end <= 10**5 and elapsed < 120
     for block in schedule.blocks:
         assert block.achieved_uncovered <= HALF
         from primecover.sequences import uncovered_measure
@@ -158,7 +158,7 @@ def test_criterion_7_block_certificates():
         assert uncovered_measure(seq, block.start, block.end) == block.achieved_uncovered
     report(7, ok,
            f"3 blocks certified (ends {[b.end for b in schedule.blocks]}), "
-           f"final bound {schedule.final_bound()} <= 1e5 in {elapsed:.1f}s")
+           f"final bound {schedule.blocks[-1].end} <= 1e5 in {elapsed:.1f}s")
 
 
 def test_criterion_8_greedy_optimality():

@@ -474,16 +474,20 @@ class TestErgodicCommand:
                     for p, a, distance, s, method, is_hit in rows]
         assert [line.split(",") for line in out.splitlines()[1:]] == expected
 
-    def test_psi_mode_needs_psi(self, capsys, seq_file):
-        args = ("ergodic", "--seq", seq_file, "--x", "0.3", "--y", "0.5", "--primes-up-to", "300")
-        code, out, err = run_cli(capsys, *args, "--sparse", "psi")
-        assert code == 1 and out == ""
-        assert err == "error: --sparse psi needs --psi (log, loglog or sqrt_log)\n"
-        code, out, _ = run_cli(capsys, *args, "--sparse", "psi", "--psi", "log")
-        assert code == 0
+    def test_psi_mode(self, capsys, seq_file):
+        # the bytes that --sparse psi printed with each of the removed --psi
+        # names (log, loglog, sqrt_log), which the CSV never showed
+        code, out, err = run_cli(
+            capsys, "ergodic", "--seq", seq_file, "--x", "0.3", "--y", "0.5",
+            "--primes-up-to", "300", "--sparse", "psi",
+        )
+        assert code == 0 and err == ""
         assert [int(line.split(",")[0]) for line in out.splitlines()[1:]] == [
             3, 5, 11, 17, 37, 67, 131, 257,
         ]
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "0076abd16edb19a94aabe82d3943fe3ccfe1e21f71b4f36563e4bf5e70ab4840"
+        )
 
     def test_point_too_large_for_a_float(self, capsys, seq_file):
         code, out, err = run_cli(
@@ -561,6 +565,10 @@ ERRORS = [
      "trials must be >= 1, got 0"),
     (("sievelab", "--seq", "missing.json", "--x", "1", "--y", "10", "--out", "o.json"),
      "sequence file not found"),
+    (("sievelab", "--x", "2", "--y", "7", "--c", "1/2", "--exact", "--seed", "5",
+      "--out", "o.json"), "--seed needs --mc"),
+    (("sievelab", "--seq", "S", "--x", "2", "--y", "50", "--seed", "99", "--out", "o.json"),
+     "--seed needs --mc"),
     (("coverage", "--seq", "S", "--x", "10", "--y", "1"), "need X < Y, got X=10, Y=1"),
     (("hits", "--seq", "S", "--bound", "100", "--out", "o.json"),
      "give exactly one of --x or --x-named"),
@@ -591,9 +599,7 @@ ERRORS = [
     (("ergodic", "--seq", "S", "--x", "0.3", "--y", "0.5", "--primes-up-to", "1000",
       "--out", "o.csv"), "sequence has no entry for prime 211"),
     (("ergodic", "--seq", "S", "--x", "0.3", "--y", "0.5", "--primes-up-to", "200",
-      "--sparse", "geometric", "--psi", "log", "--out", "o.csv"), "--psi needs --sparse psi"),
-    (("ergodic", "--seq", "S", "--x", "0.3", "--y", "0.5", "--primes-up-to", "200",
-      "--psi", "log", "--out", "o.csv"), "--psi needs --sparse psi"),
+      "--sparse", "psi", "--psi", "log", "--out", "o.csv"), 2),
     (("primes",), 2),
     (("seq", "build", "--method", "foo", "--bound", "10", "--c", "1/4", "--out", "o.json"), 2),
     (("hits", "--seq", "S", "--x", "1/3", "--bound", "100", "--format", "xml"), 2),

@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import exact_rows, mean_count
+from oracles import circle_distance, exact_rows, mean_count
 from primecover.arcs import ONE
 from primecover.hits import (
     RealApproximant,
     approximant_named,
-    circle_distance,
     fractional_classes,
     fractional_hits,
     golden_approximant,

@@ -36,7 +36,6 @@ from primecover.sequences import (
     block_construction,
     constant_sequence,
     greedy_sequence,
-    load_schedule,
     load_sequence,
     random_sequence,
     save_sequence,
@@ -538,12 +537,12 @@ class TestBlocks:
         assert schedule.blocks[0].start == 1
         assert schedule.blocks[0].end == 2
         assert schedule.blocks[0].achieved_uncovered == HALF
-        assert schedule.final_bound() <= 7
+        assert schedule.blocks[-1].end <= 7
 
     def test_two_blocks_stay_small(self):
         seq, schedule = block_construction([HALF, HALF], HALF, max_bound=2000)
         assert len(schedule.blocks) == 2
-        assert schedule.final_bound() <= 1000
+        assert schedule.blocks[-1].end <= 1000
         b1, b2 = schedule.blocks
         assert b2.start == b1.end
 
@@ -647,7 +646,6 @@ class TestPersistence:
         path = tmp_path / "blocks.json"
         save_sequence(seq, path, schedule)
         assert load_sequence(path) == seq
-        assert load_schedule(path) == schedule
 
     def test_file_shape(self, tmp_path):
         import json
@@ -714,7 +712,6 @@ class TestSequenceText:
             save_sequence(seq, path, schedule)
             assert path.read_text() == json_writer_text(seq, schedule)
             assert load_sequence(path) == seq
-            assert load_schedule(path) == schedule
 
     @pytest.mark.parametrize("schedule", [None, BlockSchedule(())], ids=["none", "no_blocks"])
     def test_empty_sequence(self, schedule):
