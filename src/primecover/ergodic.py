@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator
 
 from .arcs import RationalLike, to_fraction
 from .primes import next_prime
@@ -21,13 +21,6 @@ from .sequences import NumeratorSequence
 
 # below this |sin(pi d)| the kernel ratio is too ill-conditioned; sum directly
 _SIN_FALLBACK = 1e-8
-
-_PSI_FUNCTIONS = {
-    "log": math.log,
-    "loglog": lambda p: math.log(math.log(p)),
-    "sqrt_log": lambda p: math.sqrt(math.log(p)),
-}
-
 
 def _e(t: float) -> complex:
     w = 2.0 * math.pi * t
@@ -128,37 +121,25 @@ class SparsePrimeSet:
     primes: tuple[int, ...]
     weight_sum: float  # sum of log p / p over the members
     generator: str
-    psi_name: Optional[str] = None
-    psi_weight_sum: Optional[float] = None
 
 
-def sparse_prime_set(
-    bound: int, mode: str = "geometric", psi: Optional[str] = None
-) -> SparsePrimeSet:
+def sparse_prime_set(bound: int, mode: str = "geometric") -> SparsePrimeSet:
     """Build a sparse prime set up to `bound`.
 
     geometric: least prime above 4^n for n >= 1; log-weights decay
     geometrically, so the weight sum converges.
 
-    psi: same idea on the denser skeleton 2^n. Given a named
-    slower-growing weight psi in {log, loglog, sqrt_log}, the partial sum
-    of psi(p)/p over the members is recorded alongside the log-weight sum;
-    without one, both psi fields are None.
+    psi: least prime above 2^n for n >= 1, the same idea on a denser
+    skeleton.
     """
     if bound < 2:
         raise ValueError(f"bound must be >= 2, got {bound}")
     if mode == "geometric":
-        if psi is not None:
-            raise ValueError("psi is only meaningful with mode='psi'")
         skeleton_base = 4
         generator = "least prime above 4^n"
     elif mode == "psi":
-        if psi is not None and psi not in _PSI_FUNCTIONS:
-            raise ValueError(
-                f"unknown psi name {psi!r}; choose from {sorted(_PSI_FUNCTIONS)}"
-            )
         skeleton_base = 2
-        generator = "least prime above 2^n" + (f", psi={psi}" if psi else "")
+        generator = "least prime above 2^n"
     else:
         raise ValueError(f"unknown mode {mode!r}; choose 'geometric' or 'psi'")
 
@@ -172,11 +153,4 @@ def sparse_prime_set(
         n += 1
 
     weight_sum = math.fsum(math.log(p) / p for p in members)
-    psi_weight = math.fsum(_PSI_FUNCTIONS[psi](p) / p for p in members) if psi else None
-    return SparsePrimeSet(
-        primes=tuple(members),
-        weight_sum=weight_sum,
-        generator=generator,
-        psi_name=psi,
-        psi_weight_sum=psi_weight,
-    )
+    return SparsePrimeSet(primes=tuple(members), weight_sum=weight_sum, generator=generator)

@@ -214,23 +214,9 @@ class TestSparsePrimeSet:
         assert s.weight_sum == 0.0
 
     def test_psi_mode(self):
-        s = sparse_prime_set(1000, "psi", psi="loglog")
-        assert s.primes == (3, 5, 11, 17, 37, 67, 131, 257, 521)
-        assert s.psi_name == "loglog"
-        assert s.psi_weight_sum == pytest.approx(
-            math.fsum(math.log(math.log(p)) / p for p in s.primes)
-        )
-
-    def test_psi_mode_without_a_named_psi(self):
-        # the CLI's --sparse psi: the same primes, and no psi weight
         s = sparse_prime_set(1000, "psi")
         assert s.primes == (3, 5, 11, 17, 37, 67, 131, 257, 521)
-        assert s.psi_name is None and s.psi_weight_sum is None
 
-    def test_unknown_psi_rejected(self):
-        with pytest.raises(ValueError, match="unknown psi"):
-            sparse_prime_set(100, "psi", psi="cube")
-        with pytest.raises(ValueError):
-            sparse_prime_set(100, "geometric", psi="log")
+    def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             sparse_prime_set(100, "arithmetic")
