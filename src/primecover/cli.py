@@ -10,6 +10,7 @@ explicitly floating-point fields such as Monte Carlo means and |s_p|.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -246,6 +247,20 @@ def _write_out(path: str, text: str) -> None:
         raise CliError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
+# the handler of each subcommand, looked up when main runs (a module-level
+# dict, so a wrapper put into it is the function main calls)
+_HANDLERS = {
+    "primes": cmd_primes,
+    "seq": cmd_seq_build,
+    "coverage": cmd_coverage,
+    "sievelab": cmd_sievelab,
+    "hits": cmd_hits,
+    "fracparts": cmd_fracparts,
+    "ergodic": cmd_ergodic,
+}
+
+
+@functools.cache  # built once per process; parse_args leaves the parser as it was
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="primecover",
@@ -256,7 +271,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("primes", help="count (and list) primes up to a bound")
     p.add_argument("--bound", type=int, required=True)
     p.add_argument("--list", action="store_true", dest="list_primes")
-    p.set_defaults(handler=cmd_primes)
 
     s = sub.add_parser("seq", help="build a numerator sequence file")
     s_sub = s.add_subparsers(dest="seq_command", required=True)
@@ -267,13 +281,11 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument("--seed", type=int, help=f"random only (default {DEFAULT_SEED})")
     b.add_argument("--epsilons", help="comma-separated targets, e.g. 1/2,1/4,1/8")
     b.add_argument("--out", required=True, dest="out_path")
-    b.set_defaults(handler=cmd_seq_build)
 
     cov = sub.add_parser("coverage", help="exact uncovered measure of a prime range")
     cov.add_argument("--seq", required=True, dest="seq_path")
     cov.add_argument("--x", required=True)
     cov.add_argument("--y", required=True)
-    cov.set_defaults(handler=cmd_coverage)
 
     lab = sub.add_parser("sievelab", help="level sets, Markov bound, uncovered expectation")
     lab.add_argument("--seq", dest="seq_path")
@@ -284,7 +296,6 @@ def _build_parser() -> argparse.ArgumentParser:
     lab.add_argument("--mc", type=int, dest="trials")
     lab.add_argument("--seed", type=int, help=f"with --mc only (default {DEFAULT_SEED})")
     lab.add_argument("--out", dest="out_path")
-    lab.set_defaults(handler=cmd_sievelab)
 
     h = sub.add_parser("hits", help="hit primes of x against a sequence")
     h.add_argument("--seq", required=True, dest="seq_path")
@@ -294,7 +305,6 @@ def _build_parser() -> argparse.ArgumentParser:
     h.add_argument("--bound", type=int, required=True)
     h.add_argument("--format", choices=["json", "csv"], default="json", dest="out_format")
     h.add_argument("--out", dest="out_path")
-    h.set_defaults(handler=cmd_hits)
 
     f = sub.add_parser("fracparts", help="primes with fractional part of x*p below c")
     f.add_argument("--x")
@@ -304,7 +314,6 @@ def _build_parser() -> argparse.ArgumentParser:
     f.add_argument("--bound", type=int, required=True)
     f.add_argument("--format", choices=["json", "csv"], default="json", dest="out_format")
     f.add_argument("--out", dest="out_path")
-    f.set_defaults(handler=cmd_fracparts)
 
     e = sub.add_parser("ergodic", help="twisted averages along primes, CSV")
     e.add_argument("--seq", required=True, dest="seq_path")
@@ -314,7 +323,6 @@ def _build_parser() -> argparse.ArgumentParser:
     e.add_argument("--sparse", choices=["geometric", "psi"],
                    help="geometric: least prime above 4^n; psi: least prime above 2^n")
     e.add_argument("--out", dest="out_path")
-    e.set_defaults(handler=cmd_ergodic)
 
     return parser
 
@@ -333,7 +341,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             args.epsilons = [to_fraction(part) for part in args.epsilons.split(",")]
         if getattr(args, "bound", 2) < 2:
             raise CliError("bound must be >= 2")
-        text = args.handler(args)
+        text = _HANDLERS[args.command](args)
         # seq build writes its --out file itself and prints a summary
         if args.command != "seq" and getattr(args, "out_path", None) is not None:
             _write_out(args.out_path, text)

@@ -9,9 +9,12 @@ sieves (x, y] alone. `prime_count` keeps only the base primes and one
 window: pi(1e7) takes about 0.04 s, and pi(1e9) about 7 s at 21 MiB
 peak RSS (2-core VM, Python 3.11.7). `sieve_range` returns every prime
 as a Python int in one tuple, so its memory grows with pi(bound): about
-245 MiB peak at 1e8, and several GiB at 1e9. It is also the one check of
-a sieve bound: every per-prime scan calls it before any per-prime work,
-so a bound below 2 fails there, with one message.
+245 MiB peak at 1e8, and several GiB at 1e9. `iter_primes` walks the
+same primes lazily, window by window, for a scan that may stop early
+(`greedy_sequence`, `block_construction`). It is the one check of a
+sieve bound: every per-prime scan calls it, directly or through
+`sieve_range`, before any per-prime work, so a bound below 2 fails
+there, with one message.
 
 Harmonic sums come in two flavors: exact rational (denominators grow
 like primorials; added up a product tree with no gcd, see
@@ -71,11 +74,21 @@ def _odd_primes(low: int, high: int) -> Iterator[int]:
     )
 
 
-def sieve_range(bound: int) -> tuple[int, ...]:
-    """Every prime up to bound, ascending: 2, then the odd primes of the windows."""
+def iter_primes(bound: int) -> Iterator[int]:
+    """Every prime up to bound, ascending and lazily: 2, then the odd primes of the windows.
+
+    The bound is checked at the call, before any window is sieved; a window
+    is sieved only when the caller reaches it, so a caller that stops early
+    never sieves the rest.
+    """
     if bound < 2:
         raise ValueError(f"sieve bound must be >= 2, got {bound}")
-    return tuple(chain((2,), _odd_primes(3, bound)))
+    return chain((2,), _odd_primes(3, bound))
+
+
+def sieve_range(bound: int) -> tuple[int, ...]:
+    """Every prime up to bound, ascending, in one tuple (iter_primes, consumed)."""
+    return tuple(iter_primes(bound))
 
 
 def prime_count(bound: int) -> int:

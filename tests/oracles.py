@@ -8,8 +8,10 @@ production path moved to the integer sweep pieces of `primecover.arcs`
 (`arc_pieces`, `sweep`, `union_length`) and `sequences._Cover`, plus the
 earlier Fraction segment cover, greedy scan, sequence document, sieve,
 level-set sweep and its Fraction re-sums (`total`, `mean_count`), the
-sweep form of a union (`runs`) and the Fraction circle distance of the
-hit test (`circle_distance`), each kept verbatim apart from names.
+sweep form of a union (`runs`), the Fraction circle distance of the
+hit test (`circle_distance`) and the greedy loop that picked on every
+prime, even on a full cover (`every_prime_greedy`), each kept verbatim
+apart from names.
 """
 
 from __future__ import annotations
@@ -22,9 +24,19 @@ from functools import lru_cache
 from itertools import compress
 from typing import Iterable, Sequence
 
-from primecover.arcs import ONE, ZERO, Arc, RationalLike, rat_str, sweep, to_fraction
-from primecover.primes import primes_between
-from primecover.sequences import _Cover
+from primecover.arcs import (
+    ONE,
+    ZERO,
+    Arc,
+    RationalLike,
+    arc_pieces,
+    checked_c,
+    rat_str,
+    sweep,
+    to_fraction,
+)
+from primecover.primes import primes_between, sieve_range
+from primecover.sequences import NumeratorSequence, _Cover
 
 F = Fraction
 HALF = Fraction(1, 2)
@@ -208,6 +220,18 @@ def greedy_step(covered: ArcUnion, p: int, c: RationalLike) -> tuple[int, Fracti
     """Best numerator for prime p against `covered`: (a, exact measure gain), ties to least a."""
     segments = (seg for arc in covered.arcs for seg in arc.segments())  # sorted but for a wrap
     return _greedy_pick(segments, covered.measure(), p, to_fraction(c))
+
+
+def every_prime_greedy(bound: int, c: RationalLike) -> NumeratorSequence:
+    """greedy_sequence before its early exit: pick and add on every prime, verbatim."""
+    c = checked_c(c)
+    cover = _Cover(c.denominator, bound)
+    entries = []
+    for p in sieve_range(bound):
+        a = cover.pick(p, c)
+        entries.append((p, a))
+        cover.add(arc_pieces(((p, a),), c))
+    return NumeratorSequence(c=c, entries=tuple(entries), method="greedy")
 
 
 # ---------------------------------------------------------------------------

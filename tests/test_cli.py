@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from primecover import cli
 from primecover.cli import DEFAULT_ETA, main
 from primecover.ergodic import ergodic_rows
 from primecover.primes import sieve_range
@@ -95,6 +96,20 @@ class TestSeqAndCoverage:
         assert code == 0
         assert hashlib.sha256(out_file.read_bytes()).hexdigest() == (
             "6773ab5c33ad4618783db54c19f0aec687902259f8166e8e036bf91258c59996"
+        )
+
+    def test_greedy_saturated_golden_file(self, capsys, tmp_path):
+        # the README's greedy example: c = 1/2 fills the circle at p = 7, and
+        # the 9,588 later primes take a = 0; the digest is the file that the
+        # loop picking on every prime wrote
+        out_file = tmp_path / "g.json"
+        code, _, _ = run_cli(
+            capsys, "seq", "build", "--method", "greedy", "--bound", "100000",
+            "--c", "1/2", "--out", str(out_file),
+        )
+        assert code == 0
+        assert hashlib.sha256(out_file.read_bytes()).hexdigest() == (
+            "d9d20f81bd924ecdc77865baa0ca90dd90fd774037f6d589f512bc434099b89d"
         )
 
     def test_blocks_build_reports_schedule(self, capsys, tmp_path):
@@ -496,6 +511,58 @@ class TestErgodicCommand:
         )
         assert code == 1 and out == ""
         assert err == "error: '1e400' is too large for a float\n"
+
+
+class TestOneParserPerProcess:
+    def test_parser_is_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    @staticmethod
+    def status_and_output(capsys, argv):
+        """(status, stdout, stderr) of one main call, an argparse exit included."""
+        try:
+            return run_cli(capsys, *argv)
+        except SystemExit as exc:
+            return exc.code, *capsys.readouterr()
+
+    @pytest.mark.parametrize("first, first_status, second", [
+        # an explicit seed must not stay behind as the next call's default
+        (("sievelab", "--x", "2", "--y", "50", "--c", "1/4", "--mc", "5", "--seed", "7"), 0,
+         ("sievelab", "--x", "2", "--y", "50", "--c", "1/4", "--mc", "5")),
+        # argparse rejects the first call halfway through its parse
+        (("primes", "--bound", "ten", "--list"), 2, ("primes", "--bound", "10")),
+        (("hits", "--seq", "S", "--x", "1/3", "--bound", "50", "--format", "csv"), 0,
+         ("hits", "--seq", "S", "--x", "1/3", "--bound", "50")),
+    ], ids=["sievelab_seed", "usage_error", "hits_format"])
+    def test_each_call_prints_what_it_prints_alone(self, capsys, tmp_path, monkeypatch, first,
+                                                   first_status, second):
+        monkeypatch.chdir(tmp_path)
+        assert main(["seq", "build", "--method", "greedy", "--bound", "200", "--c", "1/2",
+                     "--out", "S"]) == 0
+        capsys.readouterr()
+        alone = []
+        for argv in (first, second):
+            cli._build_parser.cache_clear()  # as in a process of its own
+            alone.append(self.status_and_output(capsys, argv))
+        assert [status for status, _, _ in alone] == [first_status, 0]
+        mixed = [self.status_and_output(capsys, argv) for argv in (first, second, first, second)]
+        assert mixed == alone * 2
+        if first[0] == "sievelab":
+            assert json.loads(mixed[1][1])["mc"]["seed"] == 1729
+
+    def test_main_calls_the_handler_in_the_dispatch_table(self, capsys, monkeypatch):
+        # the benchmark tracer wraps handlers by replacing them in module-level dicts
+        seen = []
+
+        def wrapper(args):
+            seen.append(args.bound)
+            return cli.cmd_primes(args)
+
+        monkeypatch.setitem(cli._HANDLERS, "primes", wrapper)
+        assert run_cli(capsys, "primes", "--bound", "10") == (
+            0, '{\n  "bound": 10,\n  "count": 4\n}\n', ""
+        )
+        assert seen == [10]
 
 
 class TestReproducibility:

@@ -1,6 +1,7 @@
 import math
 from bisect import bisect_right
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from primecover.primes import (
     harmonic_H,
     harmonic_H_float,
     is_prime,
+    iter_primes,
     next_prime,
     prime_count,
     primes_between,
@@ -158,6 +160,25 @@ class TestOddOnlyWindows:
         primes = primes_between(10**9 - 10**4, 10**9)
         assert len(primes) == 475
         assert primes == [n for n in range(10**9 - 10**4 + 1, 10**9 + 1) if is_prime(n)]
+
+
+class TestIterPrimes:
+    """The lazy walk: the primes of sieve_range, one window at a time."""
+
+    # 2 * _SEGMENT + 1 ends the first window, 2 * _SEGMENT + 3 starts the second
+    @pytest.mark.parametrize("bound", [2, 3, 10**4, 2 * _SEGMENT - 1, 2 * _SEGMENT + 1])
+    def test_matches_sieve_range(self, bound):
+        primes = tuple(iter_primes(bound))
+        assert primes == sieve_range(bound) == tuple(oracle_between(1, bound))
+
+    @pytest.mark.parametrize("bound", [1, 0, -7])
+    def test_rejects_small_bound_at_the_call(self, bound):
+        with pytest.raises(ValueError, match=f"^sieve bound must be >= 2, got {bound}$"):
+            iter_primes(bound)
+
+    def test_sieves_only_what_is_taken(self):
+        # base primes to 1e6, then one window of the 1.9 million to 1e12
+        assert list(islice(iter_primes(10**12), 6)) == [2, 3, 5, 7, 11, 13]
 
 
 class TestHarmonic:

@@ -16,6 +16,7 @@ from oracles import (
     _insert_segment,
     _SegmentCover,
     arc_of,
+    every_prime_greedy,
     fraction_scan_pick,
     greedy_step,
     measure,
@@ -24,7 +25,7 @@ from oracles import (
 )
 from primecover.arcs import arc_pieces, rat_str
 from primecover.hits import fractional_classes, hit_classes, rational_point
-from primecover.primes import sieve_range
+from primecover.primes import iter_primes, sieve_range
 from primecover.sequences import (
     METHODS,
     Block,
@@ -148,13 +149,16 @@ def test_c_outside_range_rejected_before_sieving(build, c):
         build(c)
 
 
-# every per-prime scan leaves its bound to sieve_range; generators are consumed
+# every per-prime scan leaves its bound to iter_primes, directly or through
+# sieve_range; generators are consumed
 SMALL_BOUND_ENTRY_POINTS = {
     "random_sequence": lambda bound: random_sequence(bound, HALF, 0),
     "constant_sequence": lambda bound: constant_sequence(bound, HALF),
     "greedy_sequence": lambda bound: greedy_sequence(bound, HALF),
     "block_construction": lambda bound: block_construction([HALF], HALF, bound),
     "sieve_range": sieve_range,
+    # checked at the call, before a prime is asked for
+    "iter_primes": iter_primes,
     "hit_classes": lambda bound: list(
         hit_classes(rational_point(F(1, 3)), constant_sequence(10, HALF), bound)
     ),
@@ -238,6 +242,36 @@ class TestGreedy:
     def test_rejects_bad_c(self):
         with pytest.raises(ValueError):
             greedy_sequence(10, F(2, 3))
+
+    @pytest.mark.parametrize("c, bound", [
+        *((HALF, bound) for bound in (2, 7, 11, 10**4)),
+        # the cover never fills at these c: every prime is picked
+        *((c, bound) for c in (F(1, 4), F(1, 3)) for bound in (2, 7, 11, 2000)),
+    ])
+    def test_early_exit_matches_picking_every_prime(self, c, bound):
+        assert greedy_sequence(bound, c) == every_prime_greedy(bound, c)
+
+    @pytest.mark.parametrize("bound", [7, 11, 10**4])
+    def test_no_pick_or_add_once_the_cover_is_full(self, monkeypatch, bound):
+        # each call records whether the cover was already full when it began
+        calls = []
+        pick, add = _Cover.pick, _Cover.add
+
+        def recording_pick(cover, p, c):
+            calls.append(("pick", p, cover.full))
+            return pick(cover, p, c)
+
+        def recording_add(cover, pieces):
+            calls.append(("add", None, cover.full))
+            return add(cover, pieces)
+
+        monkeypatch.setattr(_Cover, "pick", recording_pick)
+        monkeypatch.setattr(_Cover, "add", recording_add)
+        seq = greedy_sequence(bound, HALF)
+        # full after the add of p = 7, and nothing runs after that
+        assert [p for name, p, _ in calls if name == "pick"] == [2, 3, 5, 7]
+        assert len(calls) == 8 and not any(full for *_, full in calls)
+        assert seq.entries[4:] == tuple((p, 0) for p in sieve_range(bound)[4:])
 
     def test_segment_cover_matches_union_measure(self):
         rng = random.Random(17)
@@ -590,6 +624,14 @@ class TestBlocks:
             "budget exhausted at block 1: primes up to 30 leave ~9.999999e-1 (approximate; "
             f"exact value has a {num_digits}-digit numerator and a {den_digits}-digit "
             "denominator) uncovered, target 1/2"
+        )
+
+    def test_bound_far_past_the_last_block(self):
+        # the walk stops at p = 673, where the last target is met, so a bound
+        # of 1e8 sieves one window, not the 5.8 million primes below it
+        epsilons = ["1/2", "1/4", "1/8"]
+        assert block_construction(epsilons, "1/2", 10**8) == block_construction(
+            epsilons, "1/2", 10**5
         )
 
     def test_bad_epsilon_rejected(self):
