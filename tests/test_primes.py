@@ -165,16 +165,12 @@ class TestOddOnlyWindows:
 class TestIterPrimes:
     """The lazy walk: the primes of sieve_range, one window at a time."""
 
-    # 2 * _SEGMENT + 1 ends the first window, 2 * _SEGMENT + 3 starts the second
+    # 2 * _SEGMENT + 1 is the last number of the first window (test_sequences checks
+    # a bound below 2 at the call)
     @pytest.mark.parametrize("bound", [2, 3, 10**4, 2 * _SEGMENT - 1, 2 * _SEGMENT + 1])
     def test_matches_sieve_range(self, bound):
         primes = tuple(iter_primes(bound))
         assert primes == sieve_range(bound) == tuple(oracle_between(1, bound))
-
-    @pytest.mark.parametrize("bound", [1, 0, -7])
-    def test_rejects_small_bound_at_the_call(self, bound):
-        with pytest.raises(ValueError, match=f"^sieve bound must be >= 2, got {bound}$"):
-            iter_primes(bound)
 
     def test_sieves_only_what_is_taken(self):
         # base primes to 1e6, then one window of the 1.9 million to 1e12
