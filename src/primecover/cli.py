@@ -17,11 +17,13 @@ import os
 import sys
 import tempfile
 from fractions import Fraction
+from itertools import filterfalse
 from pathlib import Path
 from typing import Iterator, Optional, Sequence
 
 from .arcs import checked_c, rat_str, to_fraction
 from .ergodic import ergodic_rows, sparse_prime_set
+from .fanout import map_chunks
 from .hits import (
     Classified,
     HitReport,
@@ -207,6 +209,13 @@ def _float_arg(text: str) -> float:
         raise CliError(f"{text!r} is too large for a float") from None
 
 
+def _ergodic_csv(seq, x: float, y: float, primes: Sequence[int]) -> str:
+    return "".join(
+        f"{p},{a},{distance!r},{abs(s)!r},{is_hit:d},{method}\n"
+        for p, a, distance, s, method, is_hit in ergodic_rows(seq, x, y, primes)
+    )
+
+
 def cmd_ergodic(args: argparse.Namespace) -> str:
     seq = _load_seq(args)
     x, y = _float_arg(args.x), _float_arg(args.y)
@@ -214,12 +223,13 @@ def cmd_ergodic(args: argparse.Namespace) -> str:
         primes = sparse_prime_set(args.primes_up_to, args.sparse).primes
     else:
         primes = sieve_range(args.primes_up_to)
-    lines = ["p,a_p,d,abs_s,is_hit,method\n"]
-    lines.extend(
-        f"{p},{a},{distance!r},{abs(s)!r},{is_hit:d},{method}\n"
-        for p, a, distance, s, method, is_hit in ergodic_rows(seq, x, y, primes)
-    )
-    return "".join(lines)
+    # fail before any row: the first listed prime that the sequence lacks (the
+    # smallest, as the primes ascend) raises the error its row would
+    missing = next(filterfalse(seq.numerators.__contains__, primes), None)
+    if missing is not None:
+        seq.numerator_for(missing)
+    chunks = map_chunks(functools.partial(_ergodic_csv, seq, x, y), primes)
+    return "p,a_p,d,abs_s,is_hit,method\n" + "".join(chunks)
 
 
 def _write_out(path: str, text: str) -> None:

@@ -68,6 +68,7 @@ from .arcs import (
     to_fraction,
     tree_sum,
 )
+from .fanout import map_chunks
 from .primes import is_prime, primes_between
 from .sequences import NumeratorSequence, uncovered_by, uniform_numerators
 
@@ -366,7 +367,7 @@ def omega_expectation_mc(
     Each trial draws its numerators from a stream derived from (seed,
     trial index), so results are identical however the trials are
     scheduled; each trial's uncovered measure is computed exactly and
-    only the final aggregation is floated. Trials run one after another.
+    only the final aggregation is floated.
     """
     x, y = to_fraction(x), to_fraction(y)
     if trials < 1:
@@ -378,11 +379,17 @@ def omega_expectation_mc(
 
     # every trial's value has a denominator dividing v * P, P = prod p
     common = c.denominator * math.prod(primes)
-    values = []
-    for i in range(trials):
-        rng = random.Random(_trial_seed(seed, i))
-        value = uncovered_by(uniform_numerators(rng, primes), c)
-        values.append(_over(value, common))
+
+    def run(indices: range) -> list[int]:
+        values = []
+        for i in indices:
+            rng = random.Random(_trial_seed(seed, i))
+            value = uncovered_by(uniform_numerators(rng, primes), c)
+            values.append(_over(value, common))
+        return values
+
+    # a trial does one per-prime evaluation for each prime of the range
+    values = [value for chunk in map_chunks(run, range(trials), len(primes)) for value in chunk]
 
     # mean = S/(T*L) and variance = sum (T*V_i - S)^2 / (T^2 * L^2 * (T - 1))
     # with value i = V_i/L; int / int rounds the exact ratio correctly, as

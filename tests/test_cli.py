@@ -3,12 +3,13 @@ import json
 import os
 import re
 import shlex
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from primecover import cli
+from primecover import cli, fanout
 from primecover.cli import DEFAULT_ETA, main
 from primecover.ergodic import ergodic_rows
 from primecover.primes import sieve_range
@@ -22,6 +23,21 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def split_and_serial(capsys, monkeypatch, *argv):
+    """run_cli results with the work split over 4 processes, and serially."""
+    forks = []
+    fork = fanout._fork
+    monkeypatch.setattr(fanout, "_fork", lambda *a: forks.append(1) or fork(*a))
+    monkeypatch.setattr(fanout, "MIN_CHUNK", 1)
+    monkeypatch.setattr(fanout, "cpu_count", lambda: 4)
+    split = run_cli(capsys, *argv)
+    assert len(forks) == 3
+    monkeypatch.setattr(fanout, "cpu_count", lambda: 1)
+    serial = run_cli(capsys, *argv)
+    assert len(forks) == 3
+    return split, serial
 
 
 class TestPrimesCommand:
@@ -275,7 +291,7 @@ class TestSievelabCommand:
         levels = {int(k): F(v) for k, v in doc["levels"].items()}
         assert sum(levels.values()) == 1
 
-    def test_mc_block(self, capsys):
+    def test_mc_block(self, capsys, monkeypatch):
         code, out, _ = run_cli(
             capsys, "sievelab", "--x", "2", "--y", "30", "--c", "1/4",
             "--mc", "20", "--seed", "5",
@@ -285,6 +301,12 @@ class TestSievelabCommand:
         assert doc["mc"]["trials"] == 20
         assert doc["mc"]["seed"] == 5
         assert 0.0 <= doc["mc"]["mean"] <= 1.0
+        # the trials split over processes give the serial bytes
+        split, serial = split_and_serial(
+            capsys, monkeypatch, "sievelab", "--x", "2", "--y", "30", "--c", "1/4",
+            "--mc", "7", "--seed", "5",
+        )
+        assert split == serial and split[0] == 0
 
     def test_requires_mode(self, capsys):
         code, _, err = run_cli(capsys, "sievelab", "--x", "2", "--y", "7", "--c", "1/2")
@@ -503,6 +525,36 @@ class TestErgodicCommand:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "0076abd16edb19a94aabe82d3943fe3ccfe1e21f71b4f36563e4bf5e70ab4840"
         )
+
+    @pytest.mark.parametrize("extra", [
+        ("--x", "0.3", "--y", "0.7123"),
+        ("--x", "0.3", "--y", "0.7123", "--sparse", "geometric"),
+        ("--x", "1/3", "--y", "0.7123"),
+    ], ids=["dense", "sparse", "rational"])
+    def test_split_output_equals_serial(self, capsys, monkeypatch, seq_file, extra):
+        split, serial = split_and_serial(
+            capsys, monkeypatch, "ergodic", "--seq", seq_file, "--primes-up-to", "300", *extra
+        )
+        assert split == serial and split[0] == 0
+
+    @pytest.mark.parametrize("drop, bound, prime", [
+        (101, 300, 101),  # one prime missing mid-range
+        (None, 400, 307),  # the file ends below the bound
+    ], ids=["mid_range", "below_bound"])
+    def test_missing_prime_fails_before_any_row(self, capsys, monkeypatch, tmp_path, seq_file,
+                                                drop, bound, prime):
+        seq = load_sequence(seq_file)
+        custom = tmp_path / "custom.json"
+        entries = tuple((p, a) for p, a in seq.entries if p != drop)
+        custom.write_text(sequence_text(replace(seq, entries=entries, method="custom")))
+        monkeypatch.setattr(cli, "ergodic_rows", lambda *a: pytest.fail("a row was computed"))
+        out_file = tmp_path / "o.csv"
+        code, out, err = run_cli(
+            capsys, "ergodic", "--seq", str(custom), "--x", "0.3", "--y", "0.5",
+            "--primes-up-to", str(bound), "--out", str(out_file),
+        )
+        assert (code, out, err) == (1, "", f"error: sequence has no entry for prime {prime}\n")
+        assert not out_file.exists()
 
     def test_point_too_large_for_a_float(self, capsys, seq_file):
         code, out, err = run_cli(
