@@ -229,7 +229,7 @@ def cmd_ergodic(args: argparse.Namespace) -> str:
     if missing is not None:
         seq.numerator_for(missing)
     chunks = map_chunks(functools.partial(_ergodic_csv, seq, x, y), primes)
-    return "p,a_p,d,abs_s,is_hit,method\n" + "".join(chunks)
+    return "".join(["p,a_p,d,abs_s,is_hit,method\n", *chunks])
 
 
 def _write_out(path: str, text: str) -> None:
