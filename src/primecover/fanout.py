@@ -26,13 +26,15 @@ from typing import Callable, Sequence, TypeVar
 
 T = TypeVar("T")
 
-# The least work, in per-prime evaluations, that is worth a fork: about
-# 10 ms. Measured on a 2-core VM with Python 3.11.7: a fork, pipe and
-# reap round trip with an empty chunk costs 1.0-1.5 ms from a 60 MiB
-# process, a worker's copy-on-write faults cost the caller about as much
-# again, and both users do one per-prime evaluation in 3-5 us (an
-# `ergodic` CSV row, rows and text, 5.1 us; one prime of one Monte Carlo
-# trial at Y = 5000, 3.6 us), so 2000 of them are about 10 ms of work.
+# The least work, in per-prime evaluations, that is worth a fork. Measured
+# on a 2-core VM with Python 3.11.7, in a 43 MiB process holding the 1e6
+# sequence: a fork, pipe and reap round trip with a trivial chunk costs
+# 3.1-3.7 ms; two chunks of `ergodic` rows match one serial call at 1,000
+# rows each (about 12 ms in all), beat it in two runs of three at 2,000
+# each (19-20 ms against 25-26 ms) and in all three at 4,000 each (34-39
+# ms against 48-55 ms). One per-prime evaluation is an `ergodic` CSV row
+# (4.7-6.5 us) or one prime of one Monte Carlo trial (2.0 us at Y = 5000),
+# so a chunk of 2,000 is 4-13 ms of work.
 MIN_CHUNK = 2000
 
 
