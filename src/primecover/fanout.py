@@ -9,10 +9,10 @@ items gives, byte for byte, whatever the number of cores.
 
 The number of chunks is worked out, never set: the smaller of the CPUs
 this process may run on and the chunks worth a fork (at least
-`MIN_CHUNK` units of work each). It runs serially when `os.fork` is
-missing, when other threads are alive (a forked child gets a copy of
-every lock but only the forking thread) or when only one chunk is worth
-it. A worker copies the caller's memory page by page as either side
+`MIN_CHUNK` units of work each). It runs serially on one CPU, when
+`os.fork` is missing, when other threads are alive (a forked child gets
+a copy of every lock but only the forking thread) or when only one chunk
+is worth it. A worker copies the caller's memory page by page as either side
 writes, so each worker adds its own resident memory.
 """
 
