@@ -1,7 +1,7 @@
 """Exact integer core for closed arcs on the unit circle R/Z.
 
-A covered set has one representation: sweep pieces (start, end, den,
-tag), the closed interval [start/den, end/den] with integer endpoints.
+A covered set has one representation: sweep pieces (start, end, den),
+the closed interval [start/den, end/den] with integer endpoints.
 No floating point enters any measure, and all operations treat the
 circle, not the interval [0, 1], as the underlying space, so an arc of
 half-width c/p has measure exactly 2c/p wherever its center sits.
@@ -9,8 +9,8 @@ half-width c/p has measure exactly 2c/p wherever its center sits.
 - `arc_pieces` turns (p, a_p) pairs into pieces: with c = u/v the arc
   of a/p is [a*v - u, a*v + u] in units of 1/(p*v), and the arc of 0
   splits at 0, so no Fraction is built per endpoint.
-- Endpoints are sorted in two places, both by the exact integer key
-  floor(x * 2^b) of `sweep`. `sweep` walks every endpoint in order for
+- Endpoints are ordered by one exact integer key, floor(x * 2^b) with
+  b = `key_shift(max_den)`. `sweep` walks every endpoint in order for
   the level sets and the exact expectation. `union_length`, which the
   Monte Carlo trials and the coverage reports use, is one merge of the
   pieces sorted by start key: it needs the runs only, not the count
@@ -22,8 +22,8 @@ half-width c/p has measure exactly 2c/p wherever its center sits.
 - `coprime_fraction` makes a Fraction of coprime ints without the gcd
   the constructor would take, for sums whose reduced form is known.
 - `to_fraction` parses rationals, `checked_c` also checks that the
-  half-width constant c lies in (0, 1/2], and `rat_str` prints
-  rationals as "num/den".
+  half-width constant c lies in (0, 1/2], `checked_range` that a prime
+  range (X, Y] has X < Y, and `rat_str` prints rationals as "num/den".
 
 `Arc` is a closed arc with Fraction endpoints. Only the Fraction oracles
 of the tests build Arcs; it stays here because the benchmark's tracer
@@ -66,6 +66,14 @@ def checked_c(value: RationalLike) -> Fraction:
     if not (0 < c <= HALF):
         raise ValueError(f"c must lie in (0, 1/2], got {c}")
     return c
+
+
+def checked_range(x: RationalLike, y: RationalLike) -> tuple[Fraction, Fraction]:
+    """The prime range (X, Y] as two Fractions, checked to have X < Y."""
+    x, y = to_fraction(x), to_fraction(y)
+    if not x < y:
+        raise ValueError(f"need X < Y, got X={x}, Y={y}")
+    return x, y
 
 
 def rat_str(q: Fraction) -> str:
@@ -112,23 +120,23 @@ class Arc:
 
 def arc_pieces(
     entries: Iterable[tuple[int, int]], c: Fraction
-) -> Iterator[tuple[int, int, int, int]]:
-    """The arcs of (p, a) pairs as sweep pieces (start, end, p, p), scaled by v.
+) -> Iterator[tuple[int, int, int]]:
+    """The arcs of (p, a) pairs as sweep pieces (start, end, p), scaled by v.
 
     With c = u/v the arc of a/p is [a*v - u, a*v + u] in units of 1/(p*v).
     Scaled by v (the circle becomes [0, v]), each endpoint is that integer
-    over p, and the piece is tagged with p. With 0 <= a < p and
-    0 < c <= 1/2 only a = 0 reaches below 0, and no arc reaches past p*v,
-    so the wrapping arc splits into [p*v - u, p*v] and [0, u]. Arguments
-    are trusted; the callers check them.
+    over p. With 0 <= a < p and 0 < c <= 1/2 only a = 0 reaches below 0,
+    and no arc reaches past p*v, so the wrapping arc splits into
+    [p*v - u, p*v] and [0, u]. Arguments are trusted; the callers check
+    them.
     """
     u, v = c.numerator, c.denominator
     for p, a in entries:
         if a:
-            yield a * v - u, a * v + u, p, p
+            yield a * v - u, a * v + u, p
         else:
-            yield p * v - u, p * v, p, p
-            yield 0, u, p, p
+            yield p * v - u, p * v, p
+            yield 0, u, p
 
 
 def tree_sum(terms: Iterable[tuple[int, int]]) -> tuple[int, int]:
@@ -164,55 +172,59 @@ def exact_sum(terms: Iterable[tuple[int, int]]) -> Fraction:
     return Fraction(*tree_sum(terms))
 
 
+# Fraction(n, d) takes gcd(n, d), which is quadratic in CPython and dominates
+# once n and d have a million bits. Skipping it needs private API:
+# `Fraction._from_coprime_ints` from Python 3.12, the `_normalize` flag before.
+# The caller must know that the pair is reduced; a pair that is not makes a
+# Fraction that compares unequal to its value.
 if sys.version_info >= (3, 12):
-    _from_coprime = Fraction._from_coprime_ints
+    def coprime_fraction(n: int, d: int) -> Fraction:
+        """n/d as a Fraction, for coprime ints n and d > 0, without a gcd."""
+        return Fraction._from_coprime_ints(n, d)
 else:
-    def _from_coprime(n: int, d: int) -> Fraction:
+    def coprime_fraction(n: int, d: int) -> Fraction:
+        """n/d as a Fraction, for coprime ints n and d > 0, without a gcd."""
         return Fraction(n, d, _normalize=False)
 
 
-def coprime_fraction(n: int, d: int) -> Fraction:
-    """n/d as a Fraction, for coprime ints n and d > 0, without a gcd.
+def key_shift(max_den: int) -> int:
+    """The b of the exact endpoint key floor(x * 2^b) for dens up to max_den.
 
-    Fraction(n, d) takes gcd(n, d), which is quadratic in CPython and
-    dominates once n and d have a million bits. Skipping it needs private
-    API: `Fraction._from_coprime_ints` from Python 3.12, the `_normalize`
-    flag before. The caller must know that the pair is reduced; a pair
-    that is not makes a Fraction that compares unequal to its value.
+    b = 2B + 1, B the bit length of max_den. Distinct endpoints differ by
+    at least 2^-2B, so the key orders them exactly and gives equal
+    endpoints equal keys.
     """
-    return _from_coprime(n, d)
+    return 2 * max_den.bit_length() + 1
 
 
 def sweep(
-    pieces: Iterable[tuple[int, int, int, object]],
-) -> Iterator[tuple[int, int, list, list]]:
-    """Walk the endpoints of closed pieces (start, end, den, tag) in ascending order.
+    pieces: Iterable[tuple[int, int, int]],
+) -> Iterator[tuple[int, int, list[int], list[int]]]:
+    """Walk the endpoints of closed pieces (start, end, den) in ascending order.
 
     A piece is [start/den, end/den] with integers start <= end and den > 0.
-    Yields (num, den, tags starting there, tags ending there) once per
-    distinct position, num/den being the position as one of the pieces
-    ending or starting there gave it. Endpoints are sorted by the exact
-    integer key floor(x * 2^b) with b = 2B + 1, B the bit length of the
-    largest den: distinct endpoints differ by at least 2^-2B, so the key
-    orders them exactly and gives equal endpoints equal keys.
+    Yields (num, den, dens of the pieces starting there, dens of those
+    ending there) once per distinct position, num/den being the position
+    as one of those pieces gave it. Endpoints are sorted by the
+    `key_shift` key.
     """
     pieces = list(pieces)
     if not pieces:
         return
-    shift = 2 * max(map(itemgetter(2), pieces)).bit_length() + 1
-    events = [((start << shift) // den, start, den, True, tag) for start, _, den, tag in pieces]
-    events += [((end << shift) // den, end, den, False, tag) for _, end, den, tag in pieces]
+    shift = key_shift(max(map(itemgetter(2), pieces)))
+    events = [((start << shift) // den, start, den, True) for start, _, den in pieces]
+    events += [((end << shift) // den, end, den, False) for _, end, den in pieces]
     del pieces  # the walk reads the events only; the piece tuples would add to its peak
     events.sort(key=itemgetter(0))
     last = events[0][0]
     starts, ends = [], []
-    for key, num, den, is_start, tag in events:
+    for key, num, den, is_start in events:
         if key != last:
             yield at_num, at_den, starts, ends
             starts, ends = [], []
             last = key
         at_num, at_den = num, den
-        (starts if is_start else ends).append(tag)
+        (starts if is_start else ends).append(den)
     yield at_num, at_den, starts, ends
 
 
@@ -230,10 +242,10 @@ def runs_length(runs: Iterable[tuple[int, int, int, int]]) -> Fraction:
     return exact_sum((num, den) for den, num in totals.items())
 
 
-def union_length(pieces: Iterable[tuple[int, int, int, object]]) -> Fraction:
-    """Exact length of the union of closed pieces (start, end, den, tag).
+def union_length(pieces: Iterable[tuple[int, int, int]]) -> Fraction:
+    """Exact length of the union of closed pieces (start, end, den).
 
-    The pieces are sorted by the start key of `sweep`, and one merge
+    The pieces are sorted by their `key_shift` start key, and one merge
     grows a run while the next piece starts at or before the run's end
     key: closed pieces that touch share a point, so they join one run.
     The runs then go to `runs_length`.
@@ -241,8 +253,8 @@ def union_length(pieces: Iterable[tuple[int, int, int, object]]) -> Fraction:
     pieces = list(pieces)
     if not pieces:
         return ZERO
-    shift = 2 * max(map(itemgetter(2), pieces)).bit_length() + 1
-    keyed = [((start << shift) // den, start, end, den) for start, end, den, _ in pieces]
+    shift = key_shift(max(map(itemgetter(2), pieces)))
+    keyed = [((start << shift) // den, start, end, den) for start, end, den in pieces]
     keyed.sort(key=itemgetter(0))
     runs = []
     top = -1  # end key of the open run

@@ -25,6 +25,7 @@ from .arcs import checked_c, rat_str, to_fraction
 from .ergodic import ergodic_rows, sparse_prime_set
 from .fanout import map_chunks
 from .hits import (
+    NAMED_APPROXIMANTS,
     Classified,
     HitReport,
     approximant_named,
@@ -310,7 +311,7 @@ def _build_parser() -> argparse.ArgumentParser:
     h = sub.add_parser("hits", help="hit primes of x against a sequence")
     h.add_argument("--seq", required=True, dest="seq_path")
     h.add_argument("--x")
-    h.add_argument("--x-named", choices=["sqrt2", "golden"], dest="x_named")
+    h.add_argument("--x-named", choices=NAMED_APPROXIMANTS, dest="x_named")
     h.add_argument("--eta", help=f"with --x-named only (default {DEFAULT_ETA})")
     h.add_argument("--bound", type=int, required=True)
     h.add_argument("--format", choices=["json", "csv"], default="json", dest="out_format")
@@ -318,7 +319,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     f = sub.add_parser("fracparts", help="primes with fractional part of x*p below c")
     f.add_argument("--x")
-    f.add_argument("--x-named", choices=["sqrt2", "golden"], dest="x_named")
+    f.add_argument("--x-named", choices=NAMED_APPROXIMANTS, dest="x_named")
     f.add_argument("--eta", help=f"with --x-named only (default {DEFAULT_ETA})")
     f.add_argument("--c", required=True)
     f.add_argument("--bound", type=int, required=True)

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .arcs import RationalLike, to_fraction
 from .primes import next_prime
 from .sequences import NumeratorSequence
 
@@ -120,7 +119,6 @@ class SparsePrimeSet:
 
     primes: tuple[int, ...]
     weight_sum: float  # sum of log p / p over the members
-    generator: str
 
 
 def sparse_prime_set(bound: int, mode: str = "geometric") -> SparsePrimeSet:
@@ -136,10 +134,8 @@ def sparse_prime_set(bound: int, mode: str = "geometric") -> SparsePrimeSet:
         raise ValueError(f"bound must be >= 2, got {bound}")
     if mode == "geometric":
         skeleton_base = 4
-        generator = "least prime above 4^n"
     elif mode == "psi":
         skeleton_base = 2
-        generator = "least prime above 2^n"
     else:
         raise ValueError(f"unknown mode {mode!r}; choose 'geometric' or 'psi'")
 
@@ -153,4 +149,4 @@ def sparse_prime_set(bound: int, mode: str = "geometric") -> SparsePrimeSet:
         n += 1
 
     weight_sum = math.fsum(math.log(p) / p for p in members)
-    return SparsePrimeSet(primes=tuple(members), weight_sum=weight_sum, generator=generator)
+    return SparsePrimeSet(primes=tuple(members), weight_sum=weight_sum)

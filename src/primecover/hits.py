@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 from .arcs import RationalLike, to_fraction
 from .primes import MERTENS, harmonic_H_float, sieve_range
@@ -44,60 +44,39 @@ def rational_point(value: RationalLike) -> RealApproximant:
     return RealApproximant(v, Fraction(0), f"rational {v}")
 
 
-def _convergents(coefficients: Iterator[int]) -> Iterator[tuple[int, int]]:
-    h_prev, h = 1, next(coefficients)
-    k_prev, k = 0, 1
-    yield h, k
-    for a in coefficients:
-        h_prev, h = h, a * h + h_prev
-        k_prev, k = k, a * k + k_prev
-        yield h, k
+# each named point's continued fraction [a_0; a, a, a, ...] as (a_0, a)
+NAMED_APPROXIMANTS = {"sqrt2": (1, 2), "golden": (1, 1)}
+
+DEFAULT_NAMED_ETA = Fraction(1, 10**14)
 
 
-def _cf_approximant(coefficients: Callable[[], Iterator[int]], label: str,
-                    eta: RationalLike) -> RealApproximant:
-    """Convergent h/k with certified error 1/(k*k_next) below the target."""
-    target = to_fraction(eta)
-    if target <= 0:
-        raise ValueError(f"eta must be > 0, got {target}")
-    gen = _convergents(coefficients())
-    h, k = next(gen)
-    for h_next, k_next in gen:
-        bound = Fraction(1, k * k_next)
-        if bound <= target:
-            return RealApproximant(Fraction(h, k), bound, label)
-        h, k = h_next, k_next
-    raise RuntimeError("continued fraction expansion exhausted")  # pragma: no cover
+def approximant_named(name: str, eta: RationalLike = DEFAULT_NAMED_ETA) -> RealApproximant:
+    """The first convergent h/k whose certified error 1/(k*k_next) is at most eta.
 
-
-def sqrt2_approximant(eta: RationalLike = Fraction(1, 10**14)) -> RealApproximant:
-    def coeffs():
-        yield 1
-        while True:
-            yield 2
-
-    return _cf_approximant(coeffs, "sqrt2", eta)
-
-
-def golden_approximant(eta: RationalLike = Fraction(1, 10**14)) -> RealApproximant:
-    def coeffs():
-        while True:
-            yield 1
-
-    return _cf_approximant(coeffs, "golden", eta)
-
-
-NAMED_APPROXIMANTS = {"sqrt2": sqrt2_approximant, "golden": golden_approximant}
-
-
-def approximant_named(name: str, eta: RationalLike = Fraction(1, 10**14)) -> RealApproximant:
+    The convergents of [a_0; a, a, ...] start at a_0/1, and each next
+    h and k is a times the last plus the one before it.
+    """
     try:
-        builder = NAMED_APPROXIMANTS[name]
+        h, a = NAMED_APPROXIMANTS[name]
     except KeyError:
         raise ValueError(
             f"unknown named point {name!r}; choose from {sorted(NAMED_APPROXIMANTS)}"
         ) from None
-    return builder(eta)
+    target = to_fraction(eta)
+    if target <= 0:
+        raise ValueError(f"eta must be > 0, got {target}")
+    h_prev, k_prev, k = 1, 0, 1
+    while (bound := Fraction(1, k * (a * k + k_prev))) > target:
+        h_prev, h, k_prev, k = h, a * h + h_prev, k, a * k + k_prev
+    return RealApproximant(Fraction(h, k), bound, name)
+
+
+def sqrt2_approximant(eta: RationalLike = DEFAULT_NAMED_ETA) -> RealApproximant:
+    return approximant_named("sqrt2", eta)
+
+
+def golden_approximant(eta: RationalLike = DEFAULT_NAMED_ETA) -> RealApproximant:
+    return approximant_named("golden", eta)
 
 
 # (p, distance or fractional-part numerator, its denominator, hit, ambiguous)

@@ -27,6 +27,8 @@ from .arcs import (
     RationalLike,
     arc_pieces,
     checked_c,
+    checked_range,
+    key_shift,
     rat_str,
     runs_length,
     to_fraction,
@@ -185,8 +187,8 @@ class _Cover:
     """The covered part of the circle [0, span] as sorted disjoint closed segments.
 
     Endpoints are integer pairs (num, den), ordered by the exact key
-    floor(x * 2^b), b = 2B + 1 for B the bit length of max_den, as in
-    arcs.sweep. span = v takes arcs.arc_pieces for c = u/v as they are.
+    floor(x * 2^b) with b = arcs.key_shift(max_den). span = v takes
+    arcs.arc_pieces for c = u/v as they are.
     gaps[i] is the key length of the gap before segment i. The one segment
     [0, span] is full and adds nothing. The key lengths bound the covered
     length within n / 2^b; the exact measure is computed from the segment
@@ -194,16 +196,16 @@ class _Cover:
     """
 
     def __init__(self, span: int, max_den: int) -> None:
-        self.span, self.shift = span, 2 * max_den.bit_length() + 1
+        self.span, self.shift = span, key_shift(max_den)
         self.top = span << self.shift  # the key of the point span
         self.skeys, self.ekeys, self.starts, self.ends, self.gaps = [], [], [], [], [self.top]
         self.key_length, self.full = 0, False
 
-    def add(self, pieces: Iterable[tuple[int, int, int, object]]) -> bool:
-        """Add closed pieces (start, end, den, tag); True if one added measure."""
+    def add(self, pieces: Iterable[tuple[int, int, int]]) -> bool:
+        """Add closed pieces (start, end, den); True if one added measure."""
         skeys, ekeys, starts, ends = self.skeys, self.ekeys, self.starts, self.ends
         grew = False
-        for start, end, den, _ in pieces:
+        for start, end, den in pieces:
             ks, ke = (start << self.shift) // den, (end << self.shift) // den
             lo = bisect.bisect_left(ekeys, ks)  # first segment ending at or after start
             hi = bisect.bisect_right(skeys, ke)  # segments before hi start at or before end
@@ -331,9 +333,7 @@ def uncovered_measure(
     seq: NumeratorSequence, x: RationalLike, y: RationalLike
 ) -> Fraction:
     """Exact measure of the set missed by every arc of primes in (x, y]."""
-    x, y = to_fraction(x), to_fraction(y)
-    if not x < y:
-        raise ValueError(f"need X < Y, got X={x}, Y={y}")
+    x, y = checked_range(x, y)
     return uncovered_by([(p, seq.numerator_for(p)) for p in primes_between(x, y)], seq.c)
 
 

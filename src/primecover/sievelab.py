@@ -61,11 +61,11 @@ from .arcs import (
     RationalLike,
     arc_pieces,
     checked_c,
+    checked_range,
     coprime_fraction,
     exact_sum,
     rat_str,
     sweep,
-    to_fraction,
     tree_sum,
 )
 from .fanout import map_chunks
@@ -149,9 +149,7 @@ def level_sets(
     moves between primes only at an integer point of [0, v], where n/p
     is an integer, so the second holds for a correct sweep.
     """
-    x, y = to_fraction(x), to_fraction(y)
-    if not x < y:
-        raise ValueError(f"need X < Y, got X={x}, Y={y}")
+    x, y = checked_range(x, y)
     primes = primes_between(x, y)
     c = seq.c
     u, v = c.numerator, c.denominator
@@ -319,11 +317,8 @@ def omega_expectation_exact(
     n * (Q_(i-1) - Q_i) to its prime's integer numerator, and
     E = (exact_sum of those over p, plus v * Q_final) / (v * P).
     """
-    x, y = to_fraction(x), to_fraction(y)
     c = checked_c(c)
-    if not x < y:
-        raise ValueError(f"need X < Y, got X={x}, Y={y}")
-    primes = primes_between(x, y)
+    primes = primes_between(*checked_range(x, y))
     if not primes:
         return Fraction(1)
     endpoint_count = sum(2 * (p + 1) for p in primes)
@@ -369,13 +364,10 @@ def omega_expectation_mc(
     scheduled; each trial's uncovered measure is computed exactly and
     only the final aggregation is floated.
     """
-    x, y = to_fraction(x), to_fraction(y)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     c = checked_c(c)
-    if not x < y:
-        raise ValueError(f"need X < Y, got X={x}, Y={y}")
-    primes = primes_between(x, y)
+    primes = primes_between(*checked_range(x, y))
 
     # every trial's value has a denominator dividing v * P, P = prod p
     common = c.denominator * math.prod(primes)

@@ -126,9 +126,9 @@ def normalize_union(arcs: Iterable[Arc]) -> ArcUnion:
         start = left.numerator * (den // left.denominator)
         end = start + length.numerator * (den // length.denominator)
         if end <= den:
-            pieces.append((start, end, den, None))
+            pieces.append((start, end, den))
         else:
-            pieces += [(start, den, den, None), (0, end - den, den, None)]
+            pieces += [(start, den, den), (0, end - den, den)]
     merged = [
         (Fraction(start, start_den), Fraction(end, end_den))
         for start, start_den, end, end_den in runs(pieces)
@@ -211,7 +211,7 @@ def _greedy_pick(segments, covered: Fraction, p: int, c: Fraction) -> tuple[int,
         return 0, Fraction(0)
     dens = [(s, e, math.lcm(s.denominator, e.denominator)) for s, e in segments]
     cover = _Cover(1, max((den for *_, den in dens), default=1))
-    cover.add((int(s * den), int(e * den), den, None) for s, e, den in dens)
+    cover.add((int(s * den), int(e * den), den) for s, e, den in dens)
     a = cover.pick(p, c)
     return a, cover.free(p, c, a)
 

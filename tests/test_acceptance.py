@@ -37,6 +37,7 @@ from primecover.sievelab import (
     omega_expectation_mc,
     pair_expectation,
 )
+from test_cli import split_and_serial
 
 F = Fraction
 HALF = F(1, 2)
@@ -247,12 +248,9 @@ def test_criterion_11_sparse_set_convergence():
 def test_criterion_12_reproducibility(capsys, monkeypatch, tmp_path):
     args = ["sievelab", "--x", "2", "--y", "200", "--c", "1/4",
             "--exact", "--mc", "50", "--seed", "1729"]
-    monkeypatch.setenv("PRIMECOVER_THREADS", "1")
-    assert cli_main(args) == 0
-    first = capsys.readouterr().out
-    monkeypatch.setenv("PRIMECOVER_THREADS", "4")
-    assert cli_main(args) == 0
-    second = capsys.readouterr().out
+    # one run split over 4 CPUs, one on 1 CPU
+    (code, first, _), (_, second, _) = split_and_serial(capsys, monkeypatch, *args)
+    assert code == 0
     same_json = first.encode() == second.encode()
 
     paths = [tmp_path / "a.json", tmp_path / "b.json"]
@@ -266,4 +264,4 @@ def test_criterion_12_reproducibility(capsys, monkeypatch, tmp_path):
     assert doc["mc"]["trials"] == 50
     with capsys.disabled():
         report(12, same_json and same_file,
-               "byte-identical JSON across runs and thread counts; identical sequence files")
+               "byte-identical JSON across runs and core counts; identical sequence files")

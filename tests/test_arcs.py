@@ -260,10 +260,10 @@ class TestIntegerUnits:
         # pieces are on the circle scaled by v: n/p stands for n/(p*v)
         a = data.draw(st.integers(0, p - 1))
         pieces = list(arc_pieces([(p, a)], c))
-        assert [(F(s, p * c.denominator), F(e, p * c.denominator)) for s, e, _, _ in pieces] == (
+        assert [(F(s, p * c.denominator), F(e, p * c.denominator)) for s, e, _ in pieces] == (
             arc_of(p, a, c).segments()
         )
-        assert all(den == tag == p for _, _, den, tag in pieces)
+        assert all(den == p for _, _, den in pieces)
 
     @given(st.lists(st.tuples(st.integers(-10**30, 10**30), st.integers(1, 10**30)), max_size=40))
     def test_exact_sum_is_the_fraction_sum(self, terms):
@@ -296,13 +296,13 @@ class TestIntegerUnits:
 
     @given(st.lists(st.tuples(st.integers(0, 30), st.integers(0, 30), st.integers(1, 30)), max_size=12))
     def test_sweep_groups_equal_positions(self, raw):
-        pieces = [(min(s, e), max(s, e), d, i) for i, (s, e, d) in enumerate(raw)]
+        pieces = [(min(s, e), max(s, e), d) for s, e, d in raw]
         walked = [(F(n, d), starts, ends) for n, d, starts, ends in sweep(pieces)]
         positions = [pos for pos, _, _ in walked]
-        assert positions == sorted({F(n, d) for s, e, d, _ in pieces for n in (s, e)})
+        assert positions == sorted({F(n, d) for s, e, d in pieces for n in (s, e)})
         for pos, starts, ends in walked:
-            assert sorted(starts) == [i for s, _, d, i in pieces if F(s, d) == pos]
-            assert sorted(ends) == [i for _, e, d, i in pieces if F(e, d) == pos]
+            assert sorted(starts) == sorted(d for s, _, d in pieces if F(s, d) == pos)
+            assert sorted(ends) == sorted(d for _, e, d in pieces if F(e, d) == pos)
 
     def test_union_length_matches_normalize_union(self):
         rng = random.Random(17)
@@ -312,13 +312,13 @@ class TestIntegerUnits:
             for arc in family:
                 for s, e in arc.segments():
                     den = s.denominator * e.denominator
-                    pieces.append((s.numerator * e.denominator, e.numerator * s.denominator, den, None))
+                    pieces.append((s.numerator * e.denominator, e.numerator * s.denominator, den))
             assert union_length(pieces) == measure(normalize_union(family))
 
 
 @st.composite
 def closed_pieces(draw):
-    """Pieces (start, end, den, tag) inside [0, den]: touching ends, duplicates and split arcs."""
+    """Pieces (start, end, den) inside [0, den]: touching ends, duplicates and split arcs."""
     dens = draw(st.lists(st.sampled_from([1, 2, 3, 4, 6, 7, 12, 13]), min_size=1, max_size=3))
     pieces = []
     for _ in range(draw(st.integers(0, 10))):
@@ -328,17 +328,17 @@ def closed_pieces(draw):
             pieces.append(draw(st.sampled_from(pieces)))
         elif kind == "touch" and pieces:
             # starts where an earlier piece ends, over its own denominator
-            s, e, d, _ = draw(st.sampled_from(pieces))
+            s, e, d = draw(st.sampled_from(pieces))
             start = e * den // d if e * den % d == 0 else e * den // d + 1
             end = draw(st.integers(min(start, den), den))
-            pieces.append((min(start, den), end, den, None))
+            pieces.append((min(start, den), end, den))
         elif kind == "wrap":
             # an arc through 0 split at 0, as arc_pieces splits a = 0
             width = draw(st.integers(0, den))
-            pieces += [(den - width, den, den, None), (0, width, den, None)]
+            pieces += [(den - width, den, den), (0, width, den)]
         else:
             a, b = draw(st.integers(0, den)), draw(st.integers(0, den))
-            pieces.append((min(a, b), max(a, b), den, None))
+            pieces.append((min(a, b), max(a, b), den))
     return pieces
 
 

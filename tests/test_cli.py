@@ -625,14 +625,12 @@ class TestReproducibility:
         _, out2, _ = run_cli(capsys, *args)
         assert out1 == out2
 
-    def test_thread_env_does_not_change_bytes(self, capsys, monkeypatch):
-        args = ["sievelab", "--x", "2", "--y", "100", "--c", "1/4",
-                "--mc", "24", "--seed", "9"]
-        monkeypatch.setenv("PRIMECOVER_THREADS", "1")
-        _, serial, _ = run_cli(capsys, *args)
-        monkeypatch.setenv("PRIMECOVER_THREADS", "4")
-        _, threaded, _ = run_cli(capsys, *args)
-        assert serial == threaded
+    def test_core_count_does_not_change_bytes(self, capsys, monkeypatch):
+        split, serial = split_and_serial(
+            capsys, monkeypatch, "sievelab", "--x", "2", "--y", "100", "--c", "1/4",
+            "--mc", "24", "--seed", "9",
+        )
+        assert split == serial and split[0] == 0
 
     def test_seq_files_reproducible(self, capsys, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -438,8 +438,8 @@ def integer_cover_of_arcs(arcs):
     for arc in arcs:
         for s, e in arc.segments():
             den = math.lcm(s.denominator, e.denominator)
-            pieces.append((int(s * den), int(e * den), den, None))
-    cover = _Cover(1, max((den for _, _, den, _ in pieces), default=1))
+            pieces.append((int(s * den), int(e * den), den))
+    cover = _Cover(1, max((den for _, _, den in pieces), default=1))
     cover.add(pieces)
     return cover
 
