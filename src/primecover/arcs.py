@@ -24,6 +24,8 @@ half-width c/p has measure exactly 2c/p wherever its center sits.
 - `to_fraction` parses rationals, `checked_c` also checks that the
   half-width constant c lies in (0, 1/2], `checked_range` that a prime
   range (X, Y] has X < Y, and `rat_str` prints rationals as "num/den".
+  `fraction_text` writes a rational into an error message; past the
+  int-to-str digit limit it gives an approximation instead of raising.
 
 `Arc` is a closed arc with Fraction endpoints. Only the Fraction oracles
 of the tests build Arcs; it stays here because the benchmark's tracer
@@ -32,6 +34,7 @@ imports it and counts the segments that `Arc.segments` returns.
 
 from __future__ import annotations
 
+import math
 import sys
 from collections import defaultdict
 from dataclasses import dataclass
@@ -64,7 +67,7 @@ def checked_c(value: RationalLike) -> Fraction:
     """The arc half-width constant c as a Fraction, checked to lie in (0, 1/2]."""
     c = to_fraction(value)
     if not (0 < c <= HALF):
-        raise ValueError(f"c must lie in (0, 1/2], got {c}")
+        raise ValueError(f"c must lie in (0, 1/2], got {fraction_text(c)}")
     return c
 
 
@@ -72,13 +75,46 @@ def checked_range(x: RationalLike, y: RationalLike) -> tuple[Fraction, Fraction]
     """The prime range (X, Y] as two Fractions, checked to have X < Y."""
     x, y = to_fraction(x), to_fraction(y)
     if not x < y:
-        raise ValueError(f"need X < Y, got X={x}, Y={y}")
+        raise ValueError(f"need X < Y, got X={fraction_text(x)}, Y={fraction_text(y)}")
     return x, y
 
 
 def rat_str(q: Fraction) -> str:
     """Render a Fraction as "num/den" (always with the slash)."""
     return f"{q.numerator}/{q.denominator}"
+
+
+def fraction_text(q: Fraction) -> str:
+    """q as str() gives it, or, past the int-to-str digit limit, an approximation.
+
+    The one formatter for a rational in an error message. The
+    approximation names the digit counts of the exact numerator and
+    denominator and truncates q to 7 significant digits; nothing here
+    converts a long int to str, so building it cannot raise.
+    """
+    try:
+        return str(q)
+    except ValueError:
+        pass
+    num, den = abs(q.numerator), q.denominator
+    num_digits, den_digits = _digit_count(num), _digit_count(den)
+    shift = 7 - (num_digits - den_digits)  # |q| * 10^shift lies in (10^6, 10^8)
+    mantissa = num * 10**shift // den if shift >= 0 else num // (den * 10**-shift)
+    digits = str(mantissa)
+    return (
+        f"~{'-' if q < 0 else ''}{digits[0]}.{digits[1:7]}e{len(digits) - 1 - shift} "
+        f"(approximate; exact value has a {num_digits}-digit numerator and a "
+        f"{den_digits}-digit denominator)"
+    )
+
+
+def _digit_count(n: int) -> int:
+    """Decimal digits of n >= 1, without converting n to str."""
+    # 2^(bits-1) <= n < 2^bits, so floor(bits * log10(2)) is digits - 1 or digits
+    count = int(n.bit_length() * math.log10(2))
+    while n >= 10**count:
+        count += 1
+    return count
 
 
 # perfbench/layers.py imports Arc and patches Arc.segments, so Arc stays here
@@ -95,9 +131,9 @@ class Arc:
 
     def __post_init__(self) -> None:
         if not (ZERO <= self.left < ONE):
-            raise ValueError(f"arc left endpoint {self.left} outside [0, 1)")
+            raise ValueError(f"arc left endpoint {fraction_text(self.left)} outside [0, 1)")
         if not (ZERO <= self.length <= ONE):
-            raise ValueError(f"arc length {self.length} outside [0, 1]")
+            raise ValueError(f"arc length {fraction_text(self.length)} outside [0, 1]")
 
     @property
     def end(self) -> Fraction:

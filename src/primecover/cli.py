@@ -1,8 +1,10 @@
 """Command-line surface: reproducible experiments with JSON/CSV reports.
 
 Each subcommand's handler reads the parsed `argparse.Namespace` and
-returns its output text. Every run is determined by its arguments (seeds
-included), so identical invocations produce byte-identical output.
+returns its output text. `main` writes that text to --out, and
+`seq build` writes its file, through `sequences.write_atomically`.
+Every run is determined by its arguments (seeds included), so identical
+invocations produce byte-identical output.
 Rationals cross the boundary as "num/den" strings; floats appear only in
 explicitly floating-point fields such as Monte Carlo means and |s_p|.
 """
@@ -13,9 +15,7 @@ import argparse
 import functools
 import json
 import math
-import os
 import sys
-import tempfile
 from fractions import Fraction
 from itertools import filterfalse
 from pathlib import Path
@@ -25,6 +25,7 @@ from .arcs import checked_c, rat_str, to_fraction
 from .ergodic import ergodic_rows, sparse_prime_set
 from .fanout import map_chunks
 from .hits import (
+    DEFAULT_NAMED_ETA,
     NAMED_APPROXIMANTS,
     Classified,
     HitReport,
@@ -43,9 +44,10 @@ from .sequences import (
     greedy_sequence,
     load_sequence,
     random_sequence,
+    save_sequence,
     schedule_rows,
-    sequence_text,
     uncovered_measure,
+    write_atomically,
 )
 from .sievelab import (
     alpha_and_markov,
@@ -54,7 +56,7 @@ from .sievelab import (
     omega_expectation_mc,
 )
 
-DEFAULT_ETA = "1e-14"
+DEFAULT_ETA = f"{float(DEFAULT_NAMED_ETA):g}"  # the --eta help text
 
 
 class CliError(Exception):
@@ -82,7 +84,7 @@ def _point(args: argparse.Namespace):
     if (args.x is None) == (args.x_named is None):
         raise CliError("give exactly one of --x or --x-named")
     if args.x_named is not None:
-        return approximant_named(args.x_named, args.eta or DEFAULT_ETA)
+        return approximant_named(args.x_named, args.eta or DEFAULT_NAMED_ETA)
     if args.eta is not None:
         raise CliError("--eta needs --x-named")
     return rational_point(args.x)
@@ -111,7 +113,7 @@ def cmd_seq_build(args: argparse.Namespace) -> str:
         if not args.epsilons:
             raise CliError("blocks method needs --epsilons")
         seq, schedule = block_construction(args.epsilons, args.c, args.bound)
-    _write_out(args.out_path, sequence_text(seq, schedule))
+    save_sequence(seq, args.out_path, schedule)
     summary = {
         "out": args.out_path,
         "method": seq.method,
@@ -233,31 +235,6 @@ def cmd_ergodic(args: argparse.Namespace) -> str:
     return "".join(["p,a_p,d,abs_s,is_hit,method\n", *chunks])
 
 
-def _write_out(path: str, text: str) -> None:
-    """Write text to path all at once or not at all.
-
-    The text goes to a temporary file in the target's directory, which
-    then replaces the target by one rename, so a failed write leaves
-    neither a partial file nor a truncated old one. The file gets the
-    mode a plain open would give it (0o666 less the umask).
-    """
-    target = Path(path)
-    try:
-        fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.", suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(text)
-            umask = os.umask(0)
-            os.umask(umask)
-            os.chmod(tmp, 0o666 & ~umask)
-            os.replace(tmp, target)
-        except BaseException:
-            os.unlink(tmp)
-            raise
-    except OSError as exc:
-        raise CliError(f"cannot write {path}: {exc.strerror or exc}") from None
-
-
 # the handler of each subcommand, looked up when main runs (a module-level
 # dict, so a wrapper put into it is the function main calls)
 _HANDLERS = {
@@ -355,7 +332,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         text = _HANDLERS[args.command](args)
         # seq build writes its --out file itself and prints a summary
         if args.command != "seq" and getattr(args, "out_path", None) is not None:
-            _write_out(args.out_path, text)
+            write_atomically(args.out_path, text)
             return 0
     except (CliError, ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -6,7 +6,9 @@ d = y - a/p. Two evaluators are provided: the direct compensated sum
 (ground truth) and the closed kernel form (fast, with a fallback to the
 direct sum near the removable singularity at d = 0). Their agreement is
 the precision audit for everything downstream. `ergodic_rows` runs the
-closed form and the exact hit test over many primes in one loop.
+closed form and the exact hit test over many primes in one loop, and
+`s_closed` is its row for a single prime, so the audit checks the
+kernel that writes the CSV rows.
 """
 
 from __future__ import annotations
@@ -15,15 +17,12 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+from .arcs import HALF
 from .primes import next_prime
 from .sequences import NumeratorSequence
 
 # below this |sin(pi d)| the kernel ratio is too ill-conditioned; sum directly
 _SIN_FALLBACK = 1e-8
-
-def _e(t: float) -> complex:
-    w = 2.0 * math.pi * t
-    return complex(math.cos(w), math.sin(w))
 
 
 def reduce_offset(d: float) -> float:
@@ -56,16 +55,12 @@ def s_direct(p: int, a: int, x: float, y: float) -> complex:
 def s_closed(p: int, a: int, x: float, y: float) -> complex:
     """Kernel form: e(x) sin(pi p d) / (p sin(pi d)) e((p-1) d / 2).
 
-    Falls back to the direct sum when |sin(pi d)| < 1e-8, where d is so
-    close to the removable singularity that the ratio loses accuracy.
+    The s of the one row that ergodic_rows yields for the sequence {p: a}
+    (its c decides only is_hit). Where |sin(pi d)| < 1e-8, too near the
+    removable singularity for the ratio, that row is the direct sum.
     """
-    _check_numerator(p, a)
-    d = reduce_offset(y - a / p)
-    sin_d = math.sin(math.pi * d)
-    if abs(sin_d) < _SIN_FALLBACK:
-        return s_direct(p, a, x, y)
-    ratio = math.sin(math.pi * p * d) / (p * sin_d)
-    return ratio * _e(x + 0.5 * (p - 1) * d)
+    ((_, _, _, s, _, _),) = ergodic_rows(NumeratorSequence(HALF, ((p, a),)), x, y, (p,))
+    return s
 
 
 # (p, a_p, |d|, s, method, is_hit)
@@ -80,9 +75,9 @@ def ergodic_rows(
 ) -> Iterator[ErgodicRow]:
     """Evaluate the average at (x, y) for each listed prime, in one pass.
 
-    Yields (p, a_p, distance, s, method, is_hit). The reduced offset and
-    the kernel are those of s_closed, operation for operation, written
-    inline. is_hit is exact: a float y is the dyadic rational h/k, and
+    Yields (p, a_p, distance, s, method, is_hit). The reduced offset is
+    that of reduce_offset, written inline; s_closed is one row of this
+    loop. is_hit is exact: a float y is the dyadic rational h/k, and
     with c = u/v the circle distance from y to a/p is n/(k*p), where
     r = (h*p - a*k) mod k*p and n = min(r, k*p - r), so
 

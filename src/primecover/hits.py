@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, NamedTuple
 
-from .arcs import RationalLike, to_fraction
+from .arcs import RationalLike, fraction_text, to_fraction
 from .primes import MERTENS, harmonic_H_float, sieve_range
 from .sequences import NumeratorSequence
 
@@ -36,7 +36,7 @@ class RealApproximant:
 
     def __post_init__(self) -> None:
         if self.eta < 0:
-            raise ValueError(f"eta must be >= 0, got {self.eta}")
+            raise ValueError(f"eta must be >= 0, got {fraction_text(self.eta)}")
 
 
 def rational_point(value: RationalLike) -> RealApproximant:
@@ -64,7 +64,7 @@ def approximant_named(name: str, eta: RationalLike = DEFAULT_NAMED_ETA) -> RealA
         ) from None
     target = to_fraction(eta)
     if target <= 0:
-        raise ValueError(f"eta must be > 0, got {target}")
+        raise ValueError(f"eta must be > 0, got {fraction_text(target)}")
     h_prev, k_prev, k = 1, 0, 1
     while (bound := Fraction(1, k * (a * k + k_prev))) > target:
         h_prev, h, k_prev, k = h, a * h + h_prev, k, a * k + k_prev
@@ -184,7 +184,8 @@ def fractional_classes(x: RealApproximant, c: RationalLike, bound: int) -> Itera
     c = to_fraction(c)
     if x.eta * bound >= Fraction(1, 4):
         raise ValueError(
-            f"x is too imprecise for this range: eta * bound = {x.eta * bound} >= 1/4"
+            "x is too imprecise for this range: "
+            f"eta * bound = {fraction_text(x.eta * bound)} >= 1/4"
         )
     h, k = x.value.numerator, x.value.denominator
     e, big_e = x.eta.numerator, x.eta.denominator

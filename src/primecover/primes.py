@@ -29,7 +29,7 @@ from fractions import Fraction
 from itertools import chain, compress
 from typing import Iterable, Iterator
 
-from .arcs import RationalLike, coprime_fraction, to_fraction, tree_sum
+from .arcs import RationalLike, coprime_fraction, fraction_text, to_fraction, tree_sum
 
 _SEGMENT = 1 << 18  # flags per window, one per odd number
 
@@ -143,7 +143,7 @@ def harmonic_H(x: RationalLike, y: RationalLike) -> Fraction:
     """
     x, y = to_fraction(x), to_fraction(y)
     if not 1 <= x < y:
-        raise ValueError(f"need 1 <= X < Y, got X={x}, Y={y}")
+        raise ValueError(f"need 1 <= X < Y, got X={fraction_text(x)}, Y={fraction_text(y)}")
     return harmonic_sum(primes_between(x, y))
 
 
@@ -162,5 +162,5 @@ def harmonic_H_float(x: RationalLike, y: RationalLike) -> float:
     """Floating-point sum of 1/p over primes x < p <= y."""
     x, y = to_fraction(x), to_fraction(y)
     if not 1 <= x < y:
-        raise ValueError(f"need 1 <= X < Y, got X={x}, Y={y}")
+        raise ValueError(f"need 1 <= X < Y, got X={fraction_text(x)}, Y={fraction_text(y)}")
     return math.fsum(1.0 / p for p in primes_between(x, y))

@@ -5,6 +5,11 @@ to a bound. Constructions: independent uniform residues (seeded), the
 greedy rule that maximizes covered measure one prime at a time, a
 constant all-zero baseline, and a block builder that certifies each
 prime block's uncovered measure against a target.
+
+A sequence file is `sequence_text`, written by `save_sequence` and read
+by `load_sequence`. `write_atomically` is the one writer of the package:
+the sequence files and the CLI's --out reports go through it, so a file
+is replaced whole or left as it was.
 """
 
 from __future__ import annotations
@@ -12,8 +17,9 @@ from __future__ import annotations
 import bisect
 import gc
 import json
-import math
+import os
 import random
+import tempfile
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,6 +34,7 @@ from .arcs import (
     arc_pieces,
     checked_c,
     checked_range,
+    fraction_text,
     key_shift,
     rat_str,
     runs_length,
@@ -52,37 +59,6 @@ class BudgetExhaustedError(RuntimeError):
 
 class SequenceFileError(ValueError):
     """A sequence file that cannot be read as a NumeratorSequence; names the file."""
-
-
-def _fraction_text(q: Fraction) -> str:
-    """q >= 0 as str() gives it, or, past the int-to-str digit limit, an approximation.
-
-    The approximation names the digit counts of the exact numerator and
-    denominator and truncates q to 7 significant digits; nothing here
-    converts a long int to str, so building it cannot raise.
-    """
-    try:
-        return str(q)
-    except ValueError:
-        pass
-    num, den = q.numerator, q.denominator
-    num_digits, den_digits = _digit_count(num), _digit_count(den)
-    shift = 7 - (num_digits - den_digits)  # q * 10^shift lies in (10^6, 10^8)
-    mantissa = num * 10**shift // den if shift >= 0 else num // (den * 10**-shift)
-    digits = str(mantissa)
-    return (
-        f"~{digits[0]}.{digits[1:7]}e{len(digits) - 1 - shift} (approximate; exact "
-        f"value has a {num_digits}-digit numerator and a {den_digits}-digit denominator)"
-    )
-
-
-def _digit_count(n: int) -> int:
-    """Decimal digits of n >= 1, without converting n to str."""
-    # 2^(bits-1) <= n < 2^bits, so floor(bits * log10(2)) is digits - 1 or digits
-    count = int(n.bit_length() * math.log10(2))
-    while n >= 10**count:
-        count += 1
-    return count
 
 
 @dataclass(frozen=True)
@@ -129,8 +105,9 @@ class Block:
     def __post_init__(self) -> None:
         if self.achieved_uncovered > self.epsilon:
             raise ValueError(
-                f"block ({self.start}, {self.end}] uncovered {self.achieved_uncovered} "
-                f"exceeds target {self.epsilon}"
+                f"block ({self.start}, {self.end}] uncovered "
+                f"{fraction_text(self.achieved_uncovered)} exceeds target "
+                f"{fraction_text(self.epsilon)}"
             )
 
 
@@ -398,7 +375,7 @@ def block_construction(
             if p is None:
                 raise BudgetExhaustedError(
                     f"budget exhausted at block {n}: primes up to {max_bound} leave "
-                    f"{_fraction_text(1 - cover.measure)} uncovered, target {_fraction_text(eps)}"
+                    f"{fraction_text(1 - cover.measure)} uncovered, target {fraction_text(eps)}"
                 )
             a = cover.pick(p, c)
             block_entries.append((p, a))
@@ -455,18 +432,44 @@ def sequence_text(seq: NumeratorSequence, schedule: Optional[BlockSchedule] = No
     )
 
 
+def write_atomically(path: Union[str, Path], text: str) -> None:
+    """Write text to path all at once or not at all; every file is written here.
+
+    The text goes to a temporary file in the target's directory, which
+    then replaces the target by one rename, so a failed write leaves
+    neither a partial file nor a truncated old one. The file gets the
+    mode a plain open would give a new file (0o666 less the umask). A
+    failure raises OSError("cannot write {path}: {reason}").
+    """
+    target = Path(path)
+    try:
+        fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as handle:
+                handle.write(text)
+            umask = os.umask(0)
+            os.umask(umask)
+            os.chmod(tmp, 0o666 & ~umask)
+            os.replace(tmp, target)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise OSError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def save_sequence(
     seq: NumeratorSequence,
     path: Union[str, Path],
     schedule: Optional[BlockSchedule] = None,
 ) -> None:
-    """Write sequence_text(seq, schedule) to path.
+    """Write sequence_text(seq, schedule) to path through write_atomically.
 
     The bytes equal json.dumps(doc, sort_keys=True, indent=2) + "\n" of
     the document sequence_text describes, so load_sequence (and any JSON
     reader) reads the file back unchanged.
     """
-    Path(path).write_text(sequence_text(seq, schedule))
+    write_atomically(path, sequence_text(seq, schedule))
 
 
 def load_sequence(path: Union[str, Path]) -> NumeratorSequence:
@@ -490,7 +493,7 @@ def load_sequence(path: Union[str, Path]) -> NumeratorSequence:
     try:
         try:
             doc = json.loads(Path(path).read_text())
-        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError
             raise SequenceFileError(f"{path}: not a JSON sequence file ({exc})") from None
         if not isinstance(doc, dict) or not isinstance(doc.get("c"), str):
             raise SequenceFileError(f'{path}: expected an object with "c" as a "num/den" string')

@@ -7,8 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import ArcUnion, arc_of, complement, intersect_measure, measure, normalize_union, runs
-from primecover.arcs import Arc, rat_str, to_fraction
+from primecover.arcs import Arc, checked_c, checked_range, fraction_text, rat_str, to_fraction
 from primecover.arcs import arc_pieces, coprime_fraction, exact_sum, runs_length, sweep, tree_sum, union_length
+from primecover.hits import RealApproximant, approximant_named, fractional_classes
+from primecover.primes import harmonic_H, harmonic_H_float
+from primecover.sequences import Block
 
 F = Fraction
 
@@ -347,3 +350,43 @@ class TestUnionMerge:
     @settings(max_examples=300)
     def test_merge_equals_the_sweep_runs(self, pieces):
         assert union_length(pieces) == runs_length(runs(pieces))
+
+
+BIG = F(10**5000)  # 5001 digits, past the default int-to-str limit of 4300
+TINY = F(1, 10**5000)
+
+
+@pytest.mark.usefixtures("default_digit_limit")
+class TestFractionText:
+    @pytest.mark.parametrize("q", [F(0), F(-3, 7), F(10**4000, 3), F(5)])
+    def test_str_within_the_limit(self, q):
+        assert fraction_text(q) == str(q)
+
+    @pytest.mark.parametrize("q, text", [
+        (BIG, "~1.000000e5000 (approximate; exact value has a 5001-digit numerator and a "
+              "1-digit denominator)"),
+        (-BIG, "~-1.000000e5000 (approximate; exact value has a 5001-digit numerator and a "
+               "1-digit denominator)"),
+        (F(-2, 3 * 10**5000), "~-6.666666e-5001 (approximate; exact value has a 1-digit "
+                              "numerator and a 5001-digit denominator)"),
+    ])
+    def test_approximation_past_the_limit(self, q, text):
+        assert fraction_text(q) == text
+
+    # each message prints a rational the caller gave; building it must not
+    # raise the int-to-str ValueError in place of the message
+    @pytest.mark.parametrize("call", [
+        lambda: checked_c(-BIG),
+        lambda: checked_range(BIG, 1),
+        lambda: harmonic_H(-BIG, 10),
+        lambda: harmonic_H_float(1, -BIG),
+        lambda: RealApproximant(F(1, 3), -TINY),
+        lambda: approximant_named("sqrt2", -TINY),
+        lambda: list(fractional_classes(RealApproximant(F(1, 3), 1 + TINY), F(1, 4), 10)),
+        lambda: Block(1, 2, TINY, F(1, 2)),
+        lambda: Arc(BIG, F(0)),
+    ], ids=["checked_c", "checked_range", "harmonic_H", "harmonic_H_float", "eta",
+            "named_eta", "fractional_classes", "block", "arc"])
+    def test_error_messages_past_the_limit(self, call):
+        with pytest.raises(ValueError, match=r"~-?\d\.\d{6}e-?\d+ \(approximate; "):
+            call()

@@ -181,6 +181,27 @@ class TestInputAndOutputFiles:
         assert code == 1 and out == ""
         assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
 
+    def test_huge_range_end_in_error(self, capsys, tmp_path, default_digit_limit):
+        path = tmp_path / "r.json"
+        path.write_text(sequence_text(random_sequence(100, F(1, 4), 1729)))
+        code, out, err = run_cli(capsys, "coverage", "--seq", str(path), "--x", "1e5000",
+                                 "--y", "1")
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: need X < Y, got X=~1.000000e5000 (approximate; exact value has a "
+            "5001-digit numerator and a 1-digit denominator), Y=1\n"
+        )
+
+    def test_huge_c_in_sequence_file(self, capsys, tmp_path, default_digit_limit):
+        path = tmp_path / "big.json"
+        path.write_text('{"c": "1e5000", "entries": []}')
+        code, out, err = run_cli(capsys, "coverage", "--seq", str(path), "--x", "1", "--y", "10")
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: {path}: c must lie in (0, 1/2], got ~1.000000e5000 (approximate; exact "
+            "value has a 5001-digit numerator and a 1-digit denominator)\n"
+        )
+
     def test_unwritable_out_path(self, capsys, tmp_path):
         target = tmp_path / "missing" / "x.json"
         code, out, err = run_cli(

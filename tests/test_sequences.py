@@ -702,6 +702,20 @@ class TestPersistence:
         assert doc["entries"][0] == [2, 0]
         assert [p for p, _ in doc["entries"]] == [2, 3, 5, 7]
 
+    def test_failed_replace_keeps_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "seq.json"
+        path.write_text("old contents")
+
+        def refuse(src, dst):
+            raise PermissionError(13, "Permission denied")
+
+        monkeypatch.setattr("primecover.sequences.os.replace", refuse)
+        with pytest.raises(OSError) as info:
+            save_sequence(random_sequence(100, F(1, 4), seed=9), path)
+        assert str(info.value) == f"cannot write {path}: Permission denied"
+        assert path.read_text() == "old contents"
+        assert [p.name for p in tmp_path.iterdir()] == ["seq.json"]  # no temporary file
+
 
 def json_writer_text(seq, schedule=None):
     """Oracle: the file text the indent encoder wrote before sequence_text."""
@@ -793,11 +807,13 @@ class TestLoadSequenceValidation:
             ('{"c": "1/4", "entries": [[3, 1], [2, 1]]}', "strictly ascending"),
             ('{"c": "1/4", "entries": [[3, 3]]}', "out of range"),
             ('{"c": "1/4", "entries": [], "method": "magic"}', "unknown method"),
+            ("[" * 100000 + "]" * 100000, "not a JSON sequence file"),
         ],
         ids=[
             "missing_c", "top_level_list", "empty_file", "c_not_a_string",
             "triple", "string_entries", "bare_ints", "bool_entry", "missing_entries",
             "bad_c", "c_out_of_range", "descending", "numerator_range", "method",
+            "deep_nesting",
         ],
     )
     def test_malformed_file(self, tmp_path, text, message):
@@ -825,6 +841,7 @@ class TestLoadSequenceCollector:
         "undecodable": b"\xff\xfe",
         "wrong_schema": '{"entries": [[2, 1]]}',
         "bad_entries": '{"c": "1/4", "entries": [[3, 1], [2, 1]]}',
+        "deep_nesting": "[" * 100000 + "]" * 100000,
     }
 
     @pytest.fixture
