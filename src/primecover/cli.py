@@ -17,11 +17,10 @@ import json
 import math
 import sys
 from fractions import Fraction
-from itertools import filterfalse
 from pathlib import Path
 from typing import Iterator, Optional, Sequence
 
-from .arcs import checked_c, rat_str, to_fraction
+from .arcs import checked_c, checked_range, rat_str, to_fraction
 from .ergodic import ergodic_rows, sparse_prime_set
 from .fanout import map_chunks
 from .hits import (
@@ -137,7 +136,7 @@ def cmd_sievelab(args: argparse.Namespace) -> str:
         raise CliError("give --seq or --c, not both")
     if args.seed is not None and args.trials is None:
         raise CliError("--seed needs --mc")
-    x, y = to_fraction(args.x), to_fraction(args.y)
+    x, y = checked_range(args.x, args.y)  # before x or y is formatted
     if args.seq_path is not None:
         seq = _load_seq(args)
         doc = alpha_and_markov(level_sets(seq, x, y)).to_dict()
@@ -226,11 +225,9 @@ def cmd_ergodic(args: argparse.Namespace) -> str:
         primes = sparse_prime_set(args.primes_up_to, args.sparse).primes
     else:
         primes = sieve_range(args.primes_up_to)
-    # fail before any row: the first listed prime that the sequence lacks (the
-    # smallest, as the primes ascend) raises the error its row would
-    missing = next(filterfalse(seq.numerators.__contains__, primes), None)
-    if missing is not None:
-        seq.numerator_for(missing)
+    # fail before any row: the smallest listed prime that the sequence lacks
+    # raises the error its row would
+    seq.numerators_of(primes)
     chunks = map_chunks(functools.partial(_ergodic_csv, seq, x, y), primes)
     return "".join(["p,a_p,d,abs_s,is_hit,method\n", *chunks])
 

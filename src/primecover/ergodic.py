@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator, Sequence
 
 from .arcs import HALF
 from .primes import next_prime
@@ -71,13 +71,15 @@ def ergodic_rows(
     seq: NumeratorSequence,
     x: float,
     y: float,
-    primes: Iterable[int],
+    primes: Sequence[int],
 ) -> Iterator[ErgodicRow]:
     """Evaluate the average at (x, y) for each listed prime, in one pass.
 
-    Yields (p, a_p, distance, s, method, is_hit). The reduced offset is
-    that of reduce_offset, written inline; s_closed is one row of this
-    loop. is_hit is exact: a float y is the dyadic rational h/k, and
+    Yields (p, a_p, distance, s, method, is_hit). The numerators come from
+    one `NumeratorSequence.numerators_of` call: a slice of the column when
+    the primes are a run of the sequence's entries, as each fan-out chunk
+    of the CLI is. The reduced offset is that of reduce_offset, written
+    inline; s_closed is one row of this loop. is_hit is exact: a float y is the dyadic rational h/k, and
     with c = u/v the circle distance from y to a/p is n/(k*p), where
     r = (h*p - a*k) mod k*p and n = min(r, k*p - r), so
 
@@ -90,10 +92,8 @@ def ergodic_rows(
     h, k = y.as_integer_ratio()
     v = seq.c.denominator
     threshold = seq.c.numerator * k
-    numerator_for = seq.numerator_for
     sin, cos, pi = math.sin, math.cos, math.pi
-    for p in primes:
-        a = numerator_for(p)
+    for p, a in zip(primes, seq.numerators_of(primes)):
         d = (y - a / p) % 1.0
         if d > 0.5:
             d -= 1.0

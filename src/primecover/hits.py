@@ -122,7 +122,8 @@ def hit_classes(x: RealApproximant, seq: NumeratorSequence, bound: int) -> Itera
     Yields (p, n, den, hit, ambiguous), where n/den (not reduced) is the
     circle distance from x.value to a_p/p. Hit requires the whole
     interval [value - eta, value + eta] to lie within c/p of a_p/p; miss
-    requires all of it to lie outside.
+    requires all of it to lie outside. A prime the sequence lacks raises
+    before the first yield (`NumeratorSequence.numerators_of`).
 
     With value = h/k, eta = e/E and c = u/v, the circle distance from
     value to a/p is n/(k*p), where r = (h*p - a*k) mod k*p and
@@ -139,10 +140,10 @@ def hit_classes(x: RealApproximant, seq: NumeratorSequence, bound: int) -> Itera
     scale = big_e * v
     spread = e * k * v
     threshold = u * k * big_e
-    numerator_for = seq.numerator_for
-    for p in sieve_range(bound):
+    primes = sieve_range(bound)
+    for p, a in zip(primes, seq.numerators_of(primes)):
         kp = k * p
-        r = (h * p - numerator_for(p) * k) % kp
+        r = (h * p - a * k) % kp
         n = min(r, kp - r)
         near, band = n * scale, spread * p
         if near + band <= threshold:

@@ -156,7 +156,7 @@ def level_sets(
 
     rows: dict[int, dict[int, int]] = {p: {} for p in primes}  # p -> {k: n_(k,p)}
     count = 0
-    for n, p, starts, ends in sweep(arc_pieces(((p, seq.numerator_for(p)) for p in primes), c)):
+    for n, p, starts, ends in sweep(arc_pieces(zip(primes, seq.numerators_of(primes)), c)):
         new = count + len(starts) - len(ends)
         if new != count:
             row = rows[p]

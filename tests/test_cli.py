@@ -13,7 +13,12 @@ from primecover import cli, fanout
 from primecover.cli import DEFAULT_ETA, main
 from primecover.ergodic import ergodic_rows
 from primecover.primes import sieve_range
-from primecover.sequences import load_sequence, random_sequence, sequence_text
+from primecover.sequences import (
+    NumeratorSequence,
+    load_sequence,
+    random_sequence,
+    sequence_text,
+)
 from primecover.sievelab import omega_expectation_exact
 
 F = Fraction
@@ -586,6 +591,51 @@ class TestErgodicCommand:
         assert err == "error: '1e400' is too large for a float\n"
 
 
+# every per-prime scan of a sequence file, each over the primes to 300
+SCANS = {
+    "hits_json": ("hits", "--x", "1/3", "--bound", "300"),
+    "hits_csv": ("hits", "--x-named", "sqrt2", "--bound", "300", "--format", "csv"),
+    "ergodic_dense": ("ergodic", "--x", "0.3", "--y", "0.7123", "--primes-up-to", "300"),
+    "ergodic_sparse": ("ergodic", "--x", "0.3", "--y", "0.7123", "--primes-up-to", "300",
+                       "--sparse", "geometric"),
+    "ergodic_rational": ("ergodic", "--x", "1/3", "--y", "2/7", "--primes-up-to", "300"),
+    "coverage": ("coverage", "--x", "1", "--y", "300"),
+    "sievelab": ("sievelab", "--x", "2", "--y", "300"),
+}
+
+
+class TestScansZipTheColumns:
+    # the scans pair each prime with its numerator by one compare of the
+    # prime column, not by a lookup per prime; they must read as the lookups did
+    @pytest.fixture()
+    def entries(self):
+        return random_sequence(300, F(1, 4), 1729).entries
+
+    @staticmethod
+    def scan(capsys, tmp_path, name, entries):
+        path = tmp_path / "custom.json"
+        path.write_text(sequence_text(NumeratorSequence(F(1, 4), tuple(entries))))
+        command, *rest = SCANS[name]
+        return run_cli(capsys, command, "--seq", str(path), *rest)
+
+    @pytest.mark.parametrize("name", list(SCANS))
+    def test_missing_primes_name_the_smallest(self, capsys, tmp_path, entries, name):
+        # 67 is in the geometric sparse set (the least prime above 4^3); 101 is not
+        kept = [(p, a) for p, a in entries if p not in (67, 101)]
+        assert self.scan(capsys, tmp_path, name, kept) == (
+            1, "", "error: sequence has no entry for prime 67\n"
+        )
+
+    @pytest.mark.parametrize("name", list(SCANS))
+    def test_entry_at_a_composite_is_never_read(self, capsys, tmp_path, entries, name):
+        # (4, 1) shifts every later entry by one place in the columns, so a zip
+        # by position would pair 5 with 4's numerator
+        with_four = [*entries[:2], (4, 1), *entries[2:]]
+        plain = self.scan(capsys, tmp_path, name, entries)
+        assert plain[0] == 0
+        assert self.scan(capsys, tmp_path, name, with_four) == plain
+
+
 class TestOneParserPerProcess:
     def test_parser_is_built_once(self):
         assert cli._build_parser() is cli._build_parser()
@@ -701,6 +751,13 @@ ERRORS = [
      "need X < Y, got X=10, Y=5"),
     (("sievelab", "--x", "2", "--y", "7", "--c", "1/2", "--mc", "0", "--out", "o.json"),
      "trials must be >= 1, got 0"),
+    # the range is checked before x is formatted for the report
+    (("sievelab", "--c", "1/4", "--x", "1e5000", "--y", "1", "--exact"),
+     "need X < Y, got X=~1.000000e5000 (approximate; exact value has a 5001-digit numerator "
+     "and a 1-digit denominator), Y=1"),
+    (("sievelab", "--c", "1/4", "--x", "1e5000", "--y", "1", "--mc", "3"),
+     "need X < Y, got X=~1.000000e5000 (approximate; exact value has a 5001-digit numerator "
+     "and a 1-digit denominator), Y=1"),
     (("sievelab", "--seq", "missing.json", "--x", "1", "--y", "10", "--out", "o.json"),
      "sequence file not found"),
     (("sievelab", "--x", "2", "--y", "7", "--c", "1/2", "--exact", "--seed", "5",

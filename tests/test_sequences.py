@@ -2,8 +2,10 @@ import gc
 import json
 import math
 import random
+import re
 import sys
 import tempfile
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -23,6 +25,7 @@ from oracles import (
     normalize_union,
     sequence_to_dict,
 )
+from primecover import seqfile
 from primecover.arcs import arc_pieces, rat_str
 from primecover.hits import fractional_classes, hit_classes, rational_point
 from primecover.primes import iter_primes, sieve_range
@@ -31,6 +34,7 @@ from primecover.sequences import (
     Block,
     BlockSchedule,
     BudgetExhaustedError,
+    EntryView,
     NumeratorSequence,
     SequenceFileError,
     _Cover,
@@ -879,3 +883,183 @@ class TestSequenceOrderIndependentHash:
             assert seq.numerator_for(p) == a
         with pytest.raises(ValueError):
             seq.numerator_for(31)
+
+
+class TestEntryColumns:
+    ENTRIES = ((2, 1), (3, 2), (7, 0), (11, 10))
+
+    def test_entries_read_back_as_the_tuple(self):
+        seq = NumeratorSequence(HALF, self.ENTRIES)
+        view = seq.entries
+        assert view == self.ENTRIES and self.ENTRIES == view
+        assert view != self.ENTRIES[:3] and self.ENTRIES[:3] != view
+        assert (len(view), tuple(view), view[1], view[-1]) == (4, self.ENTRIES, (3, 2), (11, 10))
+        assert view[1:3] == ((3, 2), (7, 0)) and type(view[1:3]) is tuple
+        assert hash(view) == hash(self.ENTRIES) and hash(seq) == hash(NumeratorSequence(HALF, view))
+        assert repr(view) == repr(self.ENTRIES)
+        assert [type(column).__name__ for column in (view.primes, view.numerators)] == ["array"] * 2
+
+    def test_given_as_list_or_view(self):
+        seq = NumeratorSequence(HALF, self.ENTRIES)
+        assert NumeratorSequence(HALF, list(self.ENTRIES)) == seq
+        assert NumeratorSequence(HALF, seq.entries) == seq
+        assert replace(seq, method="greedy").entries == self.ENTRIES
+
+    def test_columns_of_unequal_length(self):
+        with pytest.raises(ValueError, match="^3 primes but 2 numerators$"):
+            NumeratorSequence(HALF, EntryView((2, 3, 5), (1, 2)))
+
+    @pytest.mark.parametrize("big", [2**63, 2**64 + 1, 10**30])
+    def test_values_past_64_bits_keep_working(self, tmp_path, big):
+        entries = ((2, 1), (big, big - 5))
+        seq = NumeratorSequence(F(1, 4), entries)
+        assert type(seq.entries.primes) is list
+        assert seq.entries == entries and hash(seq.entries) == hash(entries)
+        assert seq.numerator_for(big) == big - 5 and seq.numerators_of([2, big]) == [1, big - 5]
+        save_sequence(seq, tmp_path / "big.json")
+        assert load_sequence(tmp_path / "big.json") == seq
+        with pytest.raises(ValueError, match=f"numerator {big} out of range for prime {big}"):
+            NumeratorSequence(F(1, 4), ((2, 1), (big, big)))
+
+    def test_largest_64_bit_value_stays_in_an_array(self):
+        seq = NumeratorSequence(F(1, 4), ((2**63 - 1, 2**63 - 2),))
+        assert type(seq.entries.primes) is not list
+        assert seq.numerator_for(2**63 - 1) == 2**63 - 2
+
+
+class TestNumeratorsOf:
+    def test_a_run_of_the_entries_is_a_column_slice(self):
+        seq = random_sequence(200, F(1, 4), 9)
+        primes = sieve_range(200)[5:30]
+        assert list(seq.numerators_of(primes)) == [seq.numerator_for(p) for p in primes]
+        assert list(seq.numerators_of(())) == []
+
+    def test_entry_at_a_composite(self):
+        seq = NumeratorSequence(HALF, ((2, 1), (3, 2), (4, 3), (5, 4), (7, 6)))
+        assert list(seq.numerators_of([2, 3, 5, 7])) == [1, 2, 4, 6]
+        assert list(seq.numerators_of([5, 7])) == [4, 6]
+
+    def test_smallest_missing_prime_raises(self):
+        seq = NumeratorSequence(HALF, ((2, 1), (3, 2), (7, 6), (13, 0)))
+        with pytest.raises(ValueError, match="^sequence has no entry for prime 5$"):
+            seq.numerators_of([2, 3, 5, 7, 11, 13])
+        with pytest.raises(ValueError, match="^sequence has no entry for prime 17$"):
+            seq.numerators_of([13, 17])
+
+    def test_hit_classes_raise_before_the_first_row(self):
+        seq = NumeratorSequence(HALF, ((2, 1), (3, 2)))
+        with pytest.raises(ValueError, match="^sequence has no entry for prime 5$"):
+            next(hit_classes(rational_point(F(1, 3)), seq, 10))
+
+
+@st.composite
+def files(draw):
+    """A sequence with zero, one or many entries, and a schedule or none."""
+    size = draw(st.sampled_from([0, 1, 2, 40, 300]))
+    primes = sorted(draw(st.lists(st.integers(2, 2**63 - 1), min_size=size, max_size=size,
+                                  unique=True)))
+    entries = tuple((p, draw(st.integers(0, p - 1))) for p in primes)
+    seq = NumeratorSequence(
+        c=draw(fractions_upto(HALF)),
+        entries=entries,
+        method=draw(st.sampled_from(METHODS)),
+        seed=draw(st.one_of(st.none(), st.integers(-(2**70), 2**70))),
+    )
+    return seq, draw(st.one_of(st.none(), schedules()))
+
+
+def outcome(load, path):
+    """(the sequence, None) or (None, the SequenceFileError message) of one load."""
+    try:
+        return load(path), None
+    except SequenceFileError as exc:
+        return None, str(exc)
+
+
+def json_path(path):
+    """load_sequence with every file sent through json.loads."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(seqfile, "canonical_doc", lambda path: None)
+        return load_sequence(path)
+
+
+def mutate(text, kind, at, token):
+    """text with one change; at picks the place, token is the bytes put in."""
+    start, end = text.index(b'"entries"'), text.index(b'"method"')
+    numbers = list(re.finditer(rb"\d+", text[start:end]))
+    if kind == "number" and numbers:
+        m = numbers[at % len(numbers)]
+        return text[: start + m.start()] + token + text[start + m.end():]
+    if kind in ("insert", "insert_in_rows"):
+        at = start + at % (end - start) if kind == "insert_in_rows" else at % (len(text) + 1)
+        return text[:at] + token + text[at:]
+    if kind == "crlf":
+        return text.replace(b"\n", b"\r\n")
+    if kind == "bom":
+        return b"\xef\xbb\xbf" + text
+    if kind == "reorder":
+        doc = json.loads(text)
+        return (json.dumps(dict(reversed(doc.items())), indent=2) + "\n").encode()
+    if kind == "duplicate":
+        return text.replace(b'\n  "method"', b'\n  "entries": [],\n  "method"')
+    if kind == "truncate":
+        return text[: at % len(text)]
+    return text + token  # trailing bytes
+
+
+class TestCanonicalLoader:
+    # a file in sequence_text's layout is read in windows into the columns;
+    # every other file goes through json.loads, and both give the same
+    @settings(max_examples=150, deadline=None)
+    @given(files(), st.sampled_from([1 << 20, 64, 7]))
+    def test_written_files_take_the_fast_path(self, case, window):
+        seq, schedule = case
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            path = Path(tmp) / "seq.json"
+            save_sequence(seq, path, schedule)
+            mp.setattr(seqfile, "_WINDOW", window)
+            mp.setattr(seqfile, "json_doc", lambda path: pytest.fail("json path taken"))
+            loaded = load_sequence(path)
+        assert loaded == seq
+        assert type(loaded.entries.primes) is not list
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        files(),
+        st.sampled_from([1 << 20, 64, 7]),
+        st.one_of(
+            st.tuples(st.just("number"), st.sampled_from(
+                [b"01", b"00", b"+1", b"-1", b"1e3", b"2.0", b"true", b"", b" 1", b"1 "])),
+            st.tuples(st.sampled_from(["insert", "insert_in_rows"]), st.sampled_from(
+                [b" ", b"\n", b"\t", b"0", b"7", b"12", b",", b"[", b"]", b"-"])),
+            st.tuples(st.sampled_from(["crlf", "bom", "reorder", "duplicate", "truncate"]),
+                      st.just(b"")),
+            st.tuples(st.just("trailing"), st.sampled_from([b"\n", b" ", b"x", b"{}", b"0"])),
+        ),
+        st.integers(0, 10**6),
+    )
+    def test_any_other_text_reads_as_json_reads_it(self, case, window, mutation, at):
+        seq, schedule = case
+        kind, token = mutation
+        text = mutate(sequence_text(seq, schedule).encode(), kind, at, token)
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            path = Path(tmp) / "seq.json"
+            path.write_bytes(text)
+            mp.setattr(seqfile, "_WINDOW", window)
+            assert outcome(load_sequence, path) == outcome(json_path, path)
+
+    def test_a_misplaced_digit_is_not_read_as_a_number(self, tmp_path):
+        # "5" before a row's "[" makes the file invalid JSON; the digits and
+        # the skeleton alone would read the second row as [53, 0]
+        path = tmp_path / "seq.json"
+        text = sequence_text(NumeratorSequence(HALF, ((2, 1), (3, 0))))
+        path.write_text(text.replace("    [\n      3,", "    5[\n      3,"))
+        with pytest.raises(SequenceFileError, match="not a JSON sequence file"):
+            load_sequence(path)
+
+    def test_r6_sized_file(self, tmp_path, monkeypatch):
+        seq = random_sequence(10**6, F(1, 4), 1729)
+        path = tmp_path / "r6.json"
+        save_sequence(seq, path)
+        monkeypatch.setattr(seqfile, "json_doc", lambda path: pytest.fail("json path"))
+        assert load_sequence(path) == seq
