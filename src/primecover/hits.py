@@ -41,7 +41,7 @@ class RealApproximant:
 
 def rational_point(value: RationalLike) -> RealApproximant:
     v = to_fraction(value)
-    return RealApproximant(v, Fraction(0), f"rational {v}")
+    return RealApproximant(v, Fraction(0), f"rational {fraction_text(v)}")
 
 
 # each named point's continued fraction [a_0; a, a, a, ...] as (a_0, a)

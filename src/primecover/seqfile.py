@@ -1,16 +1,17 @@
-"""Reading sequence files into a document whose "entries" are columns or pairs.
+"""Reading sequence files into a document whose "entries" are two columns.
 
 `sequences.load_sequence` imports this module on its first call, so a
 process that reads no sequence file never loads it, nor compiles it
 where there is no bytecode cache. `canonical_doc` reads a file in
 `sequences.sequence_text`'s exact layout in windows, straight into two
 array('q') columns; `json_doc` reads any other file through json.loads
-and raises SequenceFileError for a malformed one.
+and raises SequenceFileError for a malformed one. A canonical file with a
+value of 2^63 or more, which no column can hold, goes to `json_doc` too,
+and NumeratorSequence rejects the value there.
 """
 
 from __future__ import annotations
 
-import gc
 import json
 from array import array
 from itertools import chain
@@ -52,7 +53,7 @@ def _window_rows(window: bytes, primes: array, numerators: array) -> bool:
         or window.count(_BETWEEN) != n - 1
     ):
         return False
-    primes.fromlist(flat[::2])  # OverflowError past 64 bits
+    primes.fromlist(flat[::2])  # OverflowError past 64 bits: canonical_doc gives None
     numerators.fromlist(flat[1::2])
     return True
 
@@ -115,34 +116,24 @@ def json_doc(path: Union[str, Path]) -> dict:
     """The document of any sequence file, through json.loads; a malformed one raises.
 
     The schema checks run at C speed (map and set over the parsed lists),
-    and the pairs become two list columns, which NumeratorSequence
-    checks at C speed too. The cyclic garbage collector is paused while
-    the file is parsed and checked: the ~80k lists that json.loads makes
-    for a 78k-entry file form no cycles, yet their allocations would set
-    off collector passes that free nothing. Refcounting still frees
-    everything, and the collector is left as it was found. A compact
-    JSON file of those 78k entries loads in 0.05 to 0.07 s, against 0.08
-    to 0.09 s with the collector on (2-core VM, Python 3.11.7).
+    and the pairs become two list columns, which NumeratorSequence turns
+    into its array('q') columns and checks at C speed too. The program
+    writes every file in the layout `canonical_doc` reads, so this path
+    serves hand-written files.
     """
-    gc_enabled = gc.isenabled()
-    gc.disable()
     try:
-        try:
-            doc = json.loads(Path(path).read_text())
-        except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError
-            raise SequenceFileError(f"{path}: not a JSON sequence file ({exc})") from None
-        if not isinstance(doc, dict) or not isinstance(doc.get("c"), str):
-            raise SequenceFileError(f'{path}: expected an object with "c" as a "num/den" string')
-        raw = doc.get("entries")
-        if (
-            not isinstance(raw, list)
-            or not set(map(type, raw)) <= {list}
-            or not set(map(len, raw)) <= {2}
-            or not set(map(type, chain.from_iterable(raw))) <= {int}
-        ):
-            raise SequenceFileError(f'{path}: "entries" must be a list of [p, a] integer pairs')
-        doc["entries"] = EntryView(list(map(itemgetter(0), raw)), list(map(itemgetter(1), raw)))
-        return doc
-    finally:
-        if gc_enabled:
-            gc.enable()
+        doc = json.loads(Path(path).read_text())
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise SequenceFileError(f"{path}: not a JSON sequence file ({exc})") from None
+    if not isinstance(doc, dict) or not isinstance(doc.get("c"), str):
+        raise SequenceFileError(f'{path}: expected an object with "c" as a "num/den" string')
+    raw = doc.get("entries")
+    if (
+        not isinstance(raw, list)
+        or not set(map(type, raw)) <= {list}
+        or not set(map(len, raw)) <= {2}
+        or not set(map(type, chain.from_iterable(raw))) <= {int}
+    ):
+        raise SequenceFileError(f'{path}: "entries" must be a list of [p, a] integer pairs')
+    doc["entries"] = EntryView(list(map(itemgetter(0), raw)), list(map(itemgetter(1), raw)))
+    return doc

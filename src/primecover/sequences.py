@@ -6,9 +6,10 @@ greedy rule that maximizes covered measure one prime at a time, a
 constant all-zero baseline, and a block builder that certifies each
 prime block's uncovered measure against a target.
 
-A sequence holds its primes and numerators as two ascending array('q')
-columns, 16 bytes per entry; `seq.entries` reads them back as a tuple of
-pairs would. Every per-prime scan takes the numerators of its ascending
+A sequence holds its primes and numerators in one storage form, two
+ascending array('q') columns, 16 bytes per entry, so every p and a_p is
+an int below 2^63; `seq.entries` reads them back as a tuple of pairs
+would. Every per-prime scan takes the numerators of its ascending
 primes in one call (`NumeratorSequence.numerators_of`), a slice of the
 column, and walks it beside the primes: no scan looks a prime up.
 
@@ -74,9 +75,8 @@ class EntryView(Sequence):
 
     To its readers it is the tuple of pairs: len, iteration, indexing,
     slices (which return tuples), == with a tuple in either direction,
-    hash and repr all give what the tuple would. primes and numerators
-    are array('q') columns, or lists where a value does not fit in 64
-    bits (`_column`).
+    hash and repr all give what the tuple would. In a NumeratorSequence
+    primes and numerators are array('q') columns.
     """
 
     __slots__ = ("primes", "numerators")
@@ -107,27 +107,17 @@ class EntryView(Sequence):
         return repr(tuple(self))
 
 
-def _column(values: Sequence[int]) -> Sequence[int]:
-    """values as an array('q'), or as a list if one does not fit in 64 bits."""
-    if isinstance(values, array):
-        return values
-    try:
-        return array("q", values)
-    except (OverflowError, TypeError):  # past 64 bits, or not an int
-        return list(values)
-
-
 @dataclass(frozen=True)
 class NumeratorSequence:
-    """One residue per prime, held as two ascending columns.
+    """One residue per prime, held as two ascending array('q') columns.
 
     entries, given as ascending (p, a_p) pairs or as an EntryView, is
-    stored as the columns of one EntryView: 16 bytes per entry when every
-    value fits in 64 bits. seq.entries reads back as that view, which
-    equals and hashes as the tuple of pairs. Pairs are checked one by
-    one as given (`_first_fault`); the columns of a view, which the
-    builders and the file reader hand over, are checked at C speed, and
-    the loop words the first failure only when one fails.
+    stored as the columns of one EntryView, 16 bytes per entry; pairs are
+    split into columns first, and array('q') columns handed in are kept,
+    not copied. seq.entries reads back as that view, which equals and
+    hashes as the tuple of pairs. Every p and a_p must be an int below
+    2^63. The columns are checked at C speed, and `_first_fault` words
+    the first failure only when one fails.
     """
 
     c: Fraction
@@ -141,26 +131,28 @@ class NumeratorSequence:
             raise ValueError(f"unknown method {self.method!r}")
         entries = self.entries
         if not isinstance(entries, EntryView):
-            entries = tuple(entries)
+            pairs = tuple(entries)
+            if not set(map(len, pairs)) <= {2}:
+                raise ValueError("entries must be (p, a_p) pairs")
+            entries = EntryView(list(map(itemgetter(0), pairs)), list(map(itemgetter(1), pairs)))
+        primes, numerators = entries.primes, entries.numerators
+        if len(primes) != len(numerators):
+            raise ValueError(f"{len(primes)} primes but {len(numerators)} numerators")
+        try:  # an array('q') is kept as it is; array() raises past 64 bits or for a non-int
+            primes, numerators = (
+                col if isinstance(col, array) and col.typecode == "q" else array("q", col)
+                for col in (primes, numerators)
+            )
+            ok = (
+                all(map(lt, chain((1,), primes), primes))
+                and min(numerators, default=0) >= 0
+                and all(map(lt, numerators, primes))
+            )
+        except (OverflowError, TypeError):
+            ok = False
+        if not ok:
             _first_fault(entries)
-            entries = EntryView(list(map(itemgetter(0), entries)), list(map(itemgetter(1), entries)))
-        else:
-            primes, numerators = entries.primes, entries.numerators
-            if len(primes) != len(numerators):
-                raise ValueError(f"{len(primes)} primes but {len(numerators)} numerators")
-            try:
-                ok = (
-                    all(map(lt, chain((1,), primes), primes))
-                    and min(numerators, default=0) >= 0
-                    and all(map(lt, numerators, primes))
-                )
-            except TypeError:  # a value that does not compare with an int
-                ok = False
-            if not ok:
-                _first_fault(entries)
-        object.__setattr__(
-            self, "entries", EntryView(_column(entries.primes), _column(entries.numerators))
-        )
+        object.__setattr__(self, "entries", EntryView(primes, numerators))
 
     def numerator_for(self, p: int) -> int:
         primes = self.entries.primes
@@ -183,11 +175,7 @@ class NumeratorSequence:
         column = self.entries.primes
         lo = bisect.bisect_left(column, primes[0]) if primes else 0
         hi = lo + len(primes)
-        try:
-            same = array("q", primes) == column[lo:hi]
-        except (OverflowError, TypeError):  # a prime past 64 bits
-            same = False
-        if same:
+        if array("q", primes) == column[lo:hi]:
             return self.entries.numerators[lo:hi]
         return [self.numerator_for(p) for p in primes]
 
@@ -195,12 +183,21 @@ class NumeratorSequence:
 def _first_fault(entries: Iterable[tuple[int, int]]) -> None:
     """Raise for the first entry that breaks the sequence's rules, in entry order."""
     prev = 1
-    for p, a in entries:
+    for i, (p, a) in enumerate(entries):
+        if not (isinstance(p, int) and isinstance(a, int) and p < 1 << 63 and a < 1 << 63):
+            raise ValueError(
+                f"entry {i} ({_text(p)}, {_text(a)}): p and a_p must be ints below 2^63"
+            )
         if p <= prev:
             raise ValueError(f"primes must be strictly ascending, saw {p} after {prev}")
         if not 0 <= a < p:
             raise ValueError(f"numerator {a} out of range for prime {p}")
         prev = p
+
+
+def _text(value) -> str:
+    """An entry's value in an error message: an int by fraction_text, anything else by repr."""
+    return fraction_text(Fraction(value)) if isinstance(value, int) else repr(value)
 
 
 @dataclass(frozen=True)
@@ -475,32 +472,32 @@ def block_construction(
     if any(not (0 < e < 1) for e in eps_list):
         raise ValueError("every epsilon must lie in (0, 1)")
 
-    primes = iter_primes(max_bound)  # sieved only as far as the last block reaches
+    walk = iter_primes(max_bound)  # sieved only as far as the last block reaches
     x_start = 1
-    all_entries: list[tuple[int, int]] = []
+    primes, numerators = array("q"), array("q")
     blocks: list[Block] = []
 
     for n, eps in enumerate(eps_list, start=1):
         cover = _Cover(c.denominator, max_bound)
-        block_entries: list[tuple[int, int]] = []
         while True:
             if (achieved := cover.uncovered_within(eps)) is not None:  # never for an empty cover
-                end = block_entries[-1][0]
+                end = primes[-1]
                 blocks.append(Block(x_start, end, eps, achieved))
-                all_entries.extend(block_entries)
                 x_start = end
                 break
-            p = next(primes, None)
+            p = next(walk, None)
             if p is None:
                 raise BudgetExhaustedError(
                     f"budget exhausted at block {n}: primes up to {max_bound} leave "
                     f"{fraction_text(1 - cover.measure)} uncovered, target {fraction_text(eps)}"
                 )
             a = cover.pick(p, c)
-            block_entries.append((p, a))
+            primes.append(p)
+            numerators.append(a)
             cover.add(arc_pieces(((p, a),), c))
 
-    seq = NumeratorSequence(c=c, entries=tuple(all_entries), method="blocks", seed=DEFAULT_SEED)
+    entries = EntryView(primes, numerators)
+    seq = NumeratorSequence(c=c, entries=entries, method="blocks", seed=DEFAULT_SEED)
     return seq, BlockSchedule(tuple(blocks))
 
 
@@ -604,13 +601,14 @@ def load_sequence(path: Union[str, Path]) -> NumeratorSequence:
 
     A file in sequence_text's exact layout, as save_sequence writes it,
     is read in windows straight into the two columns
-    (`seqfile.canonical_doc`), at 16 bytes per entry; any other file, and
-    any canonical one with a number past 64 bits, goes through json.loads
-    (`seqfile.json_doc`), so every error message is the one that path
-    gives. Both paths give equal sequences. A 78k-entry file (primes to
-    1e6) loads in about 0.07 s at +8.4 MiB of peak RSS, and the 665k
-    entries of primes to 1e7 in about 0.57 s at +18.4 MiB; json.loads of
-    the same 665k entries peaks at +133 MiB (2-core VM, Python 3.11.7).
+    (`seqfile.canonical_doc`), at 16 bytes per entry; any other file goes
+    through json.loads (`seqfile.json_doc`), so every error message is
+    the one that path gives. Both paths give equal sequences, and a value
+    of 2^63 or more fails as NumeratorSequence words it. A 78k-entry file
+    (primes to 1e6) loads in about 0.07 s at +8.4 MiB of peak RSS, and
+    the 665k entries of primes to 1e7 in about 0.57 s at +18.4 MiB;
+    json.loads of the same 665k entries peaks at +133 MiB (2-core VM,
+    Python 3.11.7).
     """
     from . import seqfile  # compiled only by a process that reads a sequence file
 

@@ -197,6 +197,14 @@ class TestInputAndOutputFiles:
             "5001-digit numerator and a 1-digit denominator), Y=1\n"
         )
 
+    @pytest.mark.parametrize("value", ["9223372036854775808", "1.0", '"1"'])
+    def test_entry_value_that_no_column_holds(self, capsys, tmp_path, value):
+        path = tmp_path / "big.json"
+        path.write_text(f'{{"c": "1/4", "entries": [[2, 1], [3, {value}]]}}')
+        code, out, err = run_cli(capsys, "coverage", "--seq", str(path), "--x", "1", "--y", "10")
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+
     def test_huge_c_in_sequence_file(self, capsys, tmp_path, default_digit_limit):
         path = tmp_path / "big.json"
         path.write_text('{"c": "1e5000", "entries": []}')
@@ -384,6 +392,26 @@ class TestHitsCommands:
         code, _, err = run_cli(capsys, "fracparts", "--c", "1/4", "--bound", "100")
         assert code == 1
         assert "exactly one" in err
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("command", ["hits", "fracparts"])
+    def test_huge_rational_x(self, capsys, seq_file, default_digit_limit, command, fmt):
+        # 10^5000 is an integer, so every row is the row of x = 0; only the
+        # label differs, and it is written without the digits of x
+        args = ("--seq", seq_file) if command == "hits" else ("--c", "1/4")
+        run = lambda x: run_cli(capsys, command, *args, "--x", x, "--bound", "100",
+                                "--format", fmt)
+        (code, out, err), (_, zero, _) = run("1e5000"), run("0")
+        assert (code, err) == (0, "")
+        if fmt == "csv":
+            assert out == zero
+        else:
+            doc, expected = json.loads(out), json.loads(zero)
+            assert doc.pop("x") == (
+                "rational ~1.000000e5000 (approximate; exact value has a 5001-digit "
+                "numerator and a 1-digit denominator)"
+            )
+            assert expected.pop("x") == "rational 0" and doc == expected
 
     def test_output_file(self, capsys, seq_file, tmp_path):
         target = tmp_path / "rows.csv"

@@ -58,6 +58,16 @@ class TestApproximants:
         assert x.value == F(1, 3)
         assert x.eta == 0
 
+    def test_rational_point_label(self, default_digit_limit):
+        assert [rational_point(v).label for v in ("1/3", 0, "-5/7", "2.5")] == [
+            "rational 1/3", "rational 0", "rational -5/7", "rational 5/2"
+        ]
+        x = rational_point("1e5000")
+        assert x.value == 10**5000 and x.label == (
+            "rational ~1.000000e5000 (approximate; exact value has a 5001-digit numerator "
+            "and a 1-digit denominator)"
+        )
+
     def test_negative_eta_rejected(self):
         from primecover.hits import RealApproximant
 

@@ -5,6 +5,7 @@ import random
 import re
 import sys
 import tempfile
+from array import array
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -837,8 +838,8 @@ class TestLoadSequenceValidation:
 
 
 class TestLoadSequenceCollector:
-    # load_sequence pauses the cyclic garbage collector while it parses;
-    # whatever the outcome, the collector is left as it was found
+    # whatever the outcome, load_sequence leaves the cyclic garbage
+    # collector as it found it
     FILES = {
         "valid": '{"c": "1/4", "entries": [[2, 1], [3, 2]], "method": "custom", "seed": null}',
         "bad_json": "{",
@@ -910,21 +911,67 @@ class TestEntryColumns:
             NumeratorSequence(HALF, EntryView((2, 3, 5), (1, 2)))
 
     @pytest.mark.parametrize("big", [2**63, 2**64 + 1, 10**30])
-    def test_values_past_64_bits_keep_working(self, tmp_path, big):
-        entries = ((2, 1), (big, big - 5))
-        seq = NumeratorSequence(F(1, 4), entries)
-        assert type(seq.entries.primes) is list
-        assert seq.entries == entries and hash(seq.entries) == hash(entries)
-        assert seq.numerator_for(big) == big - 5 and seq.numerators_of([2, big]) == [1, big - 5]
-        save_sequence(seq, tmp_path / "big.json")
-        assert load_sequence(tmp_path / "big.json") == seq
-        with pytest.raises(ValueError, match=f"numerator {big} out of range for prime {big}"):
-            NumeratorSequence(F(1, 4), ((2, 1), (big, big)))
+    def test_values_past_64_bits_are_rejected(self, tmp_path, big):
+        message = rf"^entry 1 \({big}, {big - 5}\): p and a_p must be ints below 2\^63$"
+        with pytest.raises(ValueError, match=message):
+            NumeratorSequence(F(1, 4), ((2, 1), (big, big - 5)))
+        path = tmp_path / "big.json"
+        path.write_text(sequence_text(NumeratorSequence(F(1, 4), ((2, 1), (7, 2)))).replace(
+            "7,\n      2", f"{big},\n      {big - 5}"))
+        with pytest.raises(SequenceFileError, match=f"^{re.escape(str(path))}: {message[1:]}"):
+            load_sequence(path)
+        assert outcome(load_sequence, path) == outcome(json_path, path)
 
     def test_largest_64_bit_value_stays_in_an_array(self):
         seq = NumeratorSequence(F(1, 4), ((2**63 - 1, 2**63 - 2),))
         assert type(seq.entries.primes) is not list
         assert seq.numerator_for(2**63 - 1) == 2**63 - 2
+
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            (((2, 1.0),), "entry 0 (2, 1.0)"),
+            (((3, "1"),), "entry 0 (3, '1')"),
+            (((2, 1), ("5", 3)), "entry 1 ('5', 3)"),
+            (((2, 1), (3, None), (2**63, 0)), "entry 1 (3, None)"),
+        ],
+        ids=["float", "str", "str_prime", "first_of_two"],
+    )
+    def test_a_value_that_is_not_an_int_is_rejected(self, entries, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}: p and a_p must be ints below"):
+            NumeratorSequence(HALF, entries)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            NumeratorSequence(HALF, EntryView(*map(list, zip(*entries))))
+
+    def test_entries_that_are_not_pairs(self):
+        for entries in (((2, 1, 0),), ((2, 1), (3,))):
+            with pytest.raises(ValueError, match="^entries must be \\(p, a_p\\) pairs$"):
+                NumeratorSequence(HALF, entries)
+
+    def test_huge_value_is_named_without_its_digits(self, default_digit_limit):
+        with pytest.raises(ValueError, match=re.escape(
+            "entry 0 (~1.000000e5000 (approximate; exact value has a 5001-digit numerator "
+            "and a 1-digit denominator), 1): p and a_p must be ints below 2^63"
+        )):
+            NumeratorSequence(HALF, ((10**5000, 1),))
+
+    @pytest.mark.parametrize("build", [
+        lambda: random_sequence(100, HALF, 3),
+        lambda: greedy_sequence(100, F(1, 4)),
+        lambda: constant_sequence(100, HALF),
+        lambda: block_construction([HALF, F(1, 4)], HALF, 1000)[0],
+        lambda: NumeratorSequence(HALF, EntryView([2, 3], (1, 2))),
+    ], ids=["random", "greedy", "constant", "blocks", "view_of_lists"])
+    def test_every_sequence_stores_two_q_arrays(self, build):
+        view = build().entries
+        assert [(type(col), col.typecode) for col in (view.primes, view.numerators)] == [
+            (array, "q"), (array, "q")
+        ]
+
+    def test_q_arrays_handed_in_are_kept(self):
+        primes, numerators = array("q", [2, 3, 5]), array("q", [1, 2, 3])
+        view = NumeratorSequence(HALF, EntryView(primes, numerators)).entries
+        assert view.primes is primes and view.numerators is numerators
 
 
 class TestNumeratorsOf:
@@ -1029,7 +1076,8 @@ class TestCanonicalLoader:
         st.sampled_from([1 << 20, 64, 7]),
         st.one_of(
             st.tuples(st.just("number"), st.sampled_from(
-                [b"01", b"00", b"+1", b"-1", b"1e3", b"2.0", b"true", b"", b" 1", b"1 "])),
+                [b"01", b"00", b"+1", b"-1", b"1e3", b"2.0", b"true", b"", b" 1", b"1 ",
+                 b"9223372036854775808"])),
             st.tuples(st.sampled_from(["insert", "insert_in_rows"]), st.sampled_from(
                 [b" ", b"\n", b"\t", b"0", b"7", b"12", b",", b"[", b"]", b"-"])),
             st.tuples(st.sampled_from(["crlf", "bom", "reorder", "duplicate", "truncate"]),
