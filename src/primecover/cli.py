@@ -18,24 +18,25 @@ import math
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .arcs import checked_c, checked_range, rat_str, to_fraction
 from .ergodic import ergodic_rows, sparse_prime_set
-from .fanout import map_chunks
 from .hits import (
+    CLASSIFY_WORK,
     DEFAULT_NAMED_ETA,
     NAMED_APPROXIMANTS,
     Classified,
     HitReport,
     approximant_named,
-    fractional_classes,
+    check_eta,
+    classify_fractional,
+    classify_hits,
     fractional_hits,
-    hit_classes,
     hit_primes,
     rational_point,
 )
-from .primes import prime_count, sieve_range
+from .primes import map_prime_intervals, prime_count, primes_between, sieve_range
 from .sequences import (
     DEFAULT_SEED,
     block_construction,
@@ -158,10 +159,16 @@ def cmd_sievelab(args: argparse.Namespace) -> str:
     return _json_text(doc)
 
 
-def _hit_csv(classes: Iterator[Classified]) -> str:
-    """One row per classified prime, the distance reduced to lowest terms."""
-    lines = ["p,distance_num,distance_den,hit,ambiguous\n"]
-    for p, n, den, hit, ambiguous in classes:
+def _hit_csv(classify: Callable[[Sequence[int]], Iterator[Classified]], bound: int) -> str:
+    """One row per prime up to bound, each interval's rows made in its own process."""
+    rows = map_prime_intervals(functools.partial(_hit_rows, classify), bound, 2 * CLASSIFY_WORK)
+    return "".join(["p,distance_num,distance_den,hit,ambiguous\n", *rows])
+
+
+def _hit_rows(classify: Callable[[Sequence[int]], Iterator[Classified]], lo: int, hi: int) -> str:
+    """A row per classified prime of (lo, hi], the distance reduced to lowest terms."""
+    lines = []
+    for p, n, den, hit, ambiguous in classify(primes_between(lo, hi)):
         g = math.gcd(n, den)
         lines.append(f"{p},{n // g},{den // g},{hit:d},{ambiguous:d}\n")
     return "".join(lines)
@@ -186,7 +193,7 @@ def cmd_hits(args: argparse.Namespace) -> str:
     seq = _load_seq(args)
     point = _point(args)
     if args.out_format == "csv":
-        return _hit_csv(hit_classes(point, seq, args.bound))
+        return _hit_csv(functools.partial(classify_hits, point, seq), args.bound)
     report = hit_primes(point, seq, args.bound)
     return _hit_json(report, point.label, seq.c)
 
@@ -194,7 +201,8 @@ def cmd_hits(args: argparse.Namespace) -> str:
 def cmd_fracparts(args: argparse.Namespace) -> str:
     point = _point(args)
     if args.out_format == "csv":
-        return _hit_csv(fractional_classes(point, args.c, args.bound))
+        check_eta(point, args.bound)
+        return _hit_csv(functools.partial(classify_fractional, point, args.c), args.bound)
     report = fractional_hits(point, args.c, args.bound)
     return _hit_json(report, point.label, args.c)
 
@@ -218,18 +226,26 @@ def _ergodic_csv(seq, x: float, y: float, primes: Sequence[int]) -> str:
     )
 
 
+def _ergodic_between(seq, x: float, y: float, lo: int, hi: int) -> str:
+    primes = primes_between(lo, hi)
+    # fail before any row: the smallest prime of (lo, hi] that the sequence
+    # lacks raises the error its row would
+    seq.numerators_of(primes)
+    return _ergodic_csv(seq, x, y, primes)
+
+
 def cmd_ergodic(args: argparse.Namespace) -> str:
     seq = _load_seq(args)
     x, y = _float_arg(args.x), _float_arg(args.y)
     if args.sparse is not None:
         primes = sparse_prime_set(args.primes_up_to, args.sparse).primes
+        rows = [_ergodic_csv(seq, x, y, primes)]
     else:
-        primes = sieve_range(args.primes_up_to)
-    # fail before any row: the smallest listed prime that the sequence lacks
-    # raises the error its row would
-    seq.numerators_of(primes)
-    chunks = map_chunks(functools.partial(_ergodic_csv, seq, x, y), primes)
-    return "".join(["p,a_p,d,abs_s,is_hit,method\n", *chunks])
+        # the earliest interval's error is raised, so a missing prime is named
+        # as the serial run names it: the smallest one
+        between = functools.partial(_ergodic_between, seq, x, y)
+        rows = map_prime_intervals(between, args.primes_up_to, 1)
+    return "".join(["p,a_p,d,abs_s,is_hit,method\n", *rows])
 
 
 # the handler of each subcommand, looked up when main runs (a module-level

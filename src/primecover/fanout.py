@@ -1,11 +1,14 @@
-"""Map a function over contiguous chunks of a sequence, across the CPU cores.
+"""Map a function over contiguous chunks of a sequence or a prime interval, across the CPU cores.
 
 `map_chunks` splits its items into contiguous chunks, one per process:
 the caller's process computes the first chunk and each further chunk
 runs in an `os.fork`ed worker, which pickles its result (or the
 exception it raised) back through a pipe. The results come back in
 chunk order, so a caller that joins them gets what one call over all the
-items gives, byte for byte, whatever the number of cores.
+items gives, byte for byte, whatever the number of cores. A prime
+interval is a `range` of shares of its expected primes, which
+`primes.map_prime_intervals` cuts into (lo, hi] that each process sieves
+for itself.
 
 The number of chunks is worked out, never set: the smaller of the CPUs
 this process may run on and the chunks worth a fork (at least
@@ -34,7 +37,17 @@ T = TypeVar("T")
 # each (19-20 ms against 25-26 ms) and in all three at 4,000 each (34-39
 # ms against 48-55 ms). One per-prime evaluation is an `ergodic` CSV row
 # (4.7-6.5 us) or one prime of one Monte Carlo trial (2.0 us at Y = 5000),
-# so a chunk of 2,000 is 4-13 ms of work.
+# so a chunk of 2,000 is 4-13 ms of work. A prime costs less elsewhere
+# (serial medians at 1e5-1e7, sieve included, on the same VM): a hit
+# classification 1.4-1.5 us, a fractional one 1.0-1.1 us, either one with
+# its CSV row 3.2-4.0 us, and a prime counted by the sieve 47-49 ns (2.9 ns
+# per number). So a prime weighs 1/3 of an evaluation to classify
+# (`hits.CLASSIFY_WORK`), 2/3 with its CSV row and 1/100 to count
+# (`primes.COUNT_WORK`): on two CPUs `hits` and `fracparts` fork from a
+# bound of 142,397 (66,643 for CSV), the count from 6,259,868 and the dense
+# `ergodic` from 42,643. Below that a split lost or tied: hit JSON at 1e5
+# took 15.5 ms split against 10.3 serial, and the count at 3e6 9.2 against
+# 9.1.
 MIN_CHUNK = 2000
 
 
@@ -46,20 +59,21 @@ def cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def chunk_count(items: int, work_per_item: int = 1) -> int:
+def chunk_count(items: int, work_per_item: float = 1) -> int:
     """How many chunks `map_chunks` splits `items` items into; 1 means serial."""
     if not hasattr(os, "fork") or threading.active_count() > 1:
         return 1
-    worth = items * work_per_item // MIN_CHUNK
+    worth = int(items * work_per_item) // MIN_CHUNK
     return max(1, min(cpu_count(), worth, items))
 
 
 def map_chunks(
-    fn: Callable[[Sequence], T], items: Sequence, work_per_item: int = 1
+    fn: Callable[[Sequence], T], items: Sequence, work_per_item: float = 1
 ) -> list[T]:
     """[fn(chunk) for each contiguous chunk of items], in order.
 
-    work_per_item is the number of per-prime evaluations one item costs.
+    work_per_item is the number of per-prime evaluations one item costs,
+    a fraction where an item is cheaper than one.
     fn must not depend on which process runs it. The earliest chunk's
     exception is raised, so a failure reads as the serial run's does; a
     worker that dies without a result is a RuntimeError. On every path,

@@ -12,18 +12,29 @@ eta and c are split into numerators and denominators once, and each
 comparison is cross-multiplied by the (positive) common denominator, so
 a prime costs a few integer operations and no float or Fraction
 comparison decides a status.
+
+`hit_primes` and `fractional_hits` fold the tallies of prime intervals
+that each process sieves and classifies itself (`map_prime_intervals`),
+so no process holds every prime.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, NamedTuple
+from itertools import chain
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .arcs import RationalLike, fraction_text, to_fraction
-from .primes import MERTENS, harmonic_H_float, sieve_range
+from .primes import MERTENS, harmonic_H_float, map_prime_intervals, primes_between, sieve_range
 from .sequences import NumeratorSequence
+
+# per-prime evaluations that sieving and classifying one prime costs (see
+# fanout.MIN_CHUNK)
+CLASSIFY_WORK = 1 / 3
 
 
 @dataclass(frozen=True)
@@ -93,23 +104,24 @@ class HitReport:
     hit_reciprocal_sum: float
 
 
-def _tally(classes: Iterator[Classified]) -> tuple[list[int], list[int], list[int]]:
-    """Every classified prime, the hits and the ambiguous ones."""
-    primes, hits, ambiguous = [], [], []
+def _tally(classes: Iterator[Classified]) -> tuple[list[int], list[int]]:
+    """The hits and the ambiguous primes."""
+    hits, ambiguous = [], []
     for p, _, _, hit, unsure in classes:
-        primes.append(p)
         if hit:
             hits.append(p)
         elif unsure:
             ambiguous.append(p)
-    return primes, hits, ambiguous
+    return hits, ambiguous
 
 
-def _report(bound: int, hits: list[int], ambiguous: list[int], heuristic: float) -> HitReport:
+def _report(bound: int, tallies: list[tuple], heuristic: float) -> HitReport:
+    """The report of the intervals' tallies, each (hits, ambiguous, ...), in order."""
+    hits = tuple(chain.from_iterable(tally[0] for tally in tallies))
     return HitReport(
         bound=bound,
-        hits=tuple(hits),
-        ambiguous=tuple(ambiguous),
+        hits=hits,
+        ambiguous=tuple(chain.from_iterable(tally[1] for tally in tallies)),
         heuristic=heuristic,
         ratio=len(hits) / heuristic if heuristic > 0 else 0.0,
         hit_reciprocal_sum=math.fsum(1.0 / p for p in hits),
@@ -117,7 +129,14 @@ def _report(bound: int, hits: list[int], ambiguous: list[int], heuristic: float)
 
 
 def hit_classes(x: RealApproximant, seq: NumeratorSequence, bound: int) -> Iterator[Classified]:
-    """Classify every prime p <= bound as hit, miss, or ambiguous.
+    """Classify every prime p <= bound as hit, miss, or ambiguous (classify_hits)."""
+    return classify_hits(x, seq, sieve_range(bound))
+
+
+def classify_hits(
+    x: RealApproximant, seq: NumeratorSequence, primes: Sequence[int]
+) -> Iterator[Classified]:
+    """Classify each of the ascending primes as hit, miss, or ambiguous.
 
     Yields (p, n, den, hit, ambiguous), where n/den (not reduced) is the
     circle distance from x.value to a_p/p. Hit requires the whole
@@ -140,7 +159,6 @@ def hit_classes(x: RealApproximant, seq: NumeratorSequence, bound: int) -> Itera
     scale = big_e * v
     spread = e * k * v
     threshold = u * k * big_e
-    primes = sieve_range(bound)
     for p, a in zip(primes, seq.numerators_of(primes)):
         kp = k * p
         r = (h * p - a * k) % kp
@@ -154,15 +172,42 @@ def hit_classes(x: RealApproximant, seq: NumeratorSequence, bound: int) -> Itera
             yield p, n, kp, False, True
 
 
+def _hit_tally(
+    x: RealApproximant, seq: NumeratorSequence, lo: int, hi: int
+) -> tuple[list[int], list[int], array]:
+    """The hits and ambiguous primes of (lo, hi], and the 1/p of each of its primes."""
+    primes = primes_between(lo, hi)
+    return (*_tally(classify_hits(x, seq, primes)), array("d", [1.0 / p for p in primes]))
+
+
 def hit_primes(x: RealApproximant, seq: NumeratorSequence, bound: int) -> HitReport:
-    primes, hits, ambiguous = _tally(hit_classes(x, seq, bound))
-    # the sum of harmonic_H_float(1, bound), over the primes already sieved
-    heuristic = float(2 * seq.c) * math.fsum(1.0 / p for p in primes)
-    return _report(bound, hits, ambiguous, heuristic)
+    tallies = map_prime_intervals(functools.partial(_hit_tally, x, seq), bound, CLASSIFY_WORK)
+    # harmonic_H_float(1, bound) from the intervals' terms: fsum rounds the
+    # exact sum of its terms once, so their order does not matter
+    terms = chain.from_iterable(tally[2] for tally in tallies)
+    return _report(bound, tallies, float(2 * seq.c) * math.fsum(terms))
+
+
+def check_eta(x: RealApproximant, bound: int) -> None:
+    """Fail unless x is precise enough for fractional parts up to bound: eta * bound < 1/4."""
+    if x.eta * bound >= Fraction(1, 4):
+        raise ValueError(
+            "x is too imprecise for this range: "
+            f"eta * bound = {fraction_text(x.eta * bound)} >= 1/4"
+        )
 
 
 def fractional_classes(x: RealApproximant, c: RationalLike, bound: int) -> Iterator[Classified]:
-    """Classify primes by the one-sided predicate {x*p} < c.
+    """Classify every prime p <= bound by {x*p} < c (classify_fractional), once check_eta passes."""
+    c = to_fraction(c)
+    check_eta(x, bound)
+    return classify_fractional(x, c, sieve_range(bound))
+
+
+def classify_fractional(
+    x: RealApproximant, c: Fraction, primes: Iterable[int]
+) -> Iterator[Classified]:
+    """Classify each prime by the one-sided predicate {x*p} < c.
 
     Yields (p, r, k, hit, ambiguous), where r/k (not reduced) is the
     exact fractional part of value*p. When the uncertainty band p*eta
@@ -182,19 +227,13 @@ def fractional_classes(x: RealApproximant, c: RationalLike, bound: int) -> Itera
     comparisons: then E = 1 and d = 0, so the first two always hold, the
     prime is a hit iff r*v < u*k, and it is never ambiguous.
     """
-    c = to_fraction(c)
-    if x.eta * bound >= Fraction(1, 4):
-        raise ValueError(
-            "x is too imprecise for this range: "
-            f"eta * bound = {fraction_text(x.eta * bound)} >= 1/4"
-        )
     h, k = x.value.numerator, x.value.denominator
     e, big_e = x.eta.numerator, x.eta.denominator
     u, v = c.numerator, c.denominator
     one = k * big_e
     cut = u * k * big_e
     ek = e * k
-    for p in sieve_range(bound):
+    for p in primes:
         r = h * p % k
         f, d = r * big_e, p * ek
         if f >= d and f + d < one:
@@ -209,9 +248,21 @@ def fractional_classes(x: RealApproximant, c: RationalLike, bound: int) -> Itera
             yield p, r, k, False, True
 
 
+def _fractional_tally(
+    x: RealApproximant, c: Fraction, lo: int, hi: int
+) -> tuple[list[int], list[int], int]:
+    """The hits and ambiguous primes of (lo, hi], and its number of primes."""
+    primes = primes_between(lo, hi)
+    return (*_tally(classify_fractional(x, c, primes)), len(primes))
+
+
 def fractional_hits(x: RealApproximant, c: RationalLike, bound: int) -> HitReport:
-    primes, hits, ambiguous = _tally(fractional_classes(x, c, bound))
-    return _report(bound, hits, ambiguous, float(to_fraction(c)) * len(primes))
+    c = to_fraction(c)
+    check_eta(x, bound)
+    tallies = map_prime_intervals(
+        functools.partial(_fractional_tally, x, c), bound, CLASSIFY_WORK
+    )
+    return _report(bound, tallies, float(c) * sum(tally[2] for tally in tallies))
 
 
 class LogLogHeuristic(NamedTuple):

@@ -12,7 +12,7 @@ import pytest
 from primecover import cli, fanout
 from primecover.cli import DEFAULT_ETA, main
 from primecover.ergodic import ergodic_rows
-from primecover.primes import sieve_range
+from primecover.primes import map_prime_intervals, primes_between, sieve_range
 from primecover.sequences import (
     NumeratorSequence,
     load_sequence,
@@ -30,18 +30,22 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def split_and_serial(capsys, monkeypatch, *argv):
-    """run_cli results with the work split over 4 processes, and serially."""
-    forks = []
+def split_and_serial(capsys, monkeypatch, *argv, forks=3):
+    """run_cli results with the work split over 4 processes, and serially.
+
+    forks is the number of workers the split run starts: 3, unless the
+    command has nothing to split.
+    """
+    started = []
     fork = fanout._fork
-    monkeypatch.setattr(fanout, "_fork", lambda *a: forks.append(1) or fork(*a))
+    monkeypatch.setattr(fanout, "_fork", lambda *a: started.append(1) or fork(*a))
     monkeypatch.setattr(fanout, "MIN_CHUNK", 1)
     monkeypatch.setattr(fanout, "cpu_count", lambda: 4)
     split = run_cli(capsys, *argv)
-    assert len(forks) == 3
+    assert len(started) == forks
     monkeypatch.setattr(fanout, "cpu_count", lambda: 1)
     serial = run_cli(capsys, *argv)
-    assert len(forks) == 3
+    assert len(started) == forks
     return split, serial
 
 
@@ -63,6 +67,10 @@ class TestPrimesCommand:
         code, out, err = run_cli(capsys, "primes", "--bound", str(10**k))
         assert code == 0 and err == ""
         assert out == json.dumps({"bound": 10**k, "count": count}, sort_keys=True, indent=2) + "\n"
+
+    def test_split_count_equals_serial(self, capsys, monkeypatch):
+        split, serial = split_and_serial(capsys, monkeypatch, "primes", "--bound", "100000")
+        assert split == serial == (0, '{\n  "bound": 100000,\n  "count": 9592\n}\n', "")
 
     @pytest.mark.parametrize("bound", [2, 3, 4, 10, 97, 100, 1000, 7919, 10**4])
     def test_listing_bytes_match_sieve(self, capsys, bound):
@@ -356,6 +364,34 @@ class TestHitsCommands:
                 "--c", "1/2", "--out", str(path))
         return str(path)
 
+    @pytest.mark.parametrize("argv", [
+        ("hits", "--seq", "R", "--x-named", "sqrt2", "--eta", "1e-6", "--bound", "3000"),
+        ("hits", "--seq", "R", "--x-named", "sqrt2", "--eta", "1e-6", "--bound", "3000",
+         "--format", "csv"),
+        ("fracparts", "--x-named", "golden", "--eta", "3e-5", "--c", "1/4", "--bound", "3000"),
+        ("fracparts", "--x-named", "golden", "--eta", "3e-5", "--c", "1/4", "--bound", "3000",
+         "--format", "csv"),
+    ], ids=["hits_json", "hits_csv", "fracparts_json", "fracparts_csv"])
+    def test_split_output_equals_serial(self, capsys, monkeypatch, tmp_path, argv):
+        # R is a random sequence file to 3000
+        monkeypatch.chdir(tmp_path)
+        run_cli(capsys, "seq", "build", "--method", "random", "--bound", "3000", "--c", "1/4",
+                "--out", "R")
+        split, serial = split_and_serial(capsys, monkeypatch, *argv)
+        assert split == serial and split[0] == 0 and split[2] == ""
+        if "csv" in argv:
+            rows = [line.split(",") for line in split[1].splitlines()[1:]]
+            assert [int(row[0]) for row in rows] == list(sieve_range(3000))
+            hits = [int(p) for p, *_, hit, _ in rows if hit == "1"]
+            ambiguous = [int(p) for p, *_, ambiguous in rows if ambiguous == "1"]
+        else:
+            doc = json.loads(split[1])
+            hits, ambiguous = doc["hits"], doc["ambiguous"]
+        assert hits
+        if argv[0] == "fracparts":  # hits and ambiguous primes in the first and last intervals
+            assert min(hits) < 500 and max(hits) > 2500
+            assert min(ambiguous) < 500 and max(ambiguous) > 2500
+
     def test_hits_json(self, capsys, seq_file):
         code, out, _ = run_cli(
             capsys, "hits", "--seq", seq_file, "--x", "1/3", "--bound", "100"
@@ -586,8 +622,10 @@ class TestErgodicCommand:
         ("--x", "1/3", "--y", "0.7123"),
     ], ids=["dense", "sparse", "rational"])
     def test_split_output_equals_serial(self, capsys, monkeypatch, seq_file, extra):
+        # the sparse set (4 primes here, 9 at 1e6) is not worth a fork
         split, serial = split_and_serial(
-            capsys, monkeypatch, "ergodic", "--seq", seq_file, "--primes-up-to", "300", *extra
+            capsys, monkeypatch, "ergodic", "--seq", seq_file, "--primes-up-to", "300", *extra,
+            forks=0 if "--sparse" in extra else 3,
         )
         assert split == serial and split[0] == 0
 
@@ -653,6 +691,32 @@ class TestScansZipTheColumns:
         assert self.scan(capsys, tmp_path, name, kept) == (
             1, "", "error: sequence has no entry for prime 67\n"
         )
+
+    @pytest.mark.parametrize("name", ["hits_json", "hits_csv", "ergodic_dense"])
+    @pytest.mark.parametrize("lacking", ["last_interval", "two_intervals"])
+    def test_missing_primes_under_a_split(self, capsys, monkeypatch, tmp_path, entries, name,
+                                          lacking):
+        # the four intervals of (1, 300] that a run on 4 CPUs sieves, one per process
+        with monkeypatch.context() as mp:
+            mp.setattr(fanout, "MIN_CHUNK", 1)
+            mp.setattr(fanout, "cpu_count", lambda: 4)
+            parts = map_prime_intervals(primes_between, 300, 1)
+        assert len(parts) == 4
+        if lacking == "last_interval":
+            dropped = [parts[3][1]]
+        else:  # the earliest worker's error, not the latest, is raised
+            dropped = [parts[1][-2], parts[3][0]]
+        path, out_file = tmp_path / "custom.json", tmp_path / "o.txt"
+        kept = tuple((p, a) for p, a in entries if p not in dropped)
+        path.write_text(sequence_text(NumeratorSequence(F(1, 4), kept)))
+        command, *rest = SCANS[name]
+        split, serial = split_and_serial(
+            capsys, monkeypatch, command, "--seq", str(path), *rest, "--out", str(out_file)
+        )
+        assert split == serial == (
+            1, "", f"error: sequence has no entry for prime {dropped[0]}\n"
+        )
+        assert not out_file.exists()
 
     @pytest.mark.parametrize("name", list(SCANS))
     def test_entry_at_a_composite_is_never_read(self, capsys, tmp_path, entries, name):

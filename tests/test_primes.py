@@ -1,13 +1,16 @@
 import math
 from bisect import bisect_right
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import islice
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import full_flag_primes
+from primecover import fanout
+from primecover import primes as primes_module
 from primecover.primes import (
     _SEGMENT,
     MERTENS,
@@ -15,6 +18,7 @@ from primecover.primes import (
     harmonic_H_float,
     is_prime,
     iter_primes,
+    map_prime_intervals,
     next_prime,
     prime_count,
     primes_between,
@@ -160,6 +164,73 @@ class TestOddOnlyWindows:
         primes = primes_between(10**9 - 10**4, 10**9)
         assert len(primes) == 475
         assert primes == [n for n in range(10**9 - 10**4 + 1, 10**9 + 1) if is_prime(n)]
+
+
+@contextmanager
+def cores(n):
+    """fanout sees n CPUs, and every prime is worth a fork, counted ones too."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fanout, "MIN_CHUNK", 1)
+        mp.setattr(fanout, "cpu_count", lambda: n)
+        mp.setattr(primes_module, "COUNT_WORK", 1)
+        yield
+
+
+def split(fn, bound, chunks):
+    """map_prime_intervals over `chunks` CPUs, a prime weighing one evaluation."""
+    with cores(chunks):
+        return map_prime_intervals(fn, bound, 1)
+
+
+def interval_and_primes(lo, hi):
+    return lo, hi, primes_between(lo, hi)
+
+
+class TestPrimeIntervals:
+    """(1, bound] cut into intervals that each process sieves itself."""
+
+    @given(st.integers(2, 5000), st.integers(1, 5))
+    @example(100, 3)  # cut at 23, a prime
+    @settings(max_examples=40, deadline=None)
+    def test_intervals_join_to_the_sieve(self, bound, chunks):
+        parts = split(interval_and_primes, bound, chunks)
+        assert 1 <= len(parts) <= chunks
+        if bound >= 30:  # from there (1, bound] has at least 5 shares
+            assert len(parts) == chunks
+        ends = [lo for lo, _, _ in parts] + [bound]
+        assert ends[0] == 1 and [hi for _, hi, _ in parts] == ends[1:]
+        assert ends == sorted(ends)
+        primes = sieve_range(bound)
+        assert [p for _, _, part in parts for p in part] == list(primes)
+        with cores(chunks):
+            # a prime at a cut is counted once
+            assert prime_count(bound) == len(primes)
+
+    def test_a_prime_at_a_cut_lands_in_one_interval(self):
+        parts = split(interval_and_primes, 100, 3)
+        assert [(lo, hi) for lo, hi, _ in parts] == [(1, 23), (23, 60), (60, 100)]
+        assert parts[0][2][-1] == 23 and parts[1][2][0] == 29
+
+    @pytest.mark.parametrize("chunks", [2, 3, 4])
+    def test_count_split_over_the_cores(self, chunks):
+        counts = split(lambda lo, hi: len(primes_between(lo, hi)), 10**5, chunks)
+        assert len(counts) == chunks and sum(counts) == 9592
+        # about equal shares of the primes: equal spans would put 5,133 and 4,459
+        # primes in the two halves
+        assert max(counts) - min(counts) < 9592 // 100
+        with cores(chunks):
+            assert prime_count(10**5) == 9592
+
+    def test_two_halves_of_a_million(self):
+        parts = split(interval_and_primes, 10**6, 2)
+        assert [(lo, hi, len(primes)) for lo, hi, primes in parts] == [
+            (1, 472898, 39454), (472898, 10**6, 39044)
+        ]
+
+    @pytest.mark.parametrize("bound", [1, 0, -7])
+    def test_rejects_small_bound_before_a_fork(self, bound):
+        with pytest.raises(ValueError, match=f"^sieve bound must be >= 2, got {bound}$"):
+            split(lambda lo, hi: pytest.fail("an interval was mapped"), bound, 4)
 
 
 class TestIterPrimes:
