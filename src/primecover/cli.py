@@ -7,6 +7,8 @@ Every run is determined by its arguments (seeds included), so identical
 invocations produce byte-identical output.
 Rationals cross the boundary as "num/den" strings; floats appear only in
 explicitly floating-point fields such as Monte Carlo means and |s_p|.
+Invalid input raises ValueError, in the handlers and in the library
+alike, and `main` prints it as one `error:` line and returns 1.
 """
 
 from __future__ import annotations
@@ -59,15 +61,11 @@ from .sievelab import (
 DEFAULT_ETA = f"{float(DEFAULT_NAMED_ETA):g}"  # the --eta help text
 
 
-class CliError(Exception):
-    """Invalid configuration; message is printed as `error: ...`."""
-
-
 def _parse_c(text: str) -> Fraction:
     try:
         return checked_c(text)
     except ValueError:
-        raise CliError("c must be in (0,1/2]") from None
+        raise ValueError("c must be in (0,1/2]") from None
 
 
 def _json_text(doc) -> str:
@@ -76,17 +74,17 @@ def _json_text(doc) -> str:
 
 def _load_seq(args: argparse.Namespace):
     if not Path(args.seq_path).is_file():
-        raise CliError("sequence file not found")
+        raise ValueError("sequence file not found")
     return load_sequence(args.seq_path)
 
 
 def _point(args: argparse.Namespace):
     if (args.x is None) == (args.x_named is None):
-        raise CliError("give exactly one of --x or --x-named")
+        raise ValueError("give exactly one of --x or --x-named")
     if args.x_named is not None:
         return approximant_named(args.x_named, args.eta or DEFAULT_NAMED_ETA)
     if args.eta is not None:
-        raise CliError("--eta needs --x-named")
+        raise ValueError("--eta needs --x-named")
     return rational_point(args.x)
 
 
@@ -99,9 +97,9 @@ def cmd_primes(args: argparse.Namespace) -> str:
 
 def cmd_seq_build(args: argparse.Namespace) -> str:
     if args.epsilons is not None and args.method != "blocks":
-        raise CliError("--epsilons needs --method blocks")
+        raise ValueError("--epsilons needs --method blocks")
     if args.seed is not None and args.method != "random":
-        raise CliError("--seed needs --method random")
+        raise ValueError("--seed needs --method random")
     schedule = None
     if args.method == "greedy":
         seq = greedy_sequence(args.bound, args.c)
@@ -111,7 +109,7 @@ def cmd_seq_build(args: argparse.Namespace) -> str:
         seq = constant_sequence(args.bound, args.c)
     else:
         if not args.epsilons:
-            raise CliError("blocks method needs --epsilons")
+            raise ValueError("blocks method needs --epsilons")
         seq, schedule = block_construction(args.epsilons, args.c, args.bound)
     save_sequence(seq, args.out_path, schedule)
     summary = {
@@ -134,9 +132,9 @@ def cmd_coverage(args: argparse.Namespace) -> str:
 
 def cmd_sievelab(args: argparse.Namespace) -> str:
     if args.seq_path is not None and args.c is not None:
-        raise CliError("give --seq or --c, not both")
+        raise ValueError("give --seq or --c, not both")
     if args.seed is not None and args.trials is None:
-        raise CliError("--seed needs --mc")
+        raise ValueError("--seed needs --mc")
     x, y = checked_range(args.x, args.y)  # before x or y is formatted
     if args.seq_path is not None:
         seq = _load_seq(args)
@@ -145,11 +143,11 @@ def cmd_sievelab(args: argparse.Namespace) -> str:
         c = seq.c
     else:
         if args.c is None:
-            raise CliError("give --seq or --c")
+            raise ValueError("give --seq or --c")
         c = args.c
         doc = {"x": rat_str(x), "y": rat_str(y), "c": rat_str(c), "mode": "exact"}
         if not args.exact and args.trials is None:
-            raise CliError("without --seq, give --exact and/or --mc")
+            raise ValueError("without --seq, give --exact and/or --mc")
     if args.exact:
         doc["omega_expectation"] = rat_str(omega_expectation_exact(x, y, c))
     if args.trials is not None:
@@ -216,7 +214,7 @@ def _float_arg(text: str) -> float:
     try:
         return float(to_fraction(text))
     except OverflowError:
-        raise CliError(f"{text!r} is too large for a float") from None
+        raise ValueError(f"{text!r} is too large for a float") from None
 
 
 def _ergodic_csv(seq, x: float, y: float, primes: Sequence[int]) -> str:
@@ -337,17 +335,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if getattr(args, "eta", None) is not None:
             args.eta = to_fraction(args.eta)
             if args.eta <= 0:
-                raise CliError("eta must be > 0")
+                raise ValueError("eta must be > 0")
         if getattr(args, "epsilons", None):
             args.epsilons = [to_fraction(part) for part in args.epsilons.split(",")]
         if getattr(args, "bound", 2) < 2:
-            raise CliError("bound must be >= 2")
+            raise ValueError("bound must be >= 2")
         text = _HANDLERS[args.command](args)
         # seq build writes its --out file itself and prints a summary
         if args.command != "seq" and getattr(args, "out_path", None) is not None:
             write_atomically(args.out_path, text)
             return 0
-    except (CliError, ValueError, RuntimeError, OSError) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     sys.stdout.write(text)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .arcs import HALF
-from .primes import next_prime
+from .primes import _check_bound, next_prime
 from .sequences import NumeratorSequence
 
 # below this |sin(pi d)| the kernel ratio is too ill-conditioned; sum directly
@@ -85,7 +85,7 @@ def ergodic_rows(
 
         p * dist <= c  <=>  n*v <= u*k
 
-    the hits.hit_classes inequality with eta = 0. The float distance is
+    the hits.classify_hits inequality with eta = 0. The float distance is
     reported, never compared. Hits keep |s| bounded away from 0, while a
     prime at distance |d| has |s| <= 1/(2 p |d|).
     """
@@ -125,8 +125,7 @@ def sparse_prime_set(bound: int, mode: str = "geometric") -> SparsePrimeSet:
     psi: least prime above 2^n for n >= 1, the same idea on a denser
     skeleton.
     """
-    if bound < 2:
-        raise ValueError(f"bound must be >= 2, got {bound}")
+    _check_bound(bound)
     if mode == "geometric":
         skeleton_base = 4
     elif mode == "psi":

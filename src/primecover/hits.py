@@ -13,6 +13,8 @@ comparison is cross-multiplied by the (positive) common denominator, so
 a prime costs a few integer operations and no float or Fraction
 comparison decides a status.
 
+There is one classifier per predicate, `classify_hits` and
+`classify_fractional`, each over the ascending primes its caller gives.
 `hit_primes` and `fractional_hits` fold the tallies of prime intervals
 that each process sieves and classifies itself (`map_prime_intervals`),
 so no process holds every prime.
@@ -29,7 +31,7 @@ from itertools import chain
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .arcs import RationalLike, fraction_text, to_fraction
-from .primes import MERTENS, harmonic_H_float, map_prime_intervals, primes_between, sieve_range
+from .primes import MERTENS, _check_bound, harmonic_H_float, map_prime_intervals, primes_between
 from .sequences import NumeratorSequence
 
 # per-prime evaluations that sieving and classifying one prime costs (see
@@ -128,11 +130,6 @@ def _report(bound: int, tallies: list[tuple], heuristic: float) -> HitReport:
     )
 
 
-def hit_classes(x: RealApproximant, seq: NumeratorSequence, bound: int) -> Iterator[Classified]:
-    """Classify every prime p <= bound as hit, miss, or ambiguous (classify_hits)."""
-    return classify_hits(x, seq, sieve_range(bound))
-
-
 def classify_hits(
     x: RealApproximant, seq: NumeratorSequence, primes: Sequence[int]
 ) -> Iterator[Classified]:
@@ -195,13 +192,6 @@ def check_eta(x: RealApproximant, bound: int) -> None:
             "x is too imprecise for this range: "
             f"eta * bound = {fraction_text(x.eta * bound)} >= 1/4"
         )
-
-
-def fractional_classes(x: RealApproximant, c: RationalLike, bound: int) -> Iterator[Classified]:
-    """Classify every prime p <= bound by {x*p} < c (classify_fractional), once check_eta passes."""
-    c = to_fraction(c)
-    check_eta(x, bound)
-    return classify_fractional(x, c, sieve_range(bound))
 
 
 def classify_fractional(
@@ -272,8 +262,7 @@ class LogLogHeuristic(NamedTuple):
 
 def loglog_heuristic(c: RationalLike, bound: int) -> LogLogHeuristic:
     """Predicted hit count up to `bound` and its log-log asymptotic proxy."""
-    if bound < 2:
-        raise ValueError(f"bound must be >= 2, got {bound}")
+    _check_bound(bound)
     c = to_fraction(c)
     scale = float(2 * c)
     return LogLogHeuristic(

@@ -14,10 +14,12 @@ every prime as a Python int in one tuple, so its memory grows with
 pi(bound): about 245 MiB peak at 1e8, and several GiB at 1e9.
 `iter_primes` walks the same primes lazily, window by window, for a scan
 that may stop early (`greedy_sequence`, `block_construction`).
-`iter_primes` and `map_prime_intervals` check a sieve bound at the call:
-every per-prime scan calls one of them, directly or through
-`sieve_range`, before any per-prime work, so a bound below 2 fails
-there, with one message.
+`_check_bound` is the one rule for a sieve bound, 2 <= bound < 2^63,
+since no sequence column holds a larger prime and no sieve reaches one.
+`iter_primes` and `map_prime_intervals` apply it at the call, and every
+per-prime scan calls one of them, directly or through `sieve_range`,
+before any per-prime work; `ergodic.sparse_prime_set` and
+`hits.loglog_heuristic`, which sieve nothing, call it themselves.
 
 Harmonic sums come in two flavors: exact rational (denominators grow
 like primorials; added up a product tree with no gcd, see
@@ -97,8 +99,11 @@ def iter_primes(bound: int) -> Iterator[int]:
 
 
 def _check_bound(bound: int) -> None:
+    """Fail unless 2 <= bound < 2^63, naming the bound as fraction_text words it."""
     if bound < 2:
-        raise ValueError(f"sieve bound must be >= 2, got {bound}")
+        raise ValueError(f"sieve bound must be >= 2, got {fraction_text(bound)}")
+    if bound >= 1 << 63:
+        raise ValueError(f"sieve bound must be below 2^63, got {fraction_text(bound)}")
 
 
 def sieve_range(bound: int) -> tuple[int, ...]:
@@ -201,10 +206,15 @@ def harmonic_H(x: RationalLike, y: RationalLike) -> Fraction:
     1.44M bits at y = 1e6, which takes about 0.9 s (2-core VM, Python
     3.11.7); use harmonic_H_float beyond that.
     """
+    return harmonic_sum(primes_between(*_harmonic_range(x, y)))
+
+
+def _harmonic_range(x: RationalLike, y: RationalLike) -> tuple[Fraction, Fraction]:
+    """The range (X, Y] of a harmonic sum as two Fractions, checked to have 1 <= X < Y."""
     x, y = to_fraction(x), to_fraction(y)
     if not 1 <= x < y:
         raise ValueError(f"need 1 <= X < Y, got X={fraction_text(x)}, Y={fraction_text(y)}")
-    return harmonic_sum(primes_between(x, y))
+    return x, y
 
 
 def harmonic_sum(primes: Iterable[int]) -> Fraction:
@@ -220,7 +230,4 @@ def harmonic_sum(primes: Iterable[int]) -> Fraction:
 
 def harmonic_H_float(x: RationalLike, y: RationalLike) -> float:
     """Floating-point sum of 1/p over primes x < p <= y."""
-    x, y = to_fraction(x), to_fraction(y)
-    if not 1 <= x < y:
-        raise ValueError(f"need 1 <= X < Y, got X={fraction_text(x)}, Y={fraction_text(y)}")
-    return math.fsum(1.0 / p for p in primes_between(x, y))
+    return math.fsum(1.0 / p for p in primes_between(*_harmonic_range(x, y)))

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from oracles import ArcUnion, arc_of, complement, intersect_measure, measure, normalize_union, runs
 from primecover.arcs import Arc, checked_c, checked_range, fraction_text, rat_str, to_fraction
 from primecover.arcs import arc_pieces, coprime_fraction, exact_sum, runs_length, sweep, tree_sum, union_length
-from primecover.hits import RealApproximant, approximant_named, fractional_classes
+from primecover.hits import RealApproximant, approximant_named, fractional_hits
 from primecover.primes import harmonic_H, harmonic_H_float
 from primecover.sequences import Block
 
@@ -382,11 +382,11 @@ class TestFractionText:
         lambda: harmonic_H_float(1, -BIG),
         lambda: RealApproximant(F(1, 3), -TINY),
         lambda: approximant_named("sqrt2", -TINY),
-        lambda: list(fractional_classes(RealApproximant(F(1, 3), 1 + TINY), F(1, 4), 10)),
+        lambda: fractional_hits(RealApproximant(F(1, 3), 1 + TINY), F(1, 4), 10),
         lambda: Block(1, 2, TINY, F(1, 2)),
         lambda: Arc(BIG, F(0)),
     ], ids=["checked_c", "checked_range", "harmonic_H", "harmonic_H_float", "eta",
-            "named_eta", "fractional_classes", "block", "arc"])
+            "named_eta", "fractional_hits", "block", "arc"])
     def test_error_messages_past_the_limit(self, call):
         with pytest.raises(ValueError, match=r"~-?\d\.\d{6}e-?\d+ \(approximate; "):
             call()

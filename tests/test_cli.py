@@ -803,6 +803,9 @@ class TestReproducibility:
         assert a.read_bytes() == b.read_bytes()
 
 
+BIG_BOUND = str(2**63)
+PAST_THE_TOP = f"sieve bound must be below 2^63, got {BIG_BOUND}"
+
 ERRORS = [
     # (argv, the one stderr line, or 2 where argparse rejects the invocation);
     # "S" stands for a greedy sequence file to 200 at c = 1/2
@@ -883,6 +886,25 @@ ERRORS = [
       "--out", "o.json"), "c must be in (0,1/2]"),
     (("ergodic", "--seq", "S", "--x", "0.3", "--y", "0.5", "--primes-up-to", "1",
       "--out", "o.csv"), "sieve bound must be >= 2, got 1"),
+    (("ergodic", "--seq", "S", "--x", "0.3", "--y", "0.5", "--primes-up-to", "1",
+      "--sparse", "geometric", "--out", "o.csv"), "sieve bound must be >= 2, got 1"),
+    # no sequence column holds a prime of 2^63 or more, and no sieve reaches one
+    (("primes", "--bound", BIG_BOUND), PAST_THE_TOP),
+    (("primes", "--bound", BIG_BOUND, "--list"), PAST_THE_TOP),
+    (("seq", "build", "--method", "blocks", "--bound", BIG_BOUND, "--c", "1/2",
+      "--epsilons", "1/2", "--out", "o.json"), PAST_THE_TOP),
+    (("hits", "--seq", "S", "--x", "1/3", "--bound", BIG_BOUND, "--out", "o.json"),
+     PAST_THE_TOP),
+    (("hits", "--seq", "S", "--x", "1/3", "--bound", BIG_BOUND, "--format", "csv",
+      "--out", "o.csv"), PAST_THE_TOP),
+    (("fracparts", "--x", "1/3", "--c", "1/4", "--bound", BIG_BOUND, "--out", "o.json"),
+     PAST_THE_TOP),
+    (("fracparts", "--x", "1/3", "--c", "1/4", "--bound", BIG_BOUND, "--format", "csv",
+      "--out", "o.csv"), PAST_THE_TOP),
+    (("ergodic", "--seq", "S", "--x", "0.3", "--y", "0.5", "--primes-up-to", BIG_BOUND,
+      "--out", "o.csv"), PAST_THE_TOP),
+    (("ergodic", "--seq", "S", "--x", "0.3", "--y", "0.5", "--primes-up-to", BIG_BOUND,
+      "--sparse", "psi", "--out", "o.csv"), PAST_THE_TOP),
     (("ergodic", "--seq", "S", "--x", "0.3", "--y", "0.5", "--primes-up-to", "1000",
       "--out", "o.csv"), "sequence has no entry for prime 211"),
     (("ergodic", "--seq", "S", "--x", "0.3", "--y", "0.5", "--primes-up-to", "200",

@@ -14,7 +14,7 @@ from primecover.ergodic import (
     s_direct,
     sparse_prime_set,
 )
-from primecover.hits import hit_classes, rational_point
+from primecover.hits import classify_hits, rational_point
 from primecover.primes import sieve_range
 from primecover.sequences import NumeratorSequence, greedy_sequence
 
@@ -190,7 +190,7 @@ class TestExactHitFlag:
             pick = st.one_of(st.sampled_from(sorted(ends)), st.integers(0, p - 1))
             entries.append((p, data.draw(pick)))
         seq = NumeratorSequence(c, tuple(entries))
-        classes = hit_classes(rational_point(exact_y), seq, bound)
+        classes = classify_hits(rational_point(exact_y), seq, sieve_range(bound))
         rows = ergodic_rows(seq, 0.3, y, [p for p, _ in entries])
         assert [row[5] for row in rows] == [hit for _, _, _, hit, _ in classes]
 

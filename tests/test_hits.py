@@ -10,10 +10,11 @@ from primecover.arcs import ONE
 from primecover.hits import (
     RealApproximant,
     approximant_named,
-    fractional_classes,
+    check_eta,
+    classify_fractional,
+    classify_hits,
     fractional_hits,
     golden_approximant,
-    hit_classes,
     hit_primes,
     loglog_heuristic,
     rational_point,
@@ -112,9 +113,9 @@ class TestHitPrimes:
         # distance equals c/p: a hit when eta = 0, ambiguous when eta > 0
         seq = NumeratorSequence(F(1, 4), ((2, 0), (3, 1)))
         x = rational_point(F(1, 3) + F(1, 12))
-        assert exact_rows(hit_classes(x, seq, 3))[1] == (3, F(1, 12), True, False)
+        assert exact_rows(classify_hits(x, seq, sieve_range(3)))[1] == (3, F(1, 12), True, False)
         fuzzy = x.__class__(x.value, F(1, 1000), "fuzzy")
-        assert exact_rows(hit_classes(fuzzy, seq, 3))[1][3]
+        assert exact_rows(classify_hits(fuzzy, seq, sieve_range(3)))[1][3]
 
     def test_expected_hit_count_identity(self):
         # averaged over x, the number of hit primes up to the bound is the
@@ -131,8 +132,8 @@ class TestHitPrimes:
         seq = seq_from_rule(200, F(1, 4), lambda p: p // 3)
         coarse = sqrt2_approximant(F(1, 10**4))
         fine = sqrt2_approximant(F(1, 10**12))
-        coarse_rows = {r[0]: r for r in exact_rows(hit_classes(coarse, seq, 200))}
-        fine_rows = {r[0]: r for r in exact_rows(hit_classes(fine, seq, 200))}
+        coarse_rows = {r[0]: r for r in exact_rows(classify_hits(coarse, seq, sieve_range(200)))}
+        fine_rows = {r[0]: r for r in exact_rows(classify_hits(fine, seq, sieve_range(200)))}
         for p, (_, _, hit, ambiguous) in coarse_rows.items():
             if not ambiguous:
                 assert fine_rows[p][2] == hit
@@ -183,7 +184,8 @@ class TestFractionalHits:
         from primecover.hits import RealApproximant
 
         x = RealApproximant(F(1, 2), F(1, 10**6), "fuzzy half")
-        rows = exact_rows(fractional_classes(x, F(1, 4), 10))
+        check_eta(x, 10)
+        rows = exact_rows(classify_fractional(x, F(1, 4), sieve_range(10)))
         by_p = {r[0]: r for r in rows}
         assert by_p[2][3]  # {2x} = 0 sits on the wrap cut
         assert by_p[3][2] is False and not by_p[3][3]
@@ -212,7 +214,7 @@ class TestLogLogHeuristic:
 
 
 # -------------------------------------------------- Fraction oracles
-# The Fraction versions of hit_classes and fractional_classes that the integer
+# The Fraction versions of classify_hits and classify_fractional that the integer
 # cross-multiplication replaced, kept as the reference the new loops must equal.
 
 
@@ -287,14 +289,16 @@ class TestIntegerClassificationOracle:
         eta = data.draw(etas(F(1, 8)))
         seq = data.draw(numerator_sequences(bound, c))
         x = RealApproximant(value, eta, "drawn")
-        assert exact_rows(hit_classes(x, seq, bound)) == fraction_hit_rows(x, seq, bound)
+        rows = exact_rows(classify_hits(x, seq, sieve_range(bound)))
+        assert rows == fraction_hit_rows(x, seq, bound)
 
     @given(st.data(), rationals(), widths(), st.integers(2, 120))
     @settings(max_examples=150, deadline=None)
     def test_fractional_rows_match_fraction_oracle(self, data, value, c, bound):
         eta = data.draw(etas(F(1, 4 * bound)))
         x = RealApproximant(value, eta, "drawn")
-        rows = exact_rows(fractional_classes(x, c, bound))
+        check_eta(x, bound)
+        rows = exact_rows(classify_fractional(x, c, sieve_range(bound)))
         assert rows == fraction_fractional_rows(x, c, bound)
 
     @given(st.data(), st.integers(2, 120))
@@ -310,18 +314,20 @@ class TestIntegerClassificationOracle:
         side = data.draw(st.sampled_from((-1, 1)))
         x = RealApproximant(F(a, p) + side * (c / p + shift) + data.draw(st.integers(-2, 2)),
                             eta, "near")
-        assert exact_rows(hit_classes(x, seq, bound)) == fraction_hit_rows(x, seq, bound)
+        rows = exact_rows(classify_hits(x, seq, sieve_range(bound)))
+        assert rows == fraction_hit_rows(x, seq, bound)
 
     def test_sqrt2_at_scale_matches_fraction_oracle(self):
         from primecover.sequences import random_sequence
 
         seq = random_sequence(3000, F(1, 4), seed=3)
         x = sqrt2_approximant(F(1, 10**16))
-        assert exact_rows(hit_classes(x, seq, 3000)) == fraction_hit_rows(x, seq, 3000)
+        rows = exact_rows(classify_hits(x, seq, sieve_range(3000)))
+        assert rows == fraction_hit_rows(x, seq, 3000)
         y = golden_approximant(F(1, 10**16))
-        assert exact_rows(fractional_classes(y, F(1, 4), 3000)) == fraction_fractional_rows(
-            y, F(1, 4), 3000
-        )
+        check_eta(y, 3000)
+        rows = exact_rows(classify_fractional(y, F(1, 4), sieve_range(3000)))
+        assert rows == fraction_fractional_rows(y, F(1, 4), 3000)
 
 
 class TestClassificationBoundaries:
@@ -331,7 +337,7 @@ class TestClassificationBoundaries:
 
     def row_for_three(self, value, eta=ETA):
         x = RealApproximant(value, eta, "edge")
-        rows = exact_rows(hit_classes(x, self.SEQ, 3))
+        rows = exact_rows(classify_hits(x, self.SEQ, sieve_range(3)))
         assert rows == fraction_hit_rows(x, self.SEQ, 3)
         return rows[1]
 
@@ -357,7 +363,7 @@ class TestClassificationBoundaries:
         for value, status in ((F(3, 4), (True, False)), (F(-1, 4), (True, False)),
                               (F(1, 4) + F(1, 10**20), (False, False))):
             x = RealApproximant(value, F(0), "edge")
-            rows = exact_rows(hit_classes(x, seq, 2))
+            rows = exact_rows(classify_hits(x, seq, sieve_range(2)))
             assert rows == fraction_hit_rows(x, seq, 2)
             assert rows[0][2:] == status
 
@@ -365,7 +371,8 @@ class TestClassificationBoundaries:
 
     def fractional_row(self, value, c=F(1, 4), eta=F(1, 100)):
         x = RealApproximant(value, eta, "edge")
-        rows = exact_rows(fractional_classes(x, c, 2))
+        check_eta(x, 2)
+        rows = exact_rows(classify_fractional(x, c, sieve_range(2)))
         assert rows == fraction_fractional_rows(x, c, 2)
         return rows[0]
 

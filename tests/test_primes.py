@@ -247,6 +247,11 @@ class TestIterPrimes:
         # base primes to 1e6, then one window of the 1.9 million to 1e12
         assert list(islice(iter_primes(10**12), 6)) == [2, 3, 5, 7, 11, 13]
 
+    def test_takes_the_largest_bound(self):
+        # 2^63 - 1 is the last bound the one check lets through (2^63 fails,
+        # test_sequences); 2 comes before any window is sieved
+        assert next(iter_primes(2**63 - 1)) == 2
+
 
 class TestHarmonic:
     def test_direct_summation(self):

@@ -28,7 +28,14 @@ from oracles import (
 )
 from primecover import seqfile
 from primecover.arcs import arc_pieces, rat_str
-from primecover.hits import fractional_classes, hit_classes, rational_point
+from primecover.ergodic import sparse_prime_set
+from primecover.hits import (
+    classify_hits,
+    fractional_hits,
+    hit_primes,
+    loglog_heuristic,
+    rational_point,
+)
 from primecover.primes import iter_primes, sieve_range
 from primecover.sequences import (
     METHODS,
@@ -154,8 +161,9 @@ def test_c_outside_range_rejected_before_sieving(build, c):
         build(c)
 
 
-# every per-prime scan leaves its bound to iter_primes, directly or through
-# sieve_range; generators are consumed
+# every per-prime scan leaves its bound to the one sieve-bound check, through
+# iter_primes, sieve_range or map_prime_intervals; sparse_prime_set and
+# loglog_heuristic, which sieve nothing, call it themselves
 SMALL_BOUND_ENTRY_POINTS = {
     "random_sequence": lambda bound: random_sequence(bound, HALF, 0),
     "constant_sequence": lambda bound: constant_sequence(bound, HALF),
@@ -164,12 +172,12 @@ SMALL_BOUND_ENTRY_POINTS = {
     "sieve_range": sieve_range,
     # checked at the call, before a prime is asked for
     "iter_primes": iter_primes,
-    "hit_classes": lambda bound: list(
-        hit_classes(rational_point(F(1, 3)), constant_sequence(10, HALF), bound)
+    "hit_primes": lambda bound: hit_primes(
+        rational_point(F(1, 3)), constant_sequence(10, HALF), bound
     ),
-    "fractional_classes": lambda bound: list(
-        fractional_classes(rational_point(F(1, 3)), F(1, 4), bound)
-    ),
+    "fractional_hits": lambda bound: fractional_hits(rational_point(F(1, 3)), F(1, 4), bound),
+    "sparse_prime_set": sparse_prime_set,
+    "loglog_heuristic": lambda bound: loglog_heuristic(HALF, bound),
 }
 
 
@@ -177,6 +185,18 @@ SMALL_BOUND_ENTRY_POINTS = {
 @pytest.mark.parametrize("bound", [1, 0, -7])
 def test_rejects_small_bound(name, bound):
     with pytest.raises(ValueError, match=f"^sieve bound must be >= 2, got {bound}$"):
+        SMALL_BOUND_ENTRY_POINTS[name](bound)
+
+
+# no sequence column holds a prime of 2^63 or more, and no sieve reaches one;
+# a bound past the int-to-str digit limit is named approximately
+@pytest.mark.parametrize("name", SMALL_BOUND_ENTRY_POINTS)
+@pytest.mark.parametrize("bound, message", [
+    (2**63, r"below 2\^63, got 9223372036854775808$"),
+    (-(10**5000), r">= 2, got ~-1\.000000e5000 \(approximate; "),
+], ids=["2^63", "-10^5000"])
+def test_rejects_bound_past_the_ends(name, bound, message):
+    with pytest.raises(ValueError, match=f"^sieve bound must be {message}"):
         SMALL_BOUND_ENTRY_POINTS[name](bound)
 
 
@@ -996,7 +1016,7 @@ class TestNumeratorsOf:
     def test_hit_classes_raise_before_the_first_row(self):
         seq = NumeratorSequence(HALF, ((2, 1), (3, 2)))
         with pytest.raises(ValueError, match="^sequence has no entry for prime 5$"):
-            next(hit_classes(rational_point(F(1, 3)), seq, 10))
+            next(classify_hits(rational_point(F(1, 3)), seq, sieve_range(10)))
 
 
 @st.composite
@@ -1103,6 +1123,15 @@ class TestCanonicalLoader:
         text = sequence_text(NumeratorSequence(HALF, ((2, 1), (3, 0))))
         path.write_text(text.replace("    [\n      3,", "    5[\n      3,"))
         with pytest.raises(SequenceFileError, match="not a JSON sequence file"):
+            load_sequence(path)
+
+    def test_c_not_a_string_is_worded_by_the_json_path(self, tmp_path):
+        # the exact layout in every byte but the value of "c"
+        path = tmp_path / "seq.json"
+        text = sequence_text(NumeratorSequence(HALF, ((2, 1), (3, 0))))
+        path.write_text(text.replace('"c": "1/2"', '"c": 1'))
+        assert seqfile.canonical_doc(path) is None
+        with pytest.raises(SequenceFileError, match='expected an object with "c" as a "num/den"'):
             load_sequence(path)
 
     def test_r6_sized_file(self, tmp_path, monkeypatch):
