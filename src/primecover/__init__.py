@@ -14,11 +14,9 @@ from .hits import (
     RealApproximant,
     approximant_named,
     fractional_hits,
-    golden_approximant,
     hit_primes,
     loglog_heuristic,
     rational_point,
-    sqrt2_approximant,
 )
 from .primes import harmonic_H, harmonic_H_float, sieve_range
 from .sequences import (
@@ -78,8 +76,6 @@ __all__ = [
     "fractional_hits",
     "loglog_heuristic",
     "rational_point",
-    "sqrt2_approximant",
-    "golden_approximant",
     "approximant_named",
     "SparsePrimeSet",
     "s_direct",

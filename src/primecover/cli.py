@@ -343,7 +343,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         text = _HANDLERS[args.command](args)
         # seq build writes its --out file itself and prints a summary
         if args.command != "seq" and getattr(args, "out_path", None) is not None:
-            write_atomically(args.out_path, text)
+            write_atomically(args.out_path, (text,))
             return 0
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

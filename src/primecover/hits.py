@@ -84,14 +84,6 @@ def approximant_named(name: str, eta: RationalLike = DEFAULT_NAMED_ETA) -> RealA
     return RealApproximant(Fraction(h, k), bound, name)
 
 
-def sqrt2_approximant(eta: RationalLike = DEFAULT_NAMED_ETA) -> RealApproximant:
-    return approximant_named("sqrt2", eta)
-
-
-def golden_approximant(eta: RationalLike = DEFAULT_NAMED_ETA) -> RealApproximant:
-    return approximant_named("golden", eta)
-
-
 # (p, distance or fractional-part numerator, its denominator, hit, ambiguous)
 Classified = tuple[int, int, int, bool, bool]
 

@@ -23,7 +23,7 @@ from primecover.ergodic import (
     s_direct,
     sparse_prime_set,
 )
-from primecover.hits import fractional_hits, sqrt2_approximant
+from primecover.hits import approximant_named, fractional_hits
 from primecover.primes import harmonic_H, primes_between, sieve_range
 from primecover.sequences import (
     block_construction,
@@ -183,7 +183,7 @@ def test_criterion_8_greedy_optimality():
 
 def test_criterion_9_equidistribution():
     start = time.monotonic()
-    x = sqrt2_approximant(F(1, 10**14))
+    x = approximant_named("sqrt2", F(1, 10**14))
     rep = fractional_hits(x, F(1, 4), 10**5)
     pi_bound = len(sieve_range(10**5))
     density_gap = abs(len(rep.hits) / pi_bound - 0.25)

@@ -932,6 +932,18 @@ class TestErrorSurface:
             assert run_cli(capsys, *argv) == (1, "", f"error: {expected}\n")
         assert os.listdir(tmp_path) == ["S"]
 
+    def test_unprintable_certificate_fails_before_the_file(self, capsys, tmp_path, monkeypatch,
+                                                            default_digit_limit):
+        # the block's certificate passes the int-to-str digit limit: the
+        # schedule fails before the sequence file is opened
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, "seq", "build", "--method", "blocks", "--bound", "100000",
+                                 "--c", "1/10", "--epsilons", "1/2", "--out", "b.json")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: Exceeds the limit (4300 digits) for integer string conversion")
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert os.listdir(tmp_path) == []
+
 
 def readme_commands():
     """Each `primecover ...` line of README.md's sh blocks, continuations joined."""

@@ -14,11 +14,9 @@ from primecover.hits import (
     classify_fractional,
     classify_hits,
     fractional_hits,
-    golden_approximant,
     hit_primes,
     loglog_heuristic,
     rational_point,
-    sqrt2_approximant,
 )
 from primecover.primes import sieve_range
 from primecover.sequences import NumeratorSequence, constant_sequence
@@ -38,13 +36,13 @@ def to_c(c):
 
 class TestApproximants:
     def test_sqrt2_is_certified(self):
-        x = sqrt2_approximant(F(1, 10**14))
+        x = approximant_named("sqrt2", F(1, 10**14))
         assert x.eta <= F(1, 10**14)
         # sqrt(2) really lies in [value - eta, value + eta]
         assert (x.value - x.eta) ** 2 < 2 < (x.value + x.eta) ** 2
 
     def test_golden_is_certified(self):
-        x = golden_approximant(F(1, 10**10))
+        x = approximant_named("golden", F(1, 10**10))
         assert x.eta <= F(1, 10**10)
         lo, hi = x.value - x.eta, x.value + x.eta
         assert lo**2 - lo - 1 < 0 < hi**2 - hi - 1
@@ -130,8 +128,8 @@ class TestHitPrimes:
 
     def test_refinement_never_flips(self):
         seq = seq_from_rule(200, F(1, 4), lambda p: p // 3)
-        coarse = sqrt2_approximant(F(1, 10**4))
-        fine = sqrt2_approximant(F(1, 10**12))
+        coarse = approximant_named("sqrt2", F(1, 10**4))
+        fine = approximant_named("sqrt2", F(1, 10**12))
         coarse_rows = {r[0]: r for r in exact_rows(classify_hits(coarse, seq, sieve_range(200)))}
         fine_rows = {r[0]: r for r in exact_rows(classify_hits(fine, seq, sieve_range(200)))}
         for p, (_, _, hit, ambiguous) in coarse_rows.items():
@@ -151,7 +149,7 @@ class TestFractionalHits:
         assert report.ambiguous == ()
 
     def test_sqrt2_equidistribution_desk_scale(self):
-        x = sqrt2_approximant(F(1, 10**14))
+        x = approximant_named("sqrt2", F(1, 10**14))
         report = fractional_hits(x, F(1, 4), 10**4)
         assert report.ambiguous == ()
         density = len(report.hits) / len(sieve_range(10**4))
@@ -175,7 +173,7 @@ class TestFractionalHits:
         assert report.heuristic == pytest.approx(0.25 * 25)
 
     def test_imprecise_input_rejected(self):
-        fuzzy = sqrt2_approximant(F(1, 100))
+        fuzzy = approximant_named("sqrt2", F(1, 100))
         with pytest.raises(ValueError, match="too imprecise"):
             fractional_hits(fuzzy, F(1, 4), 1000)
 
@@ -321,10 +319,10 @@ class TestIntegerClassificationOracle:
         from primecover.sequences import random_sequence
 
         seq = random_sequence(3000, F(1, 4), seed=3)
-        x = sqrt2_approximant(F(1, 10**16))
+        x = approximant_named("sqrt2", F(1, 10**16))
         rows = exact_rows(classify_hits(x, seq, sieve_range(3000)))
         assert rows == fraction_hit_rows(x, seq, 3000)
-        y = golden_approximant(F(1, 10**16))
+        y = approximant_named("golden", F(1, 10**16))
         check_eta(y, 3000)
         rows = exact_rows(classify_fractional(y, F(1, 4), sieve_range(3000)))
         assert rows == fraction_fractional_rows(y, F(1, 4), 3000)

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import json
 import math
 import random
@@ -46,6 +47,7 @@ from primecover.sequences import (
     NumeratorSequence,
     SequenceFileError,
     _Cover,
+    _sequence_pieces,
     block_construction,
     constant_sequence,
     greedy_sequence,
@@ -55,6 +57,7 @@ from primecover.sequences import (
     sequence_text,
     uncovered_measure,
     uniform_numerators,
+    write_atomically,
 )
 
 F = Fraction
@@ -741,6 +744,22 @@ class TestPersistence:
         assert path.read_text() == "old contents"
         assert [p.name for p in tmp_path.iterdir()] == ["seq.json"]  # no temporary file
 
+    @pytest.mark.parametrize("old", [None, "old contents"], ids=["new", "replace"])
+    def test_failing_pieces_leave_no_file(self, tmp_path, old):
+        path = tmp_path / "seq.json"
+        if old is not None:
+            path.write_text(old)
+
+        def pieces():
+            yield "{\n"
+            raise ValueError("no second piece")
+
+        with pytest.raises(ValueError, match="no second piece"):
+            write_atomically(path, pieces())
+        assert [p.name for p in tmp_path.iterdir()] == ([] if old is None else ["seq.json"])
+        if old is not None:
+            assert path.read_text() == old
+
 
 def json_writer_text(seq, schedule=None):
     """Oracle: the file text the indent encoder wrote before sequence_text."""
@@ -799,6 +818,25 @@ class TestSequenceText:
         seq = NumeratorSequence(HALF, ())
         assert sequence_text(seq, schedule) == json_writer_text(seq, schedule)
         assert '"entries": [],' in sequence_text(seq, schedule)
+
+    # entries at and around the 4,096-entry windows of save_sequence
+    @pytest.mark.parametrize("with_schedule", [False, True], ids=["plain", "schedule"])
+    @pytest.mark.parametrize("n", [0, 1, 4095, 4096, 4097, 3 * 4096 + 1])
+    @settings(max_examples=5, deadline=None)
+    @given(data=st.data())
+    def test_pieces_at_window_boundaries(self, n, with_schedule, data):
+        rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+        primes = list(itertools.accumulate(rng.choice((1, 2, 10**9)) for _ in range(n)))
+        entries = tuple((p + 1, rng.randrange(p + 1)) for p in primes)
+        seq = NumeratorSequence(data.draw(fractions_upto(HALF), label="c"), entries)
+        schedule = data.draw(schedules(), label="schedule") if with_schedule else None
+        pieces = list(_sequence_pieces(seq, schedule))
+        assert len(pieces) == 3 + -(-n // 4096)  # head, a piece per window, "]" or "[]", tail
+        assert "".join(pieces) == json_writer_text(seq, schedule)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "seq.json"
+            save_sequence(seq, path, schedule)
+            assert load_sequence(path) == seq
 
     def test_entries_skip_the_indent_encoder(self, monkeypatch):
         # indent turns off json's C encoder; the entries must never reach the
