@@ -1,8 +1,9 @@
 """Command-line surface: reproducible experiments with JSON/CSV reports.
 
 Each subcommand's handler reads the parsed `argparse.Namespace` and
-returns its output text. `main` writes that text to --out, and
-`seq build` writes its file, through `sequences.write_atomically`.
+returns its output text, JSON by `sequences._json_text`. `main` writes
+that text to --out, and `seq build` writes its file, through
+`sequences.write_atomically`.
 Every run is determined by its arguments (seeds included), so identical
 invocations produce byte-identical output.
 Rationals cross the boundary as "num/den" strings; floats appear only in
@@ -15,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
 from fractions import Fraction
@@ -41,6 +41,7 @@ from .hits import (
 from .primes import map_prime_intervals, prime_count, primes_between, sieve_range
 from .sequences import (
     DEFAULT_SEED,
+    _json_text,
     block_construction,
     constant_sequence,
     greedy_sequence,
@@ -68,10 +69,6 @@ def _parse_c(text: str) -> Fraction:
         raise ValueError("c must be in (0,1/2]") from None
 
 
-def _json_text(doc) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-
-
 def _load_seq(args: argparse.Namespace):
     if not Path(args.seq_path).is_file():
         raise ValueError("sequence file not found")
@@ -92,7 +89,7 @@ def cmd_primes(args: argparse.Namespace) -> str:
     if not args.list_primes:
         return _json_text({"bound": args.bound, "count": prime_count(args.bound)})
     primes = sieve_range(args.bound)
-    return _json_text({"bound": args.bound, "count": len(primes), "primes": list(primes)})
+    return _json_text({"bound": args.bound, "count": len(primes), "primes": primes})
 
 
 def cmd_seq_build(args: argparse.Namespace) -> str:
@@ -111,9 +108,9 @@ def cmd_seq_build(args: argparse.Namespace) -> str:
         if not args.epsilons:
             raise ValueError("blocks method needs --epsilons")
         seq, schedule = block_construction(args.epsilons, args.c, args.bound)
-    save_sequence(seq, args.out_path, schedule)
+    save_sequence(seq, args.seq_out, schedule)
     summary = {
-        "out": args.out_path,
+        "out": args.seq_out,
         "method": seq.method,
         "c": rat_str(seq.c),
         "seed": seq.seed,
@@ -178,8 +175,8 @@ def _hit_json(report: HitReport, label: str, c: Fraction) -> str:
             "bound": report.bound,
             "c": rat_str(c),
             "x": label,
-            "hits": list(report.hits),
-            "ambiguous": list(report.ambiguous),
+            "hits": report.hits,
+            "ambiguous": report.ambiguous,
             "heuristic": report.heuristic,
             "ratio": report.ratio,
             "hit_reciprocal_sum": report.hit_reciprocal_sum,
@@ -279,7 +276,7 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument("--c", required=True)
     b.add_argument("--seed", type=int, help=f"random only (default {DEFAULT_SEED})")
     b.add_argument("--epsilons", help="comma-separated targets, e.g. 1/2,1/4,1/8")
-    b.add_argument("--out", required=True, dest="out_path")
+    b.add_argument("--out", required=True, dest="seq_out", metavar="OUT_PATH")
 
     cov = sub.add_parser("coverage", help="exact uncovered measure of a prime range")
     cov.add_argument("--seq", required=True, dest="seq_path")
@@ -341,8 +338,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if getattr(args, "bound", 2) < 2:
             raise ValueError("bound must be >= 2")
         text = _HANDLERS[args.command](args)
-        # seq build writes its --out file itself and prints a summary
-        if args.command != "seq" and getattr(args, "out_path", None) is not None:
+        if getattr(args, "out_path", None) is not None:
             write_atomically(args.out_path, (text,))
             return 0
     except (ValueError, RuntimeError, OSError) as exc:

@@ -2,12 +2,12 @@
 
 `sequences.load_sequence` imports this module on its first call, so a
 process that reads no sequence file never loads it, nor compiles it
-where there is no bytecode cache. `canonical_doc` reads a file in
-`sequences.sequence_text`'s exact layout in windows, straight into two
-array('q') columns; `json_doc` reads any other file through json.loads
-and raises SequenceFileError for a malformed one. A canonical file with a
-value of 2^63 or more, which no column can hold, goes to `json_doc` too,
-and NumeratorSequence rejects the value there.
+where there is no bytecode cache. `canonical_doc` reads a file that is
+`sequences._json_text` of its own keys, rows `_ENTRY_ROW`, in windows
+straight into two array('q') columns; `json_doc` reads any other file
+through json.loads and raises SequenceFileError for a malformed one. A
+canonical file with a value of 2^63 or more, which no column can hold,
+goes to `json_doc` too, and NumeratorSequence rejects the value there.
 """
 
 from __future__ import annotations
@@ -15,11 +15,10 @@ from __future__ import annotations
 import json
 from array import array
 from itertools import chain
-from operator import itemgetter
 from pathlib import Path
 from typing import Optional, Union
 
-from .sequences import _ENTRY_ROW, EntryView, SequenceFileError, _frame
+from .sequences import _ENTRY_ROW, EntryView, SequenceFileError, _json_text
 
 # canonical_doc reads windows of (",\n" + row) repeated. The fixed
 # text of such a row comes before p, between p and a, and after a.
@@ -59,15 +58,15 @@ def _window_rows(window: bytes, primes: array, numerators: array) -> bool:
 
 
 def canonical_doc(path: Union[str, Path]) -> Optional[dict]:
-    """The document of a file in sequence_text's exact layout, read in windows; else None.
+    """The document of a file in `_json_text`'s layout with `_ENTRY_ROW` rows; else None.
 
     The entries block is read _WINDOW bytes at a time, cut after its
     last whole row, into two array('q') columns (`_window_rows`), so
     neither the file's bytes nor an int object per number is held at
-    once. The text before and after the block is parsed by json.loads
-    with "entries" as [], and must equal what sequence_text writes for
-    the same c, method, seed and blocks with no entries: that full match
-    also rules out a key written twice. None sends the file to
+    once. The frame, the text before and after the block, is parsed by
+    json.loads with "entries" as [], and must equal `_json_text` of the
+    document it parsed: json.dumps' layout of the file's own keys. That
+    full match also rules out a key written twice. None sends the file to
     `json_doc`, which words every failure.
     """
     primes, numerators = array("q"), array("q")
@@ -100,13 +99,11 @@ def canonical_doc(path: Union[str, Path]) -> Optional[dict]:
                 tail = pending[4:]
             else:
                 return None
-        doc = json.loads(head + b"[]" + tail)
+        doc = json.loads(frame := head + b"[]" + tail)
+        canonical = frame == _json_text(doc).encode()  # 3.12 loads nests deeper than dumps
     except (OSError, ValueError, OverflowError, RecursionError):
         return None
-    if not isinstance(doc, dict) or not isinstance(doc.get("c"), str):
-        return None
-    before, after = _frame(doc["c"], doc.get("method"), doc.get("seed"), doc.get("blocks"))
-    if head + b"[]" + tail != (before + "[]" + after).encode():
+    if not canonical or not isinstance(doc, dict) or not isinstance(doc.get("c"), str):
         return None
     doc["entries"] = EntryView(primes, numerators)
     return doc
@@ -116,10 +113,10 @@ def json_doc(path: Union[str, Path]) -> dict:
     """The document of any sequence file, through json.loads; a malformed one raises.
 
     The schema checks run at C speed (map and set over the parsed lists),
-    and the pairs become two list columns, which NumeratorSequence turns
-    into its array('q') columns and checks at C speed too. The program
-    writes every file in the layout `canonical_doc` reads, so this path
-    serves hand-written files.
+    and NumeratorSequence splits the [p, a] lists into its array('q')
+    columns and checks them at C speed too. The program writes every file
+    in the layout `canonical_doc` reads, so this path serves hand-written
+    files.
     """
     try:
         doc = json.loads(Path(path).read_text())
@@ -135,5 +132,4 @@ def json_doc(path: Union[str, Path]) -> dict:
         or not set(map(type, chain.from_iterable(raw))) <= {int}
     ):
         raise SequenceFileError(f'{path}: "entries" must be a list of [p, a] integer pairs')
-    doc["entries"] = EntryView(list(map(itemgetter(0), raw)), list(map(itemgetter(1), raw)))
     return doc

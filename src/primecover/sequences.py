@@ -14,8 +14,9 @@ primes in one call (`NumeratorSequence.numerators_of`), a slice of the
 column, and walks it beside the primes: no scan looks a prime up.
 
 A sequence file is `sequence_text`, written in windows by `save_sequence`
-and read by `load_sequence`, which reads a file in that exact layout in
-windows straight into the columns and any other file through json.loads.
+and read by `load_sequence`: `_json_text` of its document, the layout of
+every JSON file and report. A file in that layout is read in windows
+straight into the columns, any other file through json.loads.
 `write_atomically` is the one writer of the package: the sequence files
 and the CLI's --out reports go through it, so a file is replaced whole
 or left as it was.
@@ -246,11 +247,6 @@ def uniform_draws(rng: random.Random, primes: Iterable[int]) -> Iterator[int]:
         while a >= p:
             a = getrandbits(k)
         yield a
-
-
-def uniform_numerators(rng: random.Random, primes: Sequence[int]) -> list[tuple[int, int]]:
-    """(p, a) for each p, with a from `uniform_draws`."""
-    return list(zip(primes, uniform_draws(rng, primes)))
 
 
 def random_sequence(bound: int, c: RationalLike, seed: int) -> NumeratorSequence:
@@ -503,7 +499,12 @@ def block_construction(
 # ---------------------------------------------------------------------------
 # persistence
 
-# one entries row as json.dumps(..., indent=2) lays out [p, a] inside the file
+def _json_text(doc) -> str:
+    """The text of every JSON file and report: sorted keys, indent 2, a final newline."""
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+# one entries row as _json_text lays out [p, a] inside the file
 _ENTRY_ROW = "    [\n      %d,\n      %d\n    ]"
 
 _WINDOW = 4096  # entries per piece of the file's text
@@ -551,13 +552,12 @@ def _entry_pieces(primes, numerators) -> Iterator[str]:
 def sequence_text(seq: NumeratorSequence, schedule: Optional[BlockSchedule] = None) -> str:
     """The sequence file's text, the one place its layout is written.
 
-    Byte contract: json.dumps(doc, sort_keys=True, indent=2) + "\n" for
-    doc = {"c": rat_str(seq.c), "method": seq.method, "seed": seq.seed,
-    "entries": [[p, a], ...]}, plus "blocks": schedule_rows(schedule)
-    when a schedule is given. `_frame` writes the keys in sorted order,
-    and each window of 4,096 entries is one %-format of a row template:
-    indent turns off json's C encoder, and its Python encoder would walk
-    every pair.
+    Byte contract: `_json_text(doc)` for doc = {"c": rat_str(seq.c),
+    "method": seq.method, "seed": seq.seed, "entries": [[p, a], ...]},
+    plus "blocks": schedule_rows(schedule) when a schedule is given.
+    `_frame` writes the keys in sorted order, and each window of 4,096
+    entries is one %-format of a row template: indent turns off json's
+    C encoder, and its Python encoder would walk every pair.
     """
     return "".join(_sequence_pieces(seq, schedule))
 
@@ -595,10 +595,10 @@ def save_sequence(
 ) -> None:
     """Write sequence_text(seq, schedule) to path through write_atomically, in pieces.
 
-    The bytes equal json.dumps(doc, sort_keys=True, indent=2) + "\n" of
-    the document sequence_text describes, so load_sequence (and any JSON
-    reader) reads the file back unchanged. The CLI builds and writes the
-    1e7 random file (27.5 MB) at 32.8 MiB peak RSS, 171.1 as one string.
+    The bytes equal `_json_text` of the document sequence_text describes,
+    so load_sequence (and any JSON reader) reads the file back unchanged.
+    The CLI builds and writes the 1e7 random file (27.5 MB) at 32.8 MiB
+    peak RSS, 171.1 as one string.
     """
     write_atomically(path, _sequence_pieces(seq, schedule))
 
@@ -610,11 +610,12 @@ def load_sequence(path: Union[str, Path]) -> NumeratorSequence:
     "entries" as a list of [p, a] integer pairs; NumeratorSequence then
     checks c, the method, the ascending primes and each numerator.
 
-    A file in sequence_text's exact layout, as save_sequence writes it,
-    is read in windows straight into the two columns
-    (`seqfile.canonical_doc`), at 16 bytes per entry; any other file goes
-    through json.loads (`seqfile.json_doc`), so every error message is
-    the one that path gives. Both paths give equal sequences, and a value
+    A file whose bytes are `_json_text` of its own document, the entries
+    one `_ENTRY_ROW` each, as save_sequence writes it, is read in windows
+    straight into the two columns (`seqfile.canonical_doc`), at 16 bytes
+    per entry; any other file goes through json.loads
+    (`seqfile.json_doc`), so every error message is the one that path
+    gives. Both paths give equal sequences, and a value
     of 2^63 or more fails as NumeratorSequence words it. A 78k-entry file
     (primes to 1e6) loads in about 0.07 s at +8.4 MiB of peak RSS, and
     the 665k entries of primes to 1e7 in about 0.57 s at +18.4 MiB;

@@ -70,7 +70,7 @@ from .arcs import (
 )
 from .fanout import map_chunks
 from .primes import is_prime, primes_between
-from .sequences import NumeratorSequence, uncovered_by, uniform_numerators
+from .sequences import NumeratorSequence, uncovered_by, uniform_draws
 
 # most arc endpoints omega_expectation_exact sweeps; (2, 1e4] would have 11,475,244
 MAX_ENDPOINTS = 500_000
@@ -376,7 +376,7 @@ def omega_expectation_mc(
         values = []
         for i in indices:
             rng = random.Random(_trial_seed(seed, i))
-            value = uncovered_by(uniform_numerators(rng, primes), c)
+            value = uncovered_by(zip(primes, uniform_draws(rng, primes)), c)
             values.append(_over(value, common))
         return values
 

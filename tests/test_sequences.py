@@ -1,4 +1,3 @@
-import gc
 import itertools
 import json
 import math
@@ -56,7 +55,7 @@ from primecover.sequences import (
     save_sequence,
     sequence_text,
     uncovered_measure,
-    uniform_numerators,
+    uniform_draws,
     write_atomically,
 )
 
@@ -149,7 +148,7 @@ class TestRandomSequence:
         # 2^k + 1 rejects almost half of its draws, 2^k - 1 almost none
         rng, ours = random.Random(seed), random.Random(seed)
         expected = [(p, rng.randrange(p)) for p in bounds]
-        assert uniform_numerators(ours, bounds) == expected
+        assert list(zip(bounds, uniform_draws(ours, bounds))) == expected
         assert ours.getstate() == rng.getstate()  # the same number of draws
 
 
@@ -893,46 +892,10 @@ class TestLoadSequenceValidation:
         with pytest.raises(SequenceFileError, match="not a JSON sequence file"):
             load_sequence(path)
 
-
-
-class TestLoadSequenceCollector:
-    # whatever the outcome, load_sequence leaves the cyclic garbage
-    # collector as it found it
-    FILES = {
-        "valid": '{"c": "1/4", "entries": [[2, 1], [3, 2]], "method": "custom", "seed": null}',
-        "bad_json": "{",
-        "undecodable": b"\xff\xfe",
-        "wrong_schema": '{"entries": [[2, 1]]}',
-        "bad_entries": '{"c": "1/4", "entries": [[3, 1], [2, 1]]}',
-        "deep_nesting": "[" * 100000 + "]" * 100000,
-    }
-
-    @pytest.fixture
-    def restore_collector(self):
-        enabled = gc.isenabled()
-        yield
-        (gc.enable if enabled else gc.disable)()
-
-    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
-    @pytest.mark.parametrize("name", list(FILES))
-    def test_collector_state_kept(self, tmp_path, restore_collector, name, enabled):
-        path = tmp_path / f"{name}.json"
-        content = self.FILES[name]
-        path.write_bytes(content if isinstance(content, bytes) else content.encode())
-        (gc.enable if enabled else gc.disable)()
-        if name == "valid":
-            assert load_sequence(path).entries == ((2, 1), (3, 2))
-        else:
-            with pytest.raises(SequenceFileError):
-                load_sequence(path)
-        assert gc.isenabled() is enabled
-
-    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
-    def test_collector_state_kept_on_missing_file(self, tmp_path, restore_collector, enabled):
-        (gc.enable if enabled else gc.disable)()
+    def test_missing_file(self, tmp_path):
+        # the library raises the OS error; the CLI words it before the load
         with pytest.raises(FileNotFoundError):
             load_sequence(tmp_path / "missing.json")
-        assert gc.isenabled() is enabled
 
 
 class TestSequenceOrderIndependentHash:
@@ -1171,6 +1134,43 @@ class TestCanonicalLoader:
         assert seqfile.canonical_doc(path) is None
         with pytest.raises(SequenceFileError, match='expected an object with "c" as a "num/den"'):
             load_sequence(path)
+
+    @pytest.mark.parametrize("window", [1 << 20, 7])
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda doc: doc.update(note={"by": "hand"}),
+            lambda doc: [doc.pop("method"), doc.pop("seed")],
+            lambda doc: doc.update(blocks=None),
+        ],
+        ids=["extra_key", "no_method_or_seed", "null_blocks"],
+    )
+    def test_json_dumps_layout_of_other_keys_takes_the_fast_path(
+        self, tmp_path, monkeypatch, change, window
+    ):
+        # the frame is json.dumps' layout of the file's own keys, whatever they are
+        doc = json.loads(sequence_text(random_sequence(200, F(1, 4), 1729)))
+        change(doc)
+        path = tmp_path / "seq.json"
+        path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+        expected = json_path(path)
+        monkeypatch.setattr(seqfile, "_WINDOW", window)
+        monkeypatch.setattr(seqfile, "json_doc", lambda path: pytest.fail("json path taken"))
+        assert load_sequence(path) == expected
+
+    def test_a_frame_json_dumps_would_not_write_takes_the_json_path(self, tmp_path):
+        path = tmp_path / "seq.json"
+        text = sequence_text(random_sequence(200, F(1, 4), 1729))
+        path.write_text(text.replace('"seed": 1729', '"seed": 1.729e3'))
+        assert seqfile.canonical_doc(path) is None
+        assert load_sequence(path) == json_path(path)
+
+    def test_a_frame_nested_past_the_encoder_reads_as_json_reads_it(self, tmp_path):
+        # Python 3.12's json.loads nests deeper than its indent encoder recurses
+        path = tmp_path / "seq.json"
+        note = "[" * 1100 + "]" * 1100
+        path.write_text(f'{{\n  "c": "1/4",\n  "entries": [],\n  "note": {note}\n}}\n')
+        assert outcome(load_sequence, path) == outcome(json_path, path)
 
     def test_r6_sized_file(self, tmp_path, monkeypatch):
         seq = random_sequence(10**6, F(1, 4), 1729)
