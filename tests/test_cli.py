@@ -247,6 +247,36 @@ class TestInputAndOutputFiles:
         os.umask(umask)
         assert target.stat().st_mode & 0o777 == 0o666 & ~umask
 
+    @pytest.mark.parametrize("argv", [
+        ("sievelab", "--c", "1/4", "--x", "2", "--y", "100", "--mc", "20", "--seed", "7"),
+        ("sievelab", "--seq", "S", "--x", "2", "--y", "100", "--exact"),
+        ("hits", "--seq", "S", "--x", "1/3", "--bound", "300"),
+        ("hits", "--seq", "S", "--x-named", "sqrt2", "--bound", "300", "--format", "csv"),
+        ("fracparts", "--x", "0.3", "--c", "1/4", "--bound", "300"),
+        ("fracparts", "--x-named", "golden", "--c", "1/4", "--bound", "300", "--format", "csv"),
+        ("ergodic", "--seq", "S", "--x", "0.3", "--y", "0.7123", "--primes-up-to", "300"),
+    ], ids=["sievelab_mc", "sievelab_seq", "hits_json", "hits_csv", "fracparts_json",
+            "fracparts_csv", "ergodic"])
+    def test_out_file_holds_the_printed_report(self, capsys, tmp_path, argv):
+        # every report command writes --out by the one rule in main: the
+        # bytes it prints without --out, and nothing on stdout
+        seq_path, target = tmp_path / "seq.json", tmp_path / "report.out"
+        seq_path.write_text(sequence_text(random_sequence(300, F(1, 4), 5)))
+        argv = [str(seq_path) if arg == "S" else arg for arg in argv]
+        code, printed, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "") and printed
+        assert run_cli(capsys, *argv, "--out", str(target)) == (0, "", "")
+        assert target.read_text() == printed
+
+    def test_seq_build_usage_names_out_path(self, capsys):
+        # seq build --out keeps the metavar it had before it got its own dest
+        with pytest.raises(SystemExit) as exc:
+            main(["seq", "build", "--method", "random", "--bound", "100", "--c", "1/4"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--out OUT_PATH" in err
+        assert err.endswith("error: the following arguments are required: --out\n")
+
 
     def test_seq_build_unwritable_out_path(self, capsys, tmp_path):
         target = tmp_path / "missing" / "x.json"
