@@ -49,6 +49,10 @@ COUNT_WORK = 1 / 100
 # Mertens: sum_{p<=x} 1/p = ln ln x + M + o(1)
 MERTENS = 0.2615
 
+# psi_12: the least composite that passes is_prime's bases
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_PSI12 = 318665857834031151167461
+
 
 def _segments(low: int, high: int) -> Iterator[tuple[int, bytearray]]:
     """Sieve the odd numbers of [max(low, 3), high] in windows of _SEGMENT flags.
@@ -168,22 +172,38 @@ def _cut(bound: int, shares: int, i: int) -> int:
 
 
 def is_prime(n: int) -> bool:
-    """Trial division; fine for the desk-scale n used here."""
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    for d in range(3, math.isqrt(n) + 1, 2):
-        if n % d == 0:
-            return False
+    """Trial division by the 12 primes to 37, then Miller-Rabin to those bases.
+
+    Proven below psi_12 (Sorenson and Webster, Math. Comp. 86, 2017), far
+    past the sieve bound's 2^63; a larger n is rejected, not guessed.
+    """
+    if n >= _PSI12:
+        raise ValueError(f"primality is proven only below {_PSI12}, got {fraction_text(n)}")
+    for b in _BASES:
+        if n % b == 0:
+            return n == b
+    if n < 41 * 41:  # no prime factor up to 37
+        return n > 1
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
+    for b in _BASES:
+        x = pow(b, (n - 1) >> s, n)
+        if x != 1 and x != n - 1:
+            for _ in range(s - 1):
+                x = x * x % n
+                if x == n - 1:
+                    break
+            else:
+                return False
     return True
 
 
 def next_prime(n: int) -> int:
     """Least prime strictly greater than n."""
-    candidate = n + 1
+    if n < 2:
+        return 2
+    candidate = (n + 1) | 1
     while not is_prime(candidate):
-        candidate += 1
+        candidate += 2
     return candidate
 
 

@@ -24,6 +24,7 @@ from .sequences import _ENTRY_ROW, EntryView, SequenceFileError, _json_text
 # text of such a row comes before p, between p and a, and after a.
 _WINDOW = 1 << 20  # bytes read at a time
 _KEY = b'\n  "entries": '
+_BLOCK_END = b"\n  ]"  # after the last row; no row holds it
 _ROW_START, _MIDDLE, _ROW_END = (",\n" + _ENTRY_ROW).encode().split(b"%d")
 _ROW_SKELETON = _ROW_START + _MIDDLE + _ROW_END  # a row with its digits deleted
 _BETWEEN = _ROW_END + _ROW_START  # after one row's a, before the next row's p
@@ -43,7 +44,10 @@ def _window_rows(window: bytes, primes: array, numerators: array) -> bool:
     _ROW_START, so no digit stands anywhere but in a slot. Digits can
     only break an occurrence of a digit-free string, never make one.
     """
-    flat = json.loads(b"[" + window.translate(None, b" \n[]")[1:] + b"]")
+    try:
+        flat = json.loads(b"[" + window.translate(None, b" \n[]")[1:] + b"]")
+    except ValueError:  # text that is no row, such as a later key's
+        return False
     n = len(flat) // 2
     if (
         window.translate(None, _DIGITS) != _ROW_SKELETON * n
@@ -63,10 +67,12 @@ def canonical_doc(path: Union[str, Path]) -> Optional[dict]:
     The entries block is read _WINDOW bytes at a time, cut after its
     last whole row, into two array('q') columns (`_window_rows`), so
     neither the file's bytes nor an int object per number is held at
-    once. The frame, the text before and after the block, is parsed by
-    json.loads with "entries" as [], and must equal `_json_text` of the
-    document it parsed: json.dumps' layout of the file's own keys. That
-    full match also rules out a key written twice. None sends the file to
+    once. A window that runs past the block into a later key's nested
+    list, which ends as a row does, is cut again at the block's end. The
+    frame, the text before and after the block, is parsed by json.loads
+    with "entries" as [], and must equal `_json_text` of the document it
+    parsed: json.dumps' layout of the file's own keys. That full match
+    also rules out a key written twice. None sends the file to
     `json_doc`, which words every failure.
     """
     primes, numerators = array("q"), array("q")
@@ -88,15 +94,21 @@ def canonical_doc(path: Union[str, Path]) -> Optional[dict]:
                     end = pending.rfind(_ROW_END) + len(_ROW_END)
                     if end >= len(_ROW_END):
                         if not _window_rows(pending[:end], primes, numerators):
-                            return None
+                            # a later key's nested list ends as a row does: cut at the block's end
+                            end = pending.find(_BLOCK_END)
+                            rows = pending[:end]
+                            if end < 0 or (end and not _window_rows(rows, primes, numerators)):
+                                return None
+                            pending = pending[end:] + handle.read()
+                            break
                         pending = pending[end:]
                     chunk = handle.read(_WINDOW)
                     if not chunk:
                         break
                     pending += chunk
-                if not pending.startswith(b"\n  ]"):
+                if not pending.startswith(_BLOCK_END):
                     return None
-                tail = pending[4:]
+                tail = pending[len(_BLOCK_END):]
             else:
                 return None
         doc = json.loads(frame := head + b"[]" + tail)

@@ -41,8 +41,8 @@ How the exact sums are kept small:
   alpha/nu^2 = (S2*L - S1^2)/S1^2 are one Fraction each, and
   `alpha_and_markov` gives the proofs of their reductions.
 - CRT. The p1*p2 placements of a pair of primes give every centre
-  distance r/(p1*p2) exactly once, so the pair expectation is a short
-  sum of a trapezoid in integer units.
+  distance r/(p1*p2) exactly once, so the pair expectation is a
+  trapezoid sum in closed form, in integer units.
 """
 
 from __future__ import annotations
@@ -282,7 +282,8 @@ def pair_expectation(p1: int, p2: int, c: RationalLike) -> Fraction:
     H2 = u*p1 <= H1 and the distance of residue r (or N - r) is r*v, so
     overlap(r) = max(0, min(2*H2, H1 + H2 - r*v)): a trapezoid, zero once
     r*v >= H1 + H2. As c*(p1 + p2) < N/2, only r and N - r with
-    r < (H1 + H2)/v contribute. The result is exact and stays within
+    r <= last < (H1 + H2)/v contribute, 2*H2 to r <= flat and then
+    H1 + H2 - r*v: a closed form. The result is exact and stays within
     2/p2^2 of 4c^2/(p1*p2).
     """
     if p1 >= p2:
@@ -292,7 +293,10 @@ def pair_expectation(p1: int, p2: int, c: RationalLike) -> Fraction:
     c = checked_c(c)
     u, v = c.numerator, c.denominator
     inner, reach = 2 * u * p1, u * (p1 + p2)  # 2*H2 and H1 + H2
-    total = inner + 2 * sum(min(inner, reach - r * v) for r in range(1, -(-reach // v)))
+    last = -(-reach // v) - 1
+    flat = min(last, (reach - inner) // v)
+    sloped = last * (last + 1) // 2 - flat * (flat + 1) // 2  # sum of r, flat < r <= last
+    total = inner + 2 * (flat * inner + (last - flat) * reach - v * sloped)
     n = p1 * p2
     return Fraction(total, n * n * v)
 
@@ -336,10 +340,14 @@ def omega_expectation_exact(
         before = survive
         # ends before starts: at c = 1/2 the arcs of 2 touch, and a start
         # applied first would bring its count to p
-        for q, delta in [(q, -1) for q in ends] + [(q, 1) for q in starts]:
+        for q in ends:
             old = counts[q]
-            counts[q] = old + delta
-            survive = survive // (q - old) * (q - old - delta)
+            counts[q] = old - 1
+            survive = survive // (q - old) * (q - old + 1)
+        for q in starts:
+            old = counts[q]
+            counts[q] = old + 1
+            survive = survive // (q - old) * (q - old - 1)
         numerators[p] += n * (before - survive)
     terms = [(n, p) for p, n in numerators.items() if n] + [(v * survive, 1)]
     return exact_sum(terms) / (v * whole)

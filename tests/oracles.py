@@ -9,9 +9,10 @@ production path moved to the integer sweep pieces of `primecover.arcs`
 earlier Fraction segment cover, greedy scan, sequence document, sieve,
 level-set sweep and its Fraction re-sums (`total`, `mean_count`), the
 sweep form of a union (`runs`), the Fraction circle distance of the
-hit test (`circle_distance`) and the greedy loop that picked on every
-prime, even on a full cover (`every_prime_greedy`), each kept verbatim
-apart from names.
+hit test (`circle_distance`), the greedy loop that picked on every
+prime, even on a full cover (`every_prime_greedy`), and the pair
+expectation's trapezoid sum taken term by term (`enumerated_pair_expectation`),
+each kept verbatim apart from names.
 """
 
 from __future__ import annotations
@@ -397,6 +398,18 @@ def fraction_level_sets(seq, x, y):
 def circle_distance(a: Fraction, b: Fraction) -> Fraction:
     d = (a - b) % ONE
     return min(d, ONE - d)
+
+
+# ---------------------------------------------------------------------------
+# The pair expectation summed over the centre distances one by one.
+
+def enumerated_pair_expectation(p1: int, p2: int, c: Fraction) -> Fraction:
+    """sievelab.pair_expectation's sum before its closed form; p1 < p2 are trusted primes."""
+    u, v = c.numerator, c.denominator
+    inner, reach = 2 * u * p1, u * (p1 + p2)  # 2*H2 and H1 + H2
+    total = inner + 2 * sum(min(inner, reach - r * v) for r in range(1, -(-reach // v)))
+    n = p1 * p2
+    return Fraction(total, n * n * v)
 
 
 def exact_rows(classes):

@@ -208,6 +208,15 @@ class TestSparsePrimeSet:
         )
         assert s.weight_sum < 1.0
 
+    def test_geometric_members_to_two_to_the_62(self):
+        # p - 4^n for the least prime p above 4^n, n = 1, ..., 30: trial
+        # division's to n = 23 (below 1e14), and all 30 as sympy.nextprime gives
+        offsets = (1, 1, 3, 1, 7, 3, 27, 1, 3, 7, 15, 43, 15, 3, 3, 15, 25, 31, 7, 15,
+                   15, 7, 15, 21, 55, 21, 159, 81, 69, 33)
+        s = sparse_prime_set(2**62, "geometric")
+        assert s.primes == tuple(4**n + d for n, d in enumerate(offsets, 1))
+        assert s.weight_sum == math.fsum(math.log(p) / p for p in s.primes)
+
     def test_tiny_bound_gives_empty_set(self):
         s = sparse_prime_set(3, "geometric")
         assert s.primes == ()

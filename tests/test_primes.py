@@ -301,6 +301,36 @@ class TestSmallPrimeHelpers:
         assert next_prime(256) == 257
         assert next_prime(2) == 3
 
+    def test_is_prime_is_the_sieve_below_one_million(self):
+        primes = set(sieve_range(10**6))
+        assert [n for n in range(-5, 10**6) if is_prime(n) != (n in primes)] == []
+
+    @pytest.mark.parametrize(
+        "pseudoprime, below, above",
+        [
+            # 151 * 21291601: a strong pseudoprime to the bases 2, 3, 5 and 7
+            (3215031751, 3215031749, 3215031767),
+            # psi_11, a strong pseudoprime to every base from 2 to 31; 37 catches it
+            (3825123056546413051, 3825123056546412979, 3825123056546413057),
+        ],
+    )
+    def test_strong_pseudoprimes_are_composite(self, pseudoprime, below, above):
+        assert not is_prime(pseudoprime)
+        assert is_prime(below) and is_prime(above)
+        assert next_prime(below) == above
+
+    def test_primality_past_psi12_is_rejected(self):
+        psi12 = 318665857834031151167461
+        assert not is_prime(psi12 - 1) and not is_prime(psi12 - 2)  # 2 and 3 divide them
+        for n in (psi12, 10**5000):
+            with pytest.raises(ValueError, match="primality is proven only below 3186658"):
+                is_prime(n)
+
+    def test_next_prime_is_the_least_prime_above(self):
+        primes = sieve_range(10**4)
+        for n in range(-3, primes[-1]):
+            assert next_prime(n) == primes[bisect_right(primes, n)]
+
     def test_primes_between(self):
         assert primes_between(2, 7) == [3, 5, 7]
         assert primes_between(1, 1) == []

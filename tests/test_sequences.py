@@ -1142,8 +1142,10 @@ class TestCanonicalLoader:
             lambda doc: doc.update(note={"by": "hand"}),
             lambda doc: [doc.pop("method"), doc.pop("seed")],
             lambda doc: doc.update(blocks=None),
+            # a list one level down in a later key ends in the row's "\n    ]"
+            lambda doc: doc.update(note={"primes": [2, 3]}),
         ],
-        ids=["extra_key", "no_method_or_seed", "null_blocks"],
+        ids=["extra_key", "no_method_or_seed", "null_blocks", "nested_list_after_entries"],
     )
     def test_json_dumps_layout_of_other_keys_takes_the_fast_path(
         self, tmp_path, monkeypatch, change, window

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     arc_of,
+    enumerated_pair_expectation,
     fraction_level_sets,
     fraction_sweep,
     intersect_measure,
@@ -402,6 +403,35 @@ class TestIntegerSumsMatchFractionOracles:
         primes = primes_between(1, 45)
         p1, p2 = sorted(data.draw(st.lists(st.sampled_from(primes), min_size=2, max_size=2, unique=True)))
         assert pair_expectation(p1, p2, c) == TestPairExpectation.brute_force(None, p1, p2, c)
+
+    @given(
+        st.data(),
+        st.one_of(
+            st.sampled_from(WIDTHS + (F(1, 100), F(49, 100))),
+            st.fractions(0, HALF, max_denominator=1000).filter(bool),
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_closed_form_pair_expectation(self, data, c):
+        # the closed form against the sum over every centre distance
+        primes = sieve_range(3000)
+        p1, p2 = sorted(data.draw(st.lists(st.sampled_from(primes), min_size=2, max_size=2, unique=True)))
+        assert pair_expectation(p1, p2, c) == enumerated_pair_expectation(p1, p2, c)
+
+    @given(st.sampled_from((HALF, F(1, 4), F(2, 7))), st.integers(0, 10), st.integers(1, 4))
+    @settings(max_examples=30, deadline=None)
+    def test_exact_expectation_is_the_mean_over_every_tuple(self, c, first, size):
+        # (p - 1, q] holds one to four primes, at most 20,000 numerator tuples;
+        # at c = 1/2 the arcs of 2 touch, so the sweep must apply ends before starts
+        primes = list(sieve_range(40)[first:first + size])
+        while math.prod(primes) > 20_000:
+            primes.pop()
+        mean = sum(
+            (uncovered_by(zip(primes, numerators), c)
+             for numerators in itertools.product(*map(range, primes))),
+            F(0),
+        ) / math.prod(primes)
+        assert omega_expectation_exact(primes[0] - 1, primes[-1], c) == mean
 
     @pytest.mark.parametrize("c", WIDTHS)
     def test_all_numerators_zero_wrap(self, c):
