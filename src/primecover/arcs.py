@@ -10,8 +10,9 @@ half-width c/p has measure exactly 2c/p wherever its center sits.
   of a/p is [a*v - u, a*v + u] in units of 1/(p*v), and the arc of 0
   splits at 0, so no Fraction is built per endpoint.
 - Endpoints are ordered by one exact integer key, floor(x * 2^b) with
-  b = `key_shift(max_den)`. `sweep` walks every endpoint in order for
-  the level sets and the exact expectation. `union_length`, which the
+  b = `key_shift(max_den)`. `sweep` sorts the endpoints into one event
+  each, ends first at equal positions, for the walks of the level sets
+  and the exact expectation. `union_length`, which the
   Monte Carlo trials and the coverage reports use, is one merge of the
   pieces sorted by start key: it needs the runs only, not the count
   between them. `runs_length` is the exact length of runs that are
@@ -233,35 +234,24 @@ def key_shift(max_den: int) -> int:
     return 2 * max_den.bit_length() + 1
 
 
-def sweep(
-    pieces: Iterable[tuple[int, int, int]],
-) -> Iterator[tuple[int, int, list[int], list[int]]]:
-    """Walk the endpoints of closed pieces (start, end, den) in ascending order.
+def sweep(pieces: Iterable[tuple[int, int, int]]) -> list[tuple[int, int, int, int]]:
+    """The endpoints of closed pieces (start, end, den) as sorted events.
 
-    A piece is [start/den, end/den] with integers start <= end and den > 0.
-    Yields (num, den, dens of the pieces starting there, dens of those
-    ending there) once per distinct position, num/den being the position
-    as one of those pieces gave it. Endpoints are sorted by the
-    `key_shift` key.
+    A piece is [start/den, end/den] with integers start <= end and den > 0,
+    and gives two events (key, num, den, step): (start, den) with step +1
+    and (end, den) with step -1. The key is the `key_shift` key of num/den
+    doubled, plus one at a start, so the events ascend by position and,
+    at equal positions, every end comes before every start.
     """
     pieces = list(pieces)
     if not pieces:
-        return
+        return []
     shift = key_shift(max(map(itemgetter(2), pieces)))
-    events = [((start << shift) // den, start, den, True) for start, _, den in pieces]
-    events += [((end << shift) // den, end, den, False) for _, end, den in pieces]
+    events = [((start << shift) // den * 2 + 1, start, den, 1) for start, _, den in pieces]
+    events += [((end << shift) // den * 2, end, den, -1) for _, end, den in pieces]
     del pieces  # the walk reads the events only; the piece tuples would add to its peak
     events.sort(key=itemgetter(0))
-    last = events[0][0]
-    starts, ends = [], []
-    for key, num, den, is_start in events:
-        if key != last:
-            yield at_num, at_den, starts, ends
-            starts, ends = [], []
-            last = key
-        at_num, at_den = num, den
-        (starts if is_start else ends).append(den)
-    yield at_num, at_den, starts, ends
+    return events
 
 
 def runs_length(runs: Iterable[tuple[int, int, int, int]]) -> Fraction:

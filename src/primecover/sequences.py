@@ -518,23 +518,14 @@ def schedule_rows(schedule: BlockSchedule) -> list[list]:
     ]
 
 
-def _frame(c: str, method, seed, blocks: Optional[list]) -> tuple[str, str]:
-    """The file's text before and after the entries value, keys in sorted order."""
-    head = ""
-    if blocks is not None:
-        nested = "\n  ".join(json.dumps(blocks, indent=2).split("\n"))
-        head = f'  "blocks": {nested},\n'
-    head = f'{{\n{head}  "c": {json.dumps(c)},\n  "entries": '
-    tail = f',\n  "method": {json.dumps(method)},\n  "seed": {json.dumps(seed)}\n}}\n'
-    return head, tail
-
-
 def _sequence_pieces(seq: NumeratorSequence, schedule: Optional[BlockSchedule]) -> Iterator[str]:
     """sequence_text as pieces; head and tail are made at the call, before any file opens."""
-    head, tail = _frame(
-        rat_str(seq.c), seq.method, seq.seed, None if schedule is None else schedule_rows(schedule)
-    )
-    return chain((head,), _entry_pieces(seq.entries.primes, seq.entries.numerators), (tail,))
+    doc = {"c": rat_str(seq.c), "entries": [], "method": seq.method, "seed": seq.seed}
+    if schedule is not None:
+        doc["blocks"] = schedule_rows(schedule)
+    key = '"entries": '
+    head, tail = _json_text(doc).split(key + "[]")
+    return chain((head + key,), _entry_pieces(seq.entries.primes, seq.entries.numerators), (tail,))
 
 
 def _entry_pieces(primes, numerators) -> Iterator[str]:
@@ -555,9 +546,10 @@ def sequence_text(seq: NumeratorSequence, schedule: Optional[BlockSchedule] = No
     Byte contract: `_json_text(doc)` for doc = {"c": rat_str(seq.c),
     "method": seq.method, "seed": seq.seed, "entries": [[p, a], ...]},
     plus "blocks": schedule_rows(schedule) when a schedule is given.
-    `_frame` writes the keys in sorted order, and each window of 4,096
-    entries is one %-format of a row template: indent turns off json's
-    C encoder, and its Python encoder would walk every pair.
+    The text around the entries is `_json_text` of doc with "entries" as
+    [], cut at that value, and each window of 4,096 entries is one
+    %-format of a row template: indent turns off json's C encoder, and
+    its Python encoder would walk every pair.
     """
     return "".join(_sequence_pieces(seq, schedule))
 

@@ -17,8 +17,8 @@ How the exact sums are kept small:
   per endpoint.
 - Telescoping. A sum of run lengths, sum (x_(i+1) - x_i) * w_i, equals
   sum_i x_i * (w_(i-1) - w_i) plus the last weight at the point 1, so
-  each sweep position adds an integer multiple of its numerator to one
-  integer kept per prime, and no Fraction is added up along the sweep.
+  each event adds an integer multiple of its numerator to one integer
+  kept per prime, and no Fraction is added up along the sweep.
 - Product tree. The per-prime integers n_p/p are combined once by
   `arcs.tree_sum`, pairwise up a balanced tree (Bernstein, "Fast
   multiplication and its applications", 2008). Adding Fractions in sweep
@@ -127,11 +127,11 @@ def level_sets(
     With c = u/v the arc of p is [a*v - u, a*v + u] in units of 1/(p*v).
     Scaled by v (the circle becomes [0, v]) an endpoint is a numerator n
     over its prime p, and the sweep orders these integers exactly. The
-    level measures telescope: at a position x where the count steps
-    from k to k', the run of level k ends and one of level k' starts, so
-    x adds to m_k and is taken from m_k', and level 0 ends at the point
-    1 (= v/1). Level k keeps one integer n_(k,p) per prime, and
-    m_k = (v*[k = 0] + sum_p n_(k,p)/p)/v.
+    level measures telescope: at an event n/p where the count steps
+    from k to k' = k +- 1, the run of level k ends and one of level k'
+    starts, so n adds to n_(k,p) and is taken from n_(k',p), and level 0
+    ends at the point 1 (= v/1). Level k keeps one integer n_(k,p) per
+    prime, and m_k = (v*[k = 0] + sum_p n_(k,p)/p)/v.
 
     Reduction. v*m_k is the integer W_k = v*[k = 0] + sum n_(k,p)/p over
     the primes that divide their n_(k,p), plus the tree sum R/D over the
@@ -144,10 +144,10 @@ def level_sets(
     the sum times P is t_p*(P/p) modulo p. The levels sum to 1 exactly
     when this holds for t_p = sum_k n_(k,p), which the sweep makes 0 for
     every p, and the mean count is nu = 2c*H exactly when it holds for
-    t_p = sum_k k*n_(k,p) - 2u over the primes of the range. A prime's
-    arc has length 2u/p on the circle scaled to [0, v], and a position
-    moves between primes only at an integer point of [0, v], where n/p
-    is an integer, so the second holds for a correct sweep.
+    t_p = sum_k k*n_(k,p) - 2u over the primes of the range. Each event
+    adds n - n to the first sum and -n*step to the second, so both hold
+    by construction: the ends less the starts of a prime's pieces are
+    the length 2u of its arc on the circle scaled to [0, v].
     """
     x, y = checked_range(x, y)
     primes = primes_between(x, y)
@@ -156,13 +156,11 @@ def level_sets(
 
     rows: dict[int, dict[int, int]] = {p: {} for p in primes}  # p -> {k: n_(k,p)}
     count = 0
-    for n, p, starts, ends in sweep(arc_pieces(zip(primes, seq.numerators_of(primes)), c)):
-        new = count + len(starts) - len(ends)
-        if new != count:
-            row = rows[p]
-            row[count] = row.get(count, 0) + n
-            row[new] = row.get(new, 0) - n
-            count = new
+    for _, n, p, step in sweep(arc_pieces(zip(primes, seq.numerators_of(primes)), c)):
+        row = rows[p]
+        row[count] = row.get(count, 0) + n
+        count += step
+        row[count] = row.get(count, 0) - n
 
     top = max(map(max, filter(None, rows.values())), default=0)
     wholes = [v] + [0] * top  # W_k
@@ -312,13 +310,16 @@ def omega_expectation_exact(
     arrangement of all candidate arcs the survival probability is the
     product over primes of (1 - n_p/p), n_p counting the candidate arcs
     covering the cell. Sweeping the arrangement integrates that product.
+    With c <= 1/2 the candidate arcs of one prime never overlap, and at
+    c = 1/2 they only touch, where the sweep puts ends first, so n_p is
+    0 or 1.
 
-    The product is kept as the integer Q = prod (p - n_p) over P = prod p
-    and updated by exact division as counts change. Positions come from
-    the sweep as numerators n over p in units of 1/(p*v), c = u/v. The
-    integral telescopes: with S_i the survival after position x_i,
-    E = sum_i x_i (S_(i-1) - S_i) + S_final, so each position adds
-    n * (Q_(i-1) - Q_i) to its prime's integer numerator, and
+    The product is kept as the integer Q = prod (p - n_p) over P = prod p:
+    a start of p turns its factor p into p - 1, and an end turns it back.
+    Events come from the sweep as numerators n over p in units of
+    1/(p*v), c = u/v. The integral telescopes: with S_i the survival
+    after event x_i, E = sum_i x_i (S_(i-1) - S_i) + S_final, so each
+    event adds n * (Q_(i-1) - Q_i) to its prime's integer numerator, and
     E = (exact_sum of those over p, plus v * Q_final) / (v * P).
     """
     c = checked_c(c)
@@ -333,22 +334,12 @@ def omega_expectation_exact(
         )
 
     v = c.denominator
-    counts = dict.fromkeys(primes, 0)
     survive = whole = math.prod(primes)
     numerators: defaultdict[int, int] = defaultdict(int)
-    for n, p, starts, ends in sweep(arc_pieces(((p, a) for p in primes for a in range(p)), c)):
-        before = survive
-        # ends before starts: at c = 1/2 the arcs of 2 touch, and a start
-        # applied first would bring its count to p
-        for q in ends:
-            old = counts[q]
-            counts[q] = old - 1
-            survive = survive // (q - old) * (q - old + 1)
-        for q in starts:
-            old = counts[q]
-            counts[q] = old + 1
-            survive = survive // (q - old) * (q - old - 1)
-        numerators[p] += n * (before - survive)
+    for _, n, p, step in sweep(arc_pieces(((p, a) for p in primes for a in range(p)), c)):
+        drop = survive // p if step > 0 else -(survive // (p - 1))
+        survive -= drop
+        numerators[p] += n * drop
     terms = [(n, p) for p, n in numerators.items() if n] + [(v * survive, 1)]
     return exact_sum(terms) / (v * whole)
 

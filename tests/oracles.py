@@ -8,6 +8,8 @@ production path moved to the integer sweep pieces of `primecover.arcs`
 (`arc_pieces`, `sweep`, `union_length`) and `sequences._Cover`, plus the
 earlier Fraction segment cover, greedy scan, sequence document, sieve,
 level-set sweep and its Fraction re-sums (`total`, `mean_count`), the
+endpoint walk grouped by position that `arcs.sweep` yielded before it
+returned one event per endpoint (`grouped_sweep`), the
 sweep form of a union (`runs`), the Fraction circle distance of the
 hit test (`circle_distance`), the greedy loop that picked on every
 prime, even on a full cover (`every_prime_greedy`), and the pair
@@ -23,7 +25,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
-from typing import Iterable, Sequence
+from operator import itemgetter
+from typing import Iterable, Iterator, Sequence
 
 from primecover.arcs import (
     ONE,
@@ -32,8 +35,8 @@ from primecover.arcs import (
     RationalLike,
     arc_pieces,
     checked_c,
+    key_shift,
     rat_str,
-    sweep,
     to_fraction,
 )
 from primecover.primes import primes_between, sieve_range
@@ -46,6 +49,37 @@ HALF = Fraction(1, 2)
 # ---------------------------------------------------------------------------
 # The Fraction arc layer: arcs of half-width c/p and their normalized unions.
 
+def grouped_sweep(
+    pieces: Iterable[tuple[int, int, int]],
+) -> Iterator[tuple[int, int, list[int], list[int]]]:
+    """Walk the endpoints of closed pieces (start, end, den) in ascending order.
+
+    A piece is [start/den, end/den] with integers start <= end and den > 0.
+    Yields (num, den, dens of the pieces starting there, dens of those
+    ending there) once per distinct position, num/den being the position
+    as one of those pieces gave it. Endpoints are sorted by the
+    `key_shift` key.
+    """
+    pieces = list(pieces)
+    if not pieces:
+        return
+    shift = key_shift(max(map(itemgetter(2), pieces)))
+    events = [((start << shift) // den, start, den, True) for start, _, den in pieces]
+    events += [((end << shift) // den, end, den, False) for _, end, den in pieces]
+    del pieces  # the walk reads the events only; the piece tuples would add to its peak
+    events.sort(key=itemgetter(0))
+    last = events[0][0]
+    starts, ends = [], []
+    for key, num, den, is_start in events:
+        if key != last:
+            yield at_num, at_den, starts, ends
+            starts, ends = [], []
+            last = key
+        at_num, at_den = num, den
+        (starts if is_start else ends).append(den)
+    yield at_num, at_den, starts, ends
+
+
 def runs(pieces):
     """(start, start_den, end, end_den) of each maximal run of a union of closed pieces.
 
@@ -55,7 +89,7 @@ def runs(pieces):
     # Every endpoint of a closed piece is covered, so a run opens where the
     # count of open pieces leaves zero and closes where it returns to zero.
     count = 0
-    for num, den, starts, ends in sweep(pieces):
+    for num, den, starts, ends in grouped_sweep(pieces):
         if not count:
             run_start = num, den
         count += len(starts) - len(ends)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import ArcUnion, arc_of, complement, intersect_measure, measure, normalize_union, runs
+from oracles import ArcUnion, arc_of, complement, grouped_sweep, intersect_measure, measure, normalize_union, runs
 from primecover.arcs import Arc, checked_c, checked_range, fraction_text, rat_str, to_fraction
 from primecover.arcs import arc_pieces, coprime_fraction, exact_sum, runs_length, sweep, tree_sum, union_length
 from primecover.hits import RealApproximant, approximant_named, fractional_hits
@@ -297,15 +298,29 @@ class TestIntegerUnits:
         assert (value.numerator, value.denominator) == (expected.numerator, expected.denominator)
         assert value == expected and hash(value) == hash(expected)
 
-    @given(st.lists(st.tuples(st.integers(0, 30), st.integers(0, 30), st.integers(1, 30)), max_size=12))
-    def test_sweep_groups_equal_positions(self, raw):
-        pieces = [(min(s, e), max(s, e), d) for s, e, d in raw]
-        walked = [(F(n, d), starts, ends) for n, d, starts, ends in sweep(pieces)]
-        positions = [pos for pos, _, _ in walked]
-        assert positions == sorted({F(n, d) for s, e, d in pieces for n in (s, e)})
-        for pos, starts, ends in walked:
-            assert sorted(starts) == sorted(d for s, _, d in pieces if F(s, d) == pos)
-            assert sorted(ends) == sorted(d for _, e, d in pieces if F(e, d) == pos)
+    @given(
+        st.one_of(
+            st.lists(st.tuples(st.integers(0, 30), st.integers(0, 30), st.integers(1, 30)), max_size=12).map(
+                lambda raw: [(min(s, e), max(s, e), d) for s, e, d in raw]
+            ),
+            st.deferred(lambda: closed_pieces()),
+        )
+    )
+    def test_sweep_is_one_event_per_endpoint_ends_first(self, pieces):
+        events = sweep(pieces)
+        assert len(events) == 2 * len(pieces)
+        assert [key for key, _, _, _ in events] == sorted(key for key, _, _, _ in events)
+        assert sorted((n, d) for _, n, d, step in events if step == 1) == sorted((s, d) for s, _, d in pieces)
+        assert sorted((n, d) for _, n, d, step in events if step == -1) == sorted((e, d) for _, e, d in pieces)
+        grouped = []
+        for pos, group in itertools.groupby(events, key=lambda event: F(event[1], event[2])):
+            group = list(group)
+            steps = [step for _, _, _, step in group]
+            assert steps == sorted(steps)  # every end before every start
+            starts = sorted(d for _, _, d, step in group if step == 1)
+            ends = sorted(d for _, _, d, step in group if step == -1)
+            grouped.append((pos, starts, ends))
+        assert grouped == [(F(n, d), sorted(starts), sorted(ends)) for n, d, starts, ends in grouped_sweep(pieces)]
 
     def test_union_length_matches_normalize_union(self):
         rng = random.Random(17)

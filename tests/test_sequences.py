@@ -839,14 +839,18 @@ class TestSequenceText:
 
     def test_entries_skip_the_indent_encoder(self, monkeypatch):
         # indent turns off json's C encoder; the entries must never reach the
-        # Python one, which is what _make_iterencode builds
-        calls = []
+        # Python one, which is what _make_iterencode builds: the frame around
+        # them is encoded with "entries" as []
+        encoded = []
         real = json.encoder._make_iterencode
-        monkeypatch.setattr(
-            json.encoder, "_make_iterencode", lambda *a, **k: calls.append(1) or real(*a, **k)
-        )
+
+        def recording(*args, **kwargs):
+            iterencode = real(*args, **kwargs)
+            return lambda o, level: encoded.append(o) or iterencode(o, level)
+
+        monkeypatch.setattr(json.encoder, "_make_iterencode", recording)
         sequence_text(random_sequence(1000, F(1, 4), 3))
-        assert calls == []
+        assert encoded and all(o["entries"] == [] for o in encoded)
 
 
 class TestLoadSequenceValidation:
