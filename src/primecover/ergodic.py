@@ -79,9 +79,10 @@ def ergodic_rows(
     one `NumeratorSequence.numerators_of` call: a slice of the column when
     the primes are a run of the sequence's entries, as each fan-out chunk
     of the CLI is. The reduced offset is that of reduce_offset, written
-    inline; s_closed is one row of this loop. is_hit is exact: a float y is the dyadic rational h/k, and
-    with c = u/v the circle distance from y to a/p is n/(k*p), where
-    r = (h*p - a*k) mod k*p and n = min(r, k*p - r), so
+    inline; s_closed is one row of this loop. is_hit is exact: a float y
+    is the dyadic rational h/k, and with c = u/v the circle distance from
+    y to a/p is n/(k*p), where r = (h*p - a*k) mod k*p and
+    n = min(r, k*p - r), so
 
         p * dist <= c  <=>  n*v <= u*k
 

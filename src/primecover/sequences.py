@@ -15,17 +15,20 @@ column, and walks it beside the primes: no scan looks a prime up.
 
 A sequence file is `sequence_text`, written in windows by `save_sequence`
 and read by `load_sequence`: `_json_text` of its document, the layout of
-every JSON file and report. A file in that layout is read in windows
-straight into the columns, any other file through json.loads.
-`write_atomically` is the one writer of the package: the sequence files
-and the CLI's --out reports go through it, so a file is replaced whole
-or left as it was.
+every JSON file and report. `_canonical_doc` reads a file that is
+`_json_text` of its own keys, rows `_ENTRY_ROW`, in windows straight into
+the columns; `_json_doc` reads any other file through json.loads, and a
+canonical one with a value of 2^63 or more, which no column holds, for
+NumeratorSequence to reject. `write_atomically` is the one writer of the
+package: the sequence files and the CLI's --out reports go through it,
+so a file is replaced whole or left as it was.
 """
 
 from __future__ import annotations
 
 import bisect
 import json
+import math
 import os
 import random
 import tempfile
@@ -51,7 +54,7 @@ from .arcs import (
     to_fraction,
     union_length,
 )
-from .primes import iter_primes, primes_between
+from .primes import iter_primes, next_prime, primes_between
 
 METHODS = ("random", "greedy", "blocks", "constant", "custom")
 
@@ -179,6 +182,20 @@ class NumeratorSequence:
         if array("q", primes) == column[lo:hi]:
             return self.entries.numerators[lo:hi]
         return [self.numerator_for(p) for p in primes]
+
+    def _primes_and_numerators(self, x: Fraction, y: Fraction) -> tuple[list[int], Sequence[int]]:
+        """The primes of (x, y] and numerators_of them, sieved no further than the last entry.
+
+        numerators_of names the smallest prime missing up to the last
+        entry; past it every prime is missing, so the first one in (x, y],
+        if there is one, is named without sieving the rest of the range.
+        """
+        last = self.entries.primes[-1] if self.entries.primes else 1
+        primes = primes_between(x, min(y, last))
+        numerators = self.numerators_of(primes)
+        if y > last and (missing := next_prime(max(math.floor(x), last))) <= y:
+            raise ValueError(f"sequence has no entry for prime {missing}")
+        return primes, numerators
 
 
 def _first_fault(entries: Iterable[tuple[int, int]]) -> None:
@@ -421,8 +438,7 @@ def uncovered_measure(
     seq: NumeratorSequence, x: RationalLike, y: RationalLike
 ) -> Fraction:
     """Exact measure of the set missed by every arc of primes in (x, y]."""
-    primes = primes_between(*checked_range(x, y))
-    return uncovered_by(zip(primes, seq.numerators_of(primes)), seq.c)
+    return uncovered_by(zip(*seq._primes_and_numerators(*checked_range(x, y))), seq.c)
 
 
 def uncovered_by(entries: Iterable[tuple[int, int]], c: Fraction) -> Fraction:
@@ -504,8 +520,11 @@ def _json_text(doc) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-# one entries row as _json_text lays out [p, a] inside the file
+# one entries row as _json_text lays out [p, a] inside the file; the rows
+# stand between _KEY + "[\n" and _BLOCK_END, joined by ",\n"
 _ENTRY_ROW = "    [\n      %d,\n      %d\n    ]"
+_KEY = '\n  "entries": '
+_BLOCK_END = "\n  ]"  # after the last row; no row holds it
 
 _WINDOW = 4096  # entries per piece of the file's text
 
@@ -523,9 +542,8 @@ def _sequence_pieces(seq: NumeratorSequence, schedule: Optional[BlockSchedule]) 
     doc = {"c": rat_str(seq.c), "entries": [], "method": seq.method, "seed": seq.seed}
     if schedule is not None:
         doc["blocks"] = schedule_rows(schedule)
-    key = '"entries": '
-    head, tail = _json_text(doc).split(key + "[]")
-    return chain((head + key,), _entry_pieces(seq.entries.primes, seq.entries.numerators), (tail,))
+    head, tail = _json_text(doc).split(_KEY + "[]")
+    return chain((head + _KEY,), _entry_pieces(seq.entries.primes, seq.entries.numerators), (tail,))
 
 
 def _entry_pieces(primes, numerators) -> Iterator[str]:
@@ -537,7 +555,7 @@ def _entry_pieces(primes, numerators) -> Iterator[str]:
         flat[::2], flat[1::2] = window, numerators[lo : lo + _WINDOW]
         yield (lead + ",\n".join(repeat(_ENTRY_ROW, len(window)))) % tuple(flat)
         lead = ",\n"
-    yield "\n  ]" if primes else "[]"
+    yield _BLOCK_END if primes else "[]"
 
 
 def sequence_text(seq: NumeratorSequence, schedule: Optional[BlockSchedule] = None) -> str:
@@ -595,6 +613,126 @@ def save_sequence(
     write_atomically(path, _sequence_pieces(seq, schedule))
 
 
+# _canonical_doc reads windows of (",\n" + row) repeated. The fixed
+# text of such a row comes before p, between p and a, and after a.
+_READ = 1 << 20  # bytes read at a time
+_ROW_START, _MIDDLE, _ROW_END = (",\n" + _ENTRY_ROW).encode().split(b"%d")
+_ROW_SKELETON = _ROW_START + _MIDDLE + _ROW_END  # a row with its digits deleted
+_BETWEEN = _ROW_END + _ROW_START  # after one row's a, before the next row's p
+_DIGITS = b"0123456789"
+
+
+def _window_rows(window: bytes, primes: array, numerators: array) -> bool:
+    """Append the window's rows to the columns; False if it is not in the exact layout.
+
+    window is (",\n" + row) * n for rows of _ENTRY_ROW. Its numbers are
+    read by one json.loads of the digits and commas left once ' \n[]'
+    are deleted. The rest of the window is then confirmed: with its
+    digits deleted it must be the skeleton n times, so it holds no other
+    byte; JSON's int grammar rules out an empty slot and a leading zero;
+    and the fixed text between two numbers must occur intact n times
+    (_MIDDLE) and n - 1 times (_BETWEEN), with the window starting on
+    _ROW_START, so no digit stands anywhere but in a slot. Digits can
+    only break an occurrence of a digit-free string, never make one.
+    """
+    try:
+        flat = json.loads(b"[" + window.translate(None, b" \n[]")[1:] + b"]")
+    except ValueError:  # text that is no row, such as a later key's
+        return False
+    n = len(flat) // 2
+    if (
+        window.translate(None, _DIGITS) != _ROW_SKELETON * n
+        or not window.startswith(_ROW_START)
+        or window.count(_MIDDLE) != n
+        or window.count(_BETWEEN) != n - 1
+    ):
+        return False
+    primes.fromlist(flat[::2])  # OverflowError past 64 bits: _canonical_doc gives None
+    numerators.fromlist(flat[1::2])
+    return True
+
+
+def _canonical_doc(path: Union[str, Path]) -> Optional[dict]:
+    """The document of a file in `_json_text`'s layout with `_ENTRY_ROW` rows; else None.
+
+    The entries block is read _READ bytes at a time, cut after its last
+    whole row, into two array('q') columns (`_window_rows`), so neither
+    the file's bytes nor an int object per number is held at once. A
+    window that runs past the block into a later key's nested list, which
+    ends as a row does, fails as rows, and the file goes to `_json_doc`;
+    save_sequence writes no such key. The frame, the text before and
+    after the block, is parsed by json.loads with "entries" as [], and
+    must equal `_json_text` of the document it parsed: json.dumps' layout
+    of the file's own keys. That full match also rules out a key written
+    twice. None sends the file to `_json_doc`, which words every failure.
+    """
+    key, block_end = _KEY.encode(), _BLOCK_END.encode()
+    primes, numerators = array("q"), array("q")
+    try:
+        with open(path, "rb") as handle:
+            data = bytearray()
+            while (cut := data.find(key, max(0, len(data) - _READ - len(key)))) < 0:
+                chunk = handle.read(_READ)
+                if not chunk:
+                    return None
+                data += chunk
+            cut += len(key)
+            head, rest = bytes(data[:cut]), bytes(data[cut:]) + handle.read(2)
+            if rest.startswith(b"[]"):
+                tail = rest[2:] + handle.read()
+            elif rest.startswith(b"[\n"):
+                pending = b"," + rest[1:]  # the first row as the others: after ",\n"
+                while True:
+                    end = pending.rfind(_ROW_END) + len(_ROW_END)
+                    if end >= len(_ROW_END):
+                        if not _window_rows(pending[:end], primes, numerators):
+                            return None
+                        pending = pending[end:]
+                    chunk = handle.read(_READ)
+                    if not chunk:
+                        break
+                    pending += chunk
+                if not pending.startswith(block_end):
+                    return None
+                tail = pending[len(block_end):]
+            else:
+                return None
+        doc = json.loads(frame := head + b"[]" + tail)
+        canonical = frame == _json_text(doc).encode()  # 3.12 loads nests deeper than dumps
+    except (OSError, ValueError, OverflowError, RecursionError):
+        return None
+    if not canonical or not isinstance(doc, dict) or not isinstance(doc.get("c"), str):
+        return None
+    doc["entries"] = EntryView(primes, numerators)
+    return doc
+
+
+def _json_doc(path: Union[str, Path]) -> dict:
+    """The document of any sequence file, through json.loads; a malformed one raises.
+
+    The schema checks run at C speed (map and set over the parsed lists),
+    and NumeratorSequence splits the [p, a] lists into its array('q')
+    columns and checks them at C speed too. The program writes every file
+    in the layout `_canonical_doc` reads, so this path serves hand-written
+    files.
+    """
+    try:
+        doc = json.loads(Path(path).read_text())
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise SequenceFileError(f"{path}: not a JSON sequence file ({exc})") from None
+    if not isinstance(doc, dict) or not isinstance(doc.get("c"), str):
+        raise SequenceFileError(f'{path}: expected an object with "c" as a "num/den" string')
+    raw = doc.get("entries")
+    if (
+        not isinstance(raw, list)
+        or not set(map(type, raw)) <= {list}
+        or not set(map(len, raw)) <= {2}
+        or not set(map(type, chain.from_iterable(raw))) <= {int}
+    ):
+        raise SequenceFileError(f'{path}: "entries" must be a list of [p, a] integer pairs')
+    return doc
+
+
 def load_sequence(path: Union[str, Path]) -> NumeratorSequence:
     """Read a sequence file; any malformed content raises SequenceFileError.
 
@@ -602,21 +740,15 @@ def load_sequence(path: Union[str, Path]) -> NumeratorSequence:
     "entries" as a list of [p, a] integer pairs; NumeratorSequence then
     checks c, the method, the ascending primes and each numerator.
 
-    A file whose bytes are `_json_text` of its own document, the entries
-    one `_ENTRY_ROW` each, as save_sequence writes it, is read in windows
-    straight into the two columns (`seqfile.canonical_doc`), at 16 bytes
-    per entry; any other file goes through json.loads
-    (`seqfile.json_doc`), so every error message is the one that path
-    gives. Both paths give equal sequences, and a value
-    of 2^63 or more fails as NumeratorSequence words it. A 78k-entry file
-    (primes to 1e6) loads in about 0.07 s at +8.4 MiB of peak RSS, and
-    the 665k entries of primes to 1e7 in about 0.57 s at +18.4 MiB;
-    json.loads of the same 665k entries peaks at +133 MiB (2-core VM,
-    Python 3.11.7).
+    A file as save_sequence writes it is read by `_canonical_doc`, at 16
+    bytes per entry; any other file by `_json_doc`, so every error
+    message is the one json.loads' path gives. Both paths give equal
+    sequences. A 78k-entry file (primes to 1e6) loads in about 0.07 s at
+    +8.4 MiB of peak RSS, and the 665k entries of primes to 1e7 in about
+    0.57 s at +18.4 MiB; json.loads of the same 665k entries peaks at
+    +133 MiB (2-core VM, Python 3.11.7).
     """
-    from . import seqfile  # compiled only by a process that reads a sequence file
-
-    doc = seqfile.canonical_doc(path) or seqfile.json_doc(path)
+    doc = _canonical_doc(path) or _json_doc(path)
     try:
         return NumeratorSequence(
             c=to_fraction(doc["c"]),

@@ -69,7 +69,7 @@ from .arcs import (
     tree_sum,
 )
 from .fanout import map_chunks
-from .primes import is_prime, primes_between
+from .primes import is_prime, next_prime, primes_between
 from .sequences import NumeratorSequence, uncovered_by, uniform_draws
 
 # most arc endpoints omega_expectation_exact sweeps; (2, 1e4] would have 11,475,244
@@ -150,13 +150,13 @@ def level_sets(
     the length 2u of its arc on the circle scaled to [0, v].
     """
     x, y = checked_range(x, y)
-    primes = primes_between(x, y)
+    primes, numerators = seq._primes_and_numerators(x, y)
     c = seq.c
     u, v = c.numerator, c.denominator
 
     rows: dict[int, dict[int, int]] = {p: {} for p in primes}  # p -> {k: n_(k,p)}
     count = 0
-    for _, n, p, step in sweep(arc_pieces(zip(primes, seq.numerators_of(primes)), c)):
+    for _, n, p, step in sweep(arc_pieces(zip(primes, numerators), c)):
         row = rows[p]
         row[count] = row.get(count, 0) + n
         count += step
@@ -323,7 +323,14 @@ def omega_expectation_exact(
     E = (exact_sum of those over p, plus v * Q_final) / (v * P).
     """
     c = checked_c(c)
-    primes = primes_between(*checked_range(x, y))
+    x, y = checked_range(x, y)
+    alone = MAX_ENDPOINTS // 2  # a prime above this has more endpoints than the budget
+    if y > alone and (q := next_prime(max(math.floor(x), alone))) <= y:
+        raise ValueError(
+            f"range too large for the exact sweep: prime {q} alone has {2 * (q + 1)} "
+            f"arc endpoints, over the budget of {MAX_ENDPOINTS}"
+        )
+    primes = primes_between(x, min(y, alone))
     if not primes:
         return Fraction(1)
     endpoint_count = sum(2 * (p + 1) for p in primes)

@@ -1,6 +1,10 @@
 import sys
+from fractions import Fraction
 
 import pytest
+
+from primecover import sequences, sievelab
+from primecover.primes import primes_between
 
 
 @pytest.fixture
@@ -16,3 +20,22 @@ def default_digit_limit():
     sys.set_int_max_str_digits(4300)
     yield
     sys.set_int_max_str_digits(limit)
+
+
+@pytest.fixture
+def sieve_no_further_than(monkeypatch):
+    """Make any sieve of a range that ends past a limit fail the test before it runs.
+
+    Call it with the limit. It replaces primes_between where sequences and
+    sievelab bind it, so a regression fails at once instead of allocating.
+    """
+    def limit_to(limit):
+        def spy(x, y):
+            if Fraction(y) > limit:
+                pytest.fail(f"sieved to {y}, past {limit}")
+            return primes_between(x, y)
+
+        for module in (sequences, sievelab):
+            monkeypatch.setattr(module, "primes_between", spy)
+
+    return limit_to

@@ -722,6 +722,20 @@ class TestScansZipTheColumns:
             1, "", "error: sequence has no entry for prime 67\n"
         )
 
+    @pytest.mark.parametrize("command", ["coverage", "sievelab"])
+    @pytest.mark.parametrize("drop, prime", [(67, 67), (None, 307)], ids=["gap", "past_the_end"])
+    def test_a_range_past_the_last_entry_sieves_no_further(
+        self, capsys, tmp_path, sieve_no_further_than, entries, command, drop, prime
+    ):
+        kept = tuple((p, a) for p, a in entries if p != drop)
+        path = tmp_path / "custom.json"
+        path.write_text(sequence_text(NumeratorSequence(F(1, 4), kept)))
+        sieve_no_further_than(293)  # the last entry
+        code, out, err = run_cli(
+            capsys, command, "--seq", str(path), "--x", "1", "--y", "1000000000000"
+        )
+        assert (code, out, err) == (1, "", f"error: sequence has no entry for prime {prime}\n")
+
     @pytest.mark.parametrize("name", ["hits_json", "hits_csv", "ergodic_dense"])
     @pytest.mark.parametrize("lacking", ["last_interval", "two_intervals"])
     def test_missing_primes_under_a_split(self, capsys, monkeypatch, tmp_path, entries, name,

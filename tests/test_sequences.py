@@ -26,7 +26,7 @@ from oracles import (
     normalize_union,
     sequence_to_dict,
 )
-from primecover import seqfile
+from primecover import sequences as sequences_module
 from primecover.arcs import arc_pieces, rat_str
 from primecover.ergodic import sparse_prime_set
 from primecover.hits import (
@@ -1051,7 +1051,7 @@ def outcome(load, path):
 def json_path(path):
     """load_sequence with every file sent through json.loads."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(seqfile, "canonical_doc", lambda path: None)
+        mp.setattr(sequences_module, "_canonical_doc", lambda path: None)
         return load_sequence(path)
 
 
@@ -1089,8 +1089,8 @@ class TestCanonicalLoader:
         with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
             path = Path(tmp) / "seq.json"
             save_sequence(seq, path, schedule)
-            mp.setattr(seqfile, "_WINDOW", window)
-            mp.setattr(seqfile, "json_doc", lambda path: pytest.fail("json path taken"))
+            mp.setattr(sequences_module, "_READ", window)
+            mp.setattr(sequences_module, "_json_doc", lambda path: pytest.fail("json path taken"))
             loaded = load_sequence(path)
         assert loaded == seq
         assert type(loaded.entries.primes) is not list
@@ -1118,7 +1118,7 @@ class TestCanonicalLoader:
         with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
             path = Path(tmp) / "seq.json"
             path.write_bytes(text)
-            mp.setattr(seqfile, "_WINDOW", window)
+            mp.setattr(sequences_module, "_READ", window)
             assert outcome(load_sequence, path) == outcome(json_path, path)
 
     def test_a_misplaced_digit_is_not_read_as_a_number(self, tmp_path):
@@ -1135,7 +1135,7 @@ class TestCanonicalLoader:
         path = tmp_path / "seq.json"
         text = sequence_text(NumeratorSequence(HALF, ((2, 1), (3, 0))))
         path.write_text(text.replace('"c": "1/2"', '"c": 1'))
-        assert seqfile.canonical_doc(path) is None
+        assert sequences_module._canonical_doc(path) is None
         with pytest.raises(SequenceFileError, match='expected an object with "c" as a "num/den"'):
             load_sequence(path)
 
@@ -1146,10 +1146,8 @@ class TestCanonicalLoader:
             lambda doc: doc.update(note={"by": "hand"}),
             lambda doc: [doc.pop("method"), doc.pop("seed")],
             lambda doc: doc.update(blocks=None),
-            # a list one level down in a later key ends in the row's "\n    ]"
-            lambda doc: doc.update(note={"primes": [2, 3]}),
         ],
-        ids=["extra_key", "no_method_or_seed", "null_blocks", "nested_list_after_entries"],
+        ids=["extra_key", "no_method_or_seed", "null_blocks"],
     )
     def test_json_dumps_layout_of_other_keys_takes_the_fast_path(
         self, tmp_path, monkeypatch, change, window
@@ -1160,15 +1158,29 @@ class TestCanonicalLoader:
         path = tmp_path / "seq.json"
         path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
         expected = json_path(path)
-        monkeypatch.setattr(seqfile, "_WINDOW", window)
-        monkeypatch.setattr(seqfile, "json_doc", lambda path: pytest.fail("json path taken"))
+        monkeypatch.setattr(sequences_module, "_READ", window)
+        monkeypatch.setattr(
+            sequences_module, "_json_doc", lambda path: pytest.fail("json path taken")
+        )
         assert load_sequence(path) == expected
+
+    @pytest.mark.parametrize("window", [1 << 20, 7])
+    def test_a_nested_list_after_entries_takes_the_json_path(self, tmp_path, monkeypatch, window):
+        # a list one level down in a later key ends in the row's "\n    ]", so
+        # the window that reaches it is no rows; save_sequence writes no such key
+        doc = json.loads(sequence_text(random_sequence(200, F(1, 4), 1729)))
+        doc["note"] = {"primes": [2, 3]}
+        path = tmp_path / "seq.json"
+        path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+        monkeypatch.setattr(sequences_module, "_READ", window)
+        assert sequences_module._canonical_doc(path) is None
+        assert load_sequence(path) == json_path(path)
 
     def test_a_frame_json_dumps_would_not_write_takes_the_json_path(self, tmp_path):
         path = tmp_path / "seq.json"
         text = sequence_text(random_sequence(200, F(1, 4), 1729))
         path.write_text(text.replace('"seed": 1729', '"seed": 1.729e3'))
-        assert seqfile.canonical_doc(path) is None
+        assert sequences_module._canonical_doc(path) is None
         assert load_sequence(path) == json_path(path)
 
     def test_a_frame_nested_past_the_encoder_reads_as_json_reads_it(self, tmp_path):
@@ -1182,5 +1194,5 @@ class TestCanonicalLoader:
         seq = random_sequence(10**6, F(1, 4), 1729)
         path = tmp_path / "r6.json"
         save_sequence(seq, path)
-        monkeypatch.setattr(seqfile, "json_doc", lambda path: pytest.fail("json path"))
+        monkeypatch.setattr(sequences_module, "_json_doc", lambda path: pytest.fail("json path"))
         assert load_sequence(path) == seq

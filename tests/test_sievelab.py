@@ -87,6 +87,39 @@ class TestLevelSets:
             level_sets(seq, 1, 3)
 
 
+class TestRangesPastTheLastEntry:
+    # a range that runs past a sequence's last entry is sieved only up to
+    # it, and names the same missing prime a sieve of the whole range would
+    @pytest.mark.parametrize("measure", [level_sets, uncovered_measure])
+    @pytest.mark.parametrize("x, prime", [(2, 101), (97, 101), (F(201, 2), 101), (101, 103)])
+    def test_the_first_prime_past_the_last_entry_is_named(
+        self, sieve_no_further_than, measure, x, prime
+    ):
+        seq = random_sequence(100, F(1, 4), 1729)
+        sieve_no_further_than(97)
+        with pytest.raises(ValueError, match=f"^sequence has no entry for prime {prime}$"):
+            measure(seq, x, 10**12)
+
+    @pytest.mark.parametrize("measure", [level_sets, uncovered_measure])
+    def test_a_gap_is_named_before_the_end(self, sieve_no_further_than, measure):
+        entries = tuple((p, a) for p, a in random_sequence(200, F(1, 4), 1729).entries if p != 67)
+        sieve_no_further_than(199)
+        with pytest.raises(ValueError, match="^sequence has no entry for prime 67$"):
+            measure(NumeratorSequence(F(1, 4), entries), 2, 10**12)
+
+    @pytest.mark.parametrize("measure", [level_sets, uncovered_measure])
+    def test_an_empty_sequence_names_two(self, sieve_no_further_than, measure):
+        sieve_no_further_than(1)
+        with pytest.raises(ValueError, match="^sequence has no entry for prime 2$"):
+            measure(NumeratorSequence(F(1, 4), ()), F(1, 2), 10**12)
+
+    def test_a_range_with_no_prime_past_the_last_entry_is_measured(self, sieve_no_further_than):
+        seq = random_sequence(100, F(1, 4), 1729)
+        expected = level_sets(seq, 2, 97).levels, uncovered_measure(seq, 2, 97)
+        sieve_no_further_than(97)
+        assert (level_sets(seq, 2, 100).levels, uncovered_measure(seq, 2, 100)) == expected
+
+
 class TestAlphaMarkov:
     def test_bernoulli_variance_single_prime(self):
         seq = NumeratorSequence(HALF, ((5, 3),))
@@ -232,9 +265,33 @@ class TestOmegaExact:
         values = [omega_expectation_exact(2, y, F(1, 4)) for y in (3, 5, 7, 11, 13)]
         assert all(a >= b for a, b in zip(values, values[1:]))
 
-    def test_range_too_large_guard(self):
-        with pytest.raises(ValueError, match="range too large"):
+    def test_range_too_large_guard(self, sieve_no_further_than):
+        sieve_no_further_than(250_000)
+        with pytest.raises(ValueError, match=(
+            "^range too large for the exact sweep: 11475244 arc endpoints exceed "
+            "the budget of 500000$"
+        )):
             omega_expectation_exact(2, 10**4, F(1, 4))
+
+    @pytest.mark.parametrize("x", [2, 200_000, 250_006])
+    def test_a_prime_past_half_the_budget_fails_before_any_sieve(self, sieve_no_further_than, x):
+        # 2 * (250007 + 1) endpoints: the prime alone is over the budget
+        sieve_no_further_than(1)
+        with pytest.raises(ValueError, match=(
+            "^range too large for the exact sweep: prime 250007 alone has 500016 arc "
+            "endpoints, over the budget of 500000$"
+        )):
+            omega_expectation_exact(x, 10**12, F(1, 4))
+
+    def test_a_range_below_half_the_budget_keeps_its_count(self, sieve_no_further_than):
+        count = sum(2 * (p + 1) for p in primes_between(200_000, 250_006))
+        sieve_no_further_than(250_000)
+        with pytest.raises(ValueError, match=f"^range too large for the exact sweep: {count} arc"):
+            omega_expectation_exact(200_000, 250_006, F(1, 4))
+
+    def test_a_range_high_up_with_no_prime_sieves_nothing(self, sieve_no_further_than):
+        sieve_no_further_than(250_000)
+        assert omega_expectation_exact(10**12, 10**12 + 1, F(1, 4)) == 1
 
     def test_empty_range(self):
         assert omega_expectation_exact(7, 10, F(1, 2)) == 1
