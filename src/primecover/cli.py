@@ -20,10 +20,10 @@ import math
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .arcs import checked_c, checked_range, rat_str, to_fraction
-from .ergodic import ergodic_rows, sparse_prime_set
+from .ergodic import ErgodicRow, ergodic_rows, sparse_prime_set
 from .hits import (
     CLASSIFY_WORK,
     DEFAULT_NAMED_ETA,
@@ -154,19 +154,27 @@ def cmd_sievelab(args: argparse.Namespace) -> str:
     return _json_text(doc)
 
 
-def _hit_csv(classify: Callable[[Sequence[int]], Iterator[Classified]], bound: int) -> str:
-    """One row per prime up to bound, each interval's rows made in its own process."""
-    rows = map_prime_intervals(functools.partial(_hit_rows, classify), bound, 2 * CLASSIFY_WORK)
+def _hit_csv(rows_between: Callable[[int, int], str], bound: int) -> str:
+    """One row per prime up to bound, each interval's rows_between(lo, hi) in its own process."""
+    rows = map_prime_intervals(rows_between, bound, 2 * CLASSIFY_WORK)
     return "".join(["p,distance_num,distance_den,hit,ambiguous\n", *rows])
 
 
-def _hit_rows(classify: Callable[[Sequence[int]], Iterator[Classified]], lo: int, hi: int) -> str:
-    """A row per classified prime of (lo, hi], the distance reduced to lowest terms."""
+def _hit_rows(classes: Iterable[Classified]) -> str:
+    """A row per classified prime, the distance reduced to lowest terms."""
     lines = []
-    for p, n, den, hit, ambiguous in classify(primes_between(lo, hi)):
+    for p, n, den, hit, ambiguous in classes:
         g = math.gcd(n, den)
         lines.append(f"{p},{n // g},{den // g},{hit:d},{ambiguous:d}\n")
     return "".join(lines)
+
+
+def _sequence_hit_rows(x, seq, lo: int, hi: int) -> str:
+    return _hit_rows(classify_hits(x, seq.c, *seq.scan(lo, hi)))
+
+
+def _fractional_rows(x, c: Fraction, lo: int, hi: int) -> str:
+    return _hit_rows(classify_fractional(x, c, primes_between(lo, hi)))
 
 
 def _hit_json(report: HitReport, label: str, c: Fraction) -> str:
@@ -188,7 +196,7 @@ def cmd_hits(args: argparse.Namespace) -> str:
     seq = _load_seq(args)
     point = _point(args)
     if args.out_format == "csv":
-        return _hit_csv(functools.partial(classify_hits, point, seq), args.bound)
+        return _hit_csv(functools.partial(_sequence_hit_rows, point, seq), args.bound)
     report = hit_primes(point, seq, args.bound)
     return _hit_json(report, point.label, seq.c)
 
@@ -197,7 +205,7 @@ def cmd_fracparts(args: argparse.Namespace) -> str:
     point = _point(args)
     if args.out_format == "csv":
         check_eta(point, args.bound)
-        return _hit_csv(functools.partial(classify_fractional, point, args.c), args.bound)
+        return _hit_csv(functools.partial(_fractional_rows, point, args.c), args.bound)
     report = fractional_hits(point, args.c, args.bound)
     return _hit_json(report, point.label, args.c)
 
@@ -214,19 +222,15 @@ def _float_arg(text: str) -> float:
         raise ValueError(f"{text!r} is too large for a float") from None
 
 
-def _ergodic_csv(seq, x: float, y: float, primes: Sequence[int]) -> str:
+def _ergodic_csv(rows: Iterable[ErgodicRow]) -> str:
     return "".join(
         f"{p},{a},{distance!r},{abs(s)!r},{is_hit:d},{method}\n"
-        for p, a, distance, s, method, is_hit in ergodic_rows(seq, x, y, primes)
+        for p, a, distance, s, method, is_hit in rows
     )
 
 
-def _ergodic_between(seq, x: float, y: float, lo: int, hi: int) -> str:
-    primes = primes_between(lo, hi)
-    # fail before any row: the smallest prime of (lo, hi] that the sequence
-    # lacks raises the error its row would
-    seq.numerators_of(primes)
-    return _ergodic_csv(seq, x, y, primes)
+def _dense_ergodic_rows(seq, x: float, y: float, lo: int, hi: int) -> str:
+    return _ergodic_csv(ergodic_rows(seq.c, x, y, *seq.scan(lo, hi)))
 
 
 def cmd_ergodic(args: argparse.Namespace) -> str:
@@ -234,11 +238,11 @@ def cmd_ergodic(args: argparse.Namespace) -> str:
     x, y = _float_arg(args.x), _float_arg(args.y)
     if args.sparse is not None:
         primes = sparse_prime_set(args.primes_up_to, args.sparse).primes
-        rows = [_ergodic_csv(seq, x, y, primes)]
+        rows = [_ergodic_csv(ergodic_rows(seq.c, x, y, primes, seq.numerators_of(primes)))]
     else:
         # the earliest interval's error is raised, so a missing prime is named
         # as the serial run names it: the smallest one
-        between = functools.partial(_ergodic_between, seq, x, y)
+        between = functools.partial(_dense_ergodic_rows, seq, x, y)
         rows = map_prime_intervals(between, args.primes_up_to, 1)
     return "".join(["p,a_p,d,abs_s,is_hit,method\n", *rows])
 

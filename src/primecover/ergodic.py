@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .arcs import HALF
 from .primes import _check_bound, next_prime
-from .sequences import NumeratorSequence
 
 # below this |sin(pi d)| the kernel ratio is too ill-conditioned; sum directly
 _SIN_FALLBACK = 1e-8
@@ -55,11 +55,12 @@ def s_direct(p: int, a: int, x: float, y: float) -> complex:
 def s_closed(p: int, a: int, x: float, y: float) -> complex:
     """Kernel form: e(x) sin(pi p d) / (p sin(pi d)) e((p-1) d / 2).
 
-    The s of the one row that ergodic_rows yields for the sequence {p: a}
-    (its c decides only is_hit). Where |sin(pi d)| < 1e-8, too near the
+    The s of the one row that ergodic_rows yields for p and a (its c
+    decides only is_hit). Where |sin(pi d)| < 1e-8, too near the
     removable singularity for the ratio, that row is the direct sum.
     """
-    ((_, _, _, s, _, _),) = ergodic_rows(NumeratorSequence(HALF, ((p, a),)), x, y, (p,))
+    _check_numerator(p, a)
+    ((_, _, _, s, _, _),) = ergodic_rows(HALF, x, y, (p,), (a,))
     return s
 
 
@@ -68,21 +69,19 @@ ErgodicRow = tuple[int, int, float, complex, str, bool]
 
 
 def ergodic_rows(
-    seq: NumeratorSequence,
+    c: Fraction,
     x: float,
     y: float,
     primes: Sequence[int],
+    numerators: Sequence[int],
 ) -> Iterator[ErgodicRow]:
-    """Evaluate the average at (x, y) for each listed prime, in one pass.
+    """Evaluate the average at (x, y) for each prime and its numerator, in one pass.
 
-    Yields (p, a_p, distance, s, method, is_hit). The numerators come from
-    one `NumeratorSequence.numerators_of` call: a slice of the column when
-    the primes are a run of the sequence's entries, as each fan-out chunk
-    of the CLI is. The reduced offset is that of reduce_offset, written
-    inline; s_closed is one row of this loop. is_hit is exact: a float y
-    is the dyadic rational h/k, and with c = u/v the circle distance from
-    y to a/p is n/(k*p), where r = (h*p - a*k) mod k*p and
-    n = min(r, k*p - r), so
+    Yields (p, a_p, distance, s, method, is_hit). The reduced offset is
+    that of reduce_offset, written inline; s_closed is one row of this
+    loop. is_hit is exact: a float y is the dyadic rational h/k, and with
+    c = u/v the circle distance from y to a/p is n/(k*p), where
+    r = (h*p - a*k) mod k*p and n = min(r, k*p - r), so
 
         p * dist <= c  <=>  n*v <= u*k
 
@@ -91,10 +90,10 @@ def ergodic_rows(
     prime at distance |d| has |s| <= 1/(2 p |d|).
     """
     h, k = y.as_integer_ratio()
-    v = seq.c.denominator
-    threshold = seq.c.numerator * k
+    v = c.denominator
+    threshold = c.numerator * k
     sin, cos, pi = math.sin, math.cos, math.pi
-    for p, a in zip(primes, seq.numerators_of(primes)):
+    for p, a in zip(primes, numerators):
         d = (y - a / p) % 1.0
         if d > 0.5:
             d -= 1.0

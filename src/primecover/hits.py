@@ -14,10 +14,11 @@ a prime costs a few integer operations and no float or Fraction
 comparison decides a status.
 
 There is one classifier per predicate, `classify_hits` and
-`classify_fractional`, each over the ascending primes its caller gives.
-`hit_primes` and `fractional_hits` fold the tallies of prime intervals
-that each process sieves and classifies itself (`map_prime_intervals`),
-so no process holds every prime.
+`classify_fractional`, each over the ascending primes its caller gives
+(and, for hits, their numerators). `hit_primes` and `fractional_hits`
+fold the tallies of prime intervals that each process sieves and
+classifies itself (`map_prime_intervals`), so no process holds every
+prime.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple
 
 from .arcs import RationalLike, fraction_text, to_fraction
 from .primes import MERTENS, _check_bound, harmonic_H_float, map_prime_intervals, primes_between
@@ -123,15 +124,14 @@ def _report(bound: int, tallies: list[tuple], heuristic: float) -> HitReport:
 
 
 def classify_hits(
-    x: RealApproximant, seq: NumeratorSequence, primes: Sequence[int]
+    x: RealApproximant, c: Fraction, primes: Iterable[int], numerators: Iterable[int]
 ) -> Iterator[Classified]:
-    """Classify each of the ascending primes as hit, miss, or ambiguous.
+    """Classify each prime, beside its numerator a_p, as hit, miss, or ambiguous.
 
     Yields (p, n, den, hit, ambiguous), where n/den (not reduced) is the
     circle distance from x.value to a_p/p. Hit requires the whole
     interval [value - eta, value + eta] to lie within c/p of a_p/p; miss
-    requires all of it to lie outside. A prime the sequence lacks raises
-    before the first yield (`NumeratorSequence.numerators_of`).
+    requires all of it to lie outside.
 
     With value = h/k, eta = e/E and c = u/v, the circle distance from
     value to a/p is n/(k*p), where r = (h*p - a*k) mod k*p and
@@ -144,11 +144,11 @@ def classify_hits(
     """
     h, k = x.value.numerator, x.value.denominator
     e, big_e = x.eta.numerator, x.eta.denominator
-    u, v = seq.c.numerator, seq.c.denominator
+    u, v = c.numerator, c.denominator
     scale = big_e * v
     spread = e * k * v
     threshold = u * k * big_e
-    for p, a in zip(primes, seq.numerators_of(primes)):
+    for p, a in zip(primes, numerators):
         kp = k * p
         r = (h * p - a * k) % kp
         n = min(r, kp - r)
@@ -165,8 +165,9 @@ def _hit_tally(
     x: RealApproximant, seq: NumeratorSequence, lo: int, hi: int
 ) -> tuple[list[int], list[int], array]:
     """The hits and ambiguous primes of (lo, hi], and the 1/p of each of its primes."""
-    primes = primes_between(lo, hi)
-    return (*_tally(classify_hits(x, seq, primes)), array("d", [1.0 / p for p in primes]))
+    primes, numerators = seq.scan(lo, hi)
+    hits, ambiguous = _tally(classify_hits(x, seq.c, primes, numerators))
+    return hits, ambiguous, array("d", [1.0 / p for p in primes])
 
 
 def hit_primes(x: RealApproximant, seq: NumeratorSequence, bound: int) -> HitReport:

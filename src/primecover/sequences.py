@@ -9,9 +9,9 @@ prime block's uncovered measure against a target.
 A sequence holds its primes and numerators in one storage form, two
 ascending array('q') columns, 16 bytes per entry, so every p and a_p is
 an int below 2^63; `seq.entries` reads them back as a tuple of pairs
-would. Every per-prime scan takes the numerators of its ascending
-primes in one call (`NumeratorSequence.numerators_of`), a slice of the
-column, and walks it beside the primes: no scan looks a prime up.
+would. Every per-prime scan of a range gets its primes and their
+numerators from `NumeratorSequence.scan`, which sieves no further than
+the last entry and names the smallest prime the sequence lacks.
 
 A sequence file is `sequence_text`, written in windows by `save_sequence`
 and read by `load_sequence`: `_json_text` of its document, the layout of
@@ -183,12 +183,14 @@ class NumeratorSequence:
             return self.entries.numerators[lo:hi]
         return [self.numerator_for(p) for p in primes]
 
-    def _primes_and_numerators(self, x: Fraction, y: Fraction) -> tuple[list[int], Sequence[int]]:
+    def scan(self, x: Fraction, y: Fraction) -> tuple[list[int], Sequence[int]]:
         """The primes of (x, y] and numerators_of them, sieved no further than the last entry.
 
-        numerators_of names the smallest prime missing up to the last
-        entry; past it every prime is missing, so the first one in (x, y],
-        if there is one, is named without sieving the rest of the range.
+        Every per-prime scan of a range takes its primes and numerators
+        here. numerators_of names the smallest prime missing up to the
+        last entry; past it every prime is missing, so the first one in
+        (x, y], if there is one, is named without sieving the rest of the
+        range. Either way it raises before the caller reads a row.
         """
         last = self.entries.primes[-1] if self.entries.primes else 1
         primes = primes_between(x, min(y, last))
@@ -438,7 +440,7 @@ def uncovered_measure(
     seq: NumeratorSequence, x: RationalLike, y: RationalLike
 ) -> Fraction:
     """Exact measure of the set missed by every arc of primes in (x, y]."""
-    return uncovered_by(zip(*seq._primes_and_numerators(*checked_range(x, y))), seq.c)
+    return uncovered_by(zip(*seq.scan(*checked_range(x, y))), seq.c)
 
 
 def uncovered_by(entries: Iterable[tuple[int, int]], c: Fraction) -> Fraction:

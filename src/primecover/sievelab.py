@@ -150,7 +150,7 @@ def level_sets(
     the length 2u of its arc on the circle scaled to [0, v].
     """
     x, y = checked_range(x, y)
-    primes, numerators = seq._primes_and_numerators(x, y)
+    primes, numerators = seq.scan(x, y)
     c = seq.c
     u, v = c.numerator, c.denominator
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from primecover import sequences, sievelab
+from primecover import cli, hits, sequences, sievelab
 from primecover.primes import primes_between
 
 
@@ -26,8 +26,9 @@ def default_digit_limit():
 def sieve_no_further_than(monkeypatch):
     """Make any sieve of a range that ends past a limit fail the test before it runs.
 
-    Call it with the limit. It replaces primes_between where sequences and
-    sievelab bind it, so a regression fails at once instead of allocating.
+    Call it with the limit. It replaces primes_between where sequences,
+    sievelab, hits and cli bind it, so no scan, fan-out interval included,
+    sieves past the limit: a regression fails at once instead of allocating.
     """
     def limit_to(limit):
         def spy(x, y):
@@ -35,7 +36,7 @@ def sieve_no_further_than(monkeypatch):
                 pytest.fail(f"sieved to {y}, past {limit}")
             return primes_between(x, y)
 
-        for module in (sequences, sievelab):
+        for module in (sequences, sievelab, hits, cli):
             monkeypatch.setattr(module, "primes_between", spy)
 
     return limit_to

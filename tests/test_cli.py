@@ -626,7 +626,7 @@ class TestErgodicCommand:
         )
         assert code == 0
         seq = load_sequence(seq_file)
-        rows = list(ergodic_rows(seq, float("0.3"), float("0.7123"), list(sieve_range(300))))
+        rows = list(ergodic_rows(seq.c, float("0.3"), float("0.7123"), *seq.scan(1, 300)))
         expected = [[str(p), str(a), repr(distance), repr(abs(s)), str(int(is_hit)), method]
                     for p, a, distance, s, method, is_hit in rows]
         assert [line.split(",") for line in out.splitlines()[1:]] == expected
@@ -735,6 +735,20 @@ class TestScansZipTheColumns:
             capsys, command, "--seq", str(path), "--x", "1", "--y", "1000000000000"
         )
         assert (code, out, err) == (1, "", f"error: sequence has no entry for prime {prime}\n")
+
+    @pytest.mark.parametrize("name", ["hits_json", "hits_csv", "ergodic_dense"])
+    @pytest.mark.parametrize("drop, prime", [(101, 101), (None, 307)], ids=["gap", "past_the_end"])
+    def test_a_split_past_the_last_entry_sieves_no_further(
+        self, capsys, monkeypatch, tmp_path, sieve_no_further_than, entries, name, drop, prime
+    ):
+        # each interval of (1, 10**12] is one scan, and none sieves past the last entry
+        kept = tuple((p, a) for p, a in entries if p != drop)
+        path = tmp_path / "custom.json"
+        path.write_text(sequence_text(NumeratorSequence(F(1, 4), kept)))
+        sieve_no_further_than(293)
+        command, *rest = (str(10**12) if arg == "300" else arg for arg in SCANS[name])
+        split, serial = split_and_serial(capsys, monkeypatch, command, "--seq", str(path), *rest)
+        assert split == serial == (1, "", f"error: sequence has no entry for prime {prime}\n")
 
     @pytest.mark.parametrize("name", ["hits_json", "hits_csv", "ergodic_dense"])
     @pytest.mark.parametrize("lacking", ["last_interval", "two_intervals"])

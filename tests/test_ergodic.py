@@ -83,6 +83,12 @@ class TestOracleEquivalence:
             val_direct = s_direct(p, 0, 0.1, d)
             assert abs(val_closed - val_direct) <= 1e-9
 
+    @pytest.mark.parametrize("evaluate", [s_direct, s_closed])
+    @pytest.mark.parametrize("a", [7, -1])
+    def test_numerator_out_of_range_rejected(self, evaluate, a):
+        with pytest.raises(ValueError, match=f"^numerator {a} out of range for prime 7$"):
+            evaluate(7, a, 0.3, 0.4)
+
 
 class TestModulusBounds:
     def test_never_above_one(self):
@@ -129,7 +135,7 @@ class TestConvergenceSeries:
         p = 97
         a = seq.numerator_for(p)
         y = a / p + 1.0 / (3.0 * p)
-        rows = list(ergodic_rows(seq, 0.3, y, [p]))
+        rows = list(ergodic_rows(seq.c, 0.3, y, [p], [a]))
         ((_, _, _, s, _, is_hit),) = rows
         assert is_hit
         assert abs(s) >= TWO_OVER_PI - 1e-9
@@ -140,22 +146,22 @@ class TestConvergenceSeries:
         for p in primes:
             a = seq.numerator_for(p)
             y = (a / p + math.log(p) / p) % 1.0
-            ((_, _, _, s, _, _),) = list(ergodic_rows(seq, 0.1, y, [p]))
+            ((_, _, _, s, _, _),) = list(ergodic_rows(seq.c, 0.1, y, [p], [a]))
             assert abs(s) <= 1.0 / (2.0 * math.log(p)) + 1e-9
 
     def test_empty_list(self):
         seq = greedy_sequence(10, F(1, 2))
-        assert list(ergodic_rows(seq, 0.1, 0.2, [])) == []
+        assert list(ergodic_rows(seq.c, 0.1, 0.2, [], [])) == []
 
     def test_missing_prime_rejected(self):
         seq = greedy_sequence(10, F(1, 2))
-        with pytest.raises(ValueError):
-            list(ergodic_rows(seq, 0.1, 0.2, [11]))
+        with pytest.raises(ValueError, match="^sequence has no entry for prime 11$"):
+            list(ergodic_rows(seq.c, 0.1, 0.2, *seq.scan(1, 11)))
 
     def test_hit_flag_consistency(self):
         seq = greedy_sequence(50, F(1, 4))
-        primes = [p for p, _ in seq.entries]
-        for p, _, distance, _, _, is_hit in ergodic_rows(seq, 0.25, 0.6180339887, primes):
+        rows = ergodic_rows(seq.c, 0.25, 0.6180339887, *seq.scan(1, 50))
+        for p, _, distance, _, _, is_hit in rows:
             assert is_hit == (p * distance <= 0.25)
 
 
@@ -163,8 +169,9 @@ class TestExactHitFlag:
     def test_closed_endpoint_is_a_hit(self):
         # 625033 * |1/4 - 156258/625033| = 1/4 = c exactly; arcs are closed,
         # but the rounded float product lands just above 0.25
-        seq = NumeratorSequence(F(1, 4), ((625033, 156258),))
-        ((p, _, distance, _, _, is_hit),) = list(ergodic_rows(seq, 0.3, 0.25, [625033]))
+        ((p, _, distance, _, _, is_hit),) = list(
+            ergodic_rows(F(1, 4), 0.3, 0.25, [625033], [156258])
+        )
         assert F(625033) * abs(F(1, 4) - F(156258, 625033)) == F(1, 4)
         assert not p * distance <= 0.25
         assert is_hit
@@ -190,8 +197,9 @@ class TestExactHitFlag:
             pick = st.one_of(st.sampled_from(sorted(ends)), st.integers(0, p - 1))
             entries.append((p, data.draw(pick)))
         seq = NumeratorSequence(c, tuple(entries))
-        classes = classify_hits(rational_point(exact_y), seq, sieve_range(bound))
-        rows = ergodic_rows(seq, 0.3, y, [p for p, _ in entries])
+        primes, numerators = seq.scan(1, bound)
+        classes = classify_hits(rational_point(exact_y), c, primes, numerators)
+        rows = ergodic_rows(c, 0.3, y, primes, numerators)
         assert [row[5] for row in rows] == [hit for _, _, _, hit, _ in classes]
 
 

@@ -111,9 +111,12 @@ class TestHitPrimes:
         # distance equals c/p: a hit when eta = 0, ambiguous when eta > 0
         seq = NumeratorSequence(F(1, 4), ((2, 0), (3, 1)))
         x = rational_point(F(1, 3) + F(1, 12))
-        assert exact_rows(classify_hits(x, seq, sieve_range(3)))[1] == (3, F(1, 12), True, False)
+        primes, numerators = seq.scan(1, 3)
+        assert exact_rows(classify_hits(x, seq.c, primes, numerators))[1] == (
+            3, F(1, 12), True, False
+        )
         fuzzy = x.__class__(x.value, F(1, 1000), "fuzzy")
-        assert exact_rows(classify_hits(fuzzy, seq, sieve_range(3)))[1][3]
+        assert exact_rows(classify_hits(fuzzy, seq.c, primes, numerators))[1][3]
 
     def test_expected_hit_count_identity(self):
         # averaged over x, the number of hit primes up to the bound is the
@@ -130,8 +133,9 @@ class TestHitPrimes:
         seq = seq_from_rule(200, F(1, 4), lambda p: p // 3)
         coarse = approximant_named("sqrt2", F(1, 10**4))
         fine = approximant_named("sqrt2", F(1, 10**12))
-        coarse_rows = {r[0]: r for r in exact_rows(classify_hits(coarse, seq, sieve_range(200)))}
-        fine_rows = {r[0]: r for r in exact_rows(classify_hits(fine, seq, sieve_range(200)))}
+        scanned = seq.scan(1, 200)
+        coarse_rows = {r[0]: r for r in exact_rows(classify_hits(coarse, seq.c, *scanned))}
+        fine_rows = {r[0]: r for r in exact_rows(classify_hits(fine, seq.c, *scanned))}
         for p, (_, _, hit, ambiguous) in coarse_rows.items():
             if not ambiguous:
                 assert fine_rows[p][2] == hit
@@ -287,7 +291,7 @@ class TestIntegerClassificationOracle:
         eta = data.draw(etas(F(1, 8)))
         seq = data.draw(numerator_sequences(bound, c))
         x = RealApproximant(value, eta, "drawn")
-        rows = exact_rows(classify_hits(x, seq, sieve_range(bound)))
+        rows = exact_rows(classify_hits(x, seq.c, *seq.scan(1, bound)))
         assert rows == fraction_hit_rows(x, seq, bound)
 
     @given(st.data(), rationals(), widths(), st.integers(2, 120))
@@ -312,7 +316,7 @@ class TestIntegerClassificationOracle:
         side = data.draw(st.sampled_from((-1, 1)))
         x = RealApproximant(F(a, p) + side * (c / p + shift) + data.draw(st.integers(-2, 2)),
                             eta, "near")
-        rows = exact_rows(classify_hits(x, seq, sieve_range(bound)))
+        rows = exact_rows(classify_hits(x, seq.c, *seq.scan(1, bound)))
         assert rows == fraction_hit_rows(x, seq, bound)
 
     def test_sqrt2_at_scale_matches_fraction_oracle(self):
@@ -320,7 +324,7 @@ class TestIntegerClassificationOracle:
 
         seq = random_sequence(3000, F(1, 4), seed=3)
         x = approximant_named("sqrt2", F(1, 10**16))
-        rows = exact_rows(classify_hits(x, seq, sieve_range(3000)))
+        rows = exact_rows(classify_hits(x, seq.c, *seq.scan(1, 3000)))
         assert rows == fraction_hit_rows(x, seq, 3000)
         y = approximant_named("golden", F(1, 10**16))
         check_eta(y, 3000)
@@ -335,7 +339,7 @@ class TestClassificationBoundaries:
 
     def row_for_three(self, value, eta=ETA):
         x = RealApproximant(value, eta, "edge")
-        rows = exact_rows(classify_hits(x, self.SEQ, sieve_range(3)))
+        rows = exact_rows(classify_hits(x, self.SEQ.c, *self.SEQ.scan(1, 3)))
         assert rows == fraction_hit_rows(x, self.SEQ, 3)
         return rows[1]
 
@@ -361,7 +365,7 @@ class TestClassificationBoundaries:
         for value, status in ((F(3, 4), (True, False)), (F(-1, 4), (True, False)),
                               (F(1, 4) + F(1, 10**20), (False, False))):
             x = RealApproximant(value, F(0), "edge")
-            rows = exact_rows(classify_hits(x, seq, sieve_range(2)))
+            rows = exact_rows(classify_hits(x, seq.c, *seq.scan(1, 2)))
             assert rows == fraction_hit_rows(x, seq, 2)
             assert rows[0][2:] == status
 

@@ -1021,7 +1021,7 @@ class TestNumeratorsOf:
     def test_hit_classes_raise_before_the_first_row(self):
         seq = NumeratorSequence(HALF, ((2, 1), (3, 2)))
         with pytest.raises(ValueError, match="^sequence has no entry for prime 5$"):
-            next(classify_hits(rational_point(F(1, 3)), seq, sieve_range(10)))
+            next(classify_hits(rational_point(F(1, 3)), seq.c, *seq.scan(1, 10)))
 
 
 @st.composite
