@@ -160,12 +160,17 @@ def _hit_csv(rows_between: Callable[[int, int], str], bound: int) -> str:
     return "".join(["p,distance_num,distance_den,hit,ambiguous\n", *rows])
 
 
+# the end of a hits CSV row, after the distance, for each (hit, ambiguous)
+_HIT_TAILS = {(hit, ambiguous): f",{hit:d},{ambiguous:d}\n"
+              for hit in (False, True) for ambiguous in (False, True)}
+
+
 def _hit_rows(classes: Iterable[Classified]) -> str:
     """A row per classified prime, the distance reduced to lowest terms."""
     lines = []
     for p, n, den, hit, ambiguous in classes:
         g = math.gcd(n, den)
-        lines.append(f"{p},{n // g},{den // g},{hit:d},{ambiguous:d}\n")
+        lines.append(f"{p},{n // g},{den // g}{_HIT_TAILS[hit, ambiguous]}")
     return "".join(lines)
 
 
@@ -222,9 +227,14 @@ def _float_arg(text: str) -> float:
         raise ValueError(f"{text!r} is too large for a float") from None
 
 
+# the end of an ergodic CSV row, after |s|, for each (method, is_hit)
+_ERGODIC_TAILS = {(method, is_hit): f",{is_hit:d},{method}\n"
+                  for method in ("closed", "direct") for is_hit in (False, True)}
+
+
 def _ergodic_csv(rows: Iterable[ErgodicRow]) -> str:
     return "".join(
-        f"{p},{a},{distance!r},{abs(s)!r},{is_hit:d},{method}\n"
+        f"{p},{a},{distance!r},{abs(s)!r}{_ERGODIC_TAILS[method, is_hit]}"
         for p, a, distance, s, method, is_hit in rows
     )
 

@@ -79,19 +79,36 @@ def ergodic_rows(
 
     Yields (p, a_p, distance, s, method, is_hit). The reduced offset is
     that of reduce_offset, written inline; s_closed is one row of this
-    loop. is_hit is exact: a float y is the dyadic rational h/k, and with
-    c = u/v the circle distance from y to a/p is n/(k*p), where
-    r = (h*p - a*k) mod k*p and n = min(r, k*p - r), so
+    loop. The float distance is reported, never compared. Hits keep |s|
+    bounded away from 0, while a prime at distance |d| has
+    |s| <= 1/(2 p |d|).
 
-        p * dist <= c  <=>  n*v <= u*k
+    is_hit is exact, and decided from t = h*p alone. A float y is the
+    dyadic rational h/k with k = 2^e (a y that is not raises ValueError).
+    With c = u/v, a/p lies within c/p of y iff the circle distance
+    n/(k*p) has n*v <= u*k, where r = (h*p - a*k) mod k*p and
+    n = min(r, k*p - r): the hits.classify_hits inequality with eta = 0,
+    that is n <= near = floor(u*k/v). Write t = q*k + f, 0 <= f < k
+    (f = t & (k - 1), q = t >> e); then r = m*k + f with
+    m = (q - a) mod p. As c <= 1/2, near <= k/2 < k, so only two cases
+    reach:
 
-    the hits.classify_hits inequality with eta = 0. The float distance is
-    reported, never compared. Hits keep |s| bounded away from 0, while a
-    prime at distance |d| has |s| <= 1/(2 p |d|).
+        m = 0:      r = f,            a hit iff f <= near
+        m = p - 1:  k*p - r = k - f,  a hit iff f >= k - near
+
+    Every other m leaves both r and k*p - r at k or more. So
+
+        is_hit  <=>  (f <= near and (q - a) % p == 0)
+                     or (f >= k - near and (q - a + 1) % p == 0)
+
+    and no product of k and p is formed per prime.
     """
     h, k = y.as_integer_ratio()
-    v = c.denominator
-    threshold = c.numerator * k
+    if k & (k - 1):
+        raise ValueError(f"y must be a dyadic rational, such as a float; got {y!r}")
+    shift, mask = k.bit_length() - 1, k - 1
+    near = c.numerator * k // c.denominator
+    far = k - near
     sin, cos, pi = math.sin, math.cos, math.pi
     for p, a in zip(primes, numerators):
         d = (y - a / p) % 1.0
@@ -103,9 +120,10 @@ def ergodic_rows(
         else:
             w = 2.0 * pi * (x + 0.5 * (p - 1) * d)
             s, method = sin(pi * p * d) / (p * sin_d) * complex(cos(w), sin(w)), "closed"
-        kp = k * p
-        r = (h * p - a * k) % kp
-        yield p, a, abs(d), s, method, min(r, kp - r) * v <= threshold
+        t = h * p
+        f, q = t & mask, t >> shift
+        hit = (f <= near and (q - a) % p == 0) or (f >= far and (q - a + 1) % p == 0)
+        yield p, a, abs(d), s, method, hit
 
 
 @dataclass(frozen=True)

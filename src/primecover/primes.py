@@ -33,7 +33,8 @@ import bisect
 import functools
 import math
 from fractions import Fraction
-from itertools import chain, compress
+from itertools import chain, compress, repeat
+from operator import add
 from typing import Callable, Iterable, Iterator, TypeVar
 
 from .arcs import RationalLike, coprime_fraction, fraction_text, to_fraction, tree_sum
@@ -42,6 +43,8 @@ from .fanout import map_chunks
 T = TypeVar("T")
 
 _SEGMENT = 1 << 18  # flags per window, one per odd number
+_PIECE = 4096  # flags per piece of a window that _odd_primes reads
+_OFFSETS = list(range(0, 2 * _PIECE, 2))  # the offsets of a piece's odd numbers
 
 # per-prime evaluations that counting one prime costs (see fanout.MIN_CHUNK)
 COUNT_WORK = 1 / 100
@@ -84,10 +87,18 @@ def _segments(low: int, high: int) -> Iterator[tuple[int, bytearray]]:
 
 
 def _odd_primes(low: int, high: int) -> Iterator[int]:
-    """The odd primes in [low, high], ascending, made from _segments' flags at C speed."""
+    """The odd primes in [low, high], ascending, made from _segments' flags at C speed.
+
+    Each window is read in pieces of _PIECE flags. compress picks, from
+    the one module list _OFFSETS, the even offsets 2*j whose flag is set,
+    and map(add, ..., repeat(start)) adds the piece's first number to
+    each: one int is made per prime, where a range would make one per
+    odd candidate.
+    """
     return chain.from_iterable(
-        compress(range(start, start + 2 * len(flags), 2), flags)
+        map(add, compress(_OFFSETS, flags[i : i + _PIECE]), repeat(start + 2 * i))
         for start, flags in _segments(low, high)
+        for i in range(0, len(flags), _PIECE)
     )
 
 

@@ -64,12 +64,13 @@ from .arcs import (
     checked_range,
     coprime_fraction,
     exact_sum,
+    fraction_text,
     rat_str,
     sweep,
     tree_sum,
 )
 from .fanout import map_chunks
-from .primes import is_prime, next_prime, primes_between
+from .primes import _PSI12, is_prime, next_prime, primes_between
 from .sequences import NumeratorSequence, uncovered_by, uniform_draws
 
 # most arc endpoints omega_expectation_exact sweeps; (2, 1e4] would have 11,475,244
@@ -325,11 +326,21 @@ def omega_expectation_exact(
     c = checked_c(c)
     x, y = checked_range(x, y)
     alone = MAX_ENDPOINTS // 2  # a prime above this has more endpoints than the budget
-    if y > alone and (q := next_prime(max(math.floor(x), alone))) <= y:
-        raise ValueError(
-            f"range too large for the exact sweep: prime {q} alone has {2 * (q + 1)} "
-            f"arc endpoints, over the budget of {MAX_ENDPOINTS}"
-        )
+    if y > alone:
+        try:
+            q = next_prime(max(math.floor(x), alone))
+        except ValueError:  # the search reached psi_12, past which no prime is proven
+            raise ValueError(
+                f"range too large for the exact sweep: ({fraction_text(x)}, {fraction_text(y)}] "
+                f"lies past {alone}, where one prime alone has more arc endpoints than the "
+                f"budget of {MAX_ENDPOINTS}, and such a prime cannot be ruled out in the range, "
+                f"as primality is proven only below {_PSI12}"
+            ) from None
+        if q <= y:
+            raise ValueError(
+                f"range too large for the exact sweep: prime {q} alone has {2 * (q + 1)} "
+                f"arc endpoints, over the budget of {MAX_ENDPOINTS}"
+            )
     primes = primes_between(x, min(y, alone))
     if not primes:
         return Fraction(1)

@@ -513,6 +513,20 @@ class TestScanGoldenFiles:
             "465f065e2053681b6785c0a97e2830e4b40992914b0c8b2eaababd7bf4836c6e"
         )
 
+    # the dense ergodic CSV before its hit test moved to a mask and a shift;
+    # at y = 1/4 closed arc ends are hits (p = 3, 19, 293 and 1153)
+    @pytest.mark.parametrize("y, expected", [
+        ("0.7123", "306936d0e26e2307e6203eaf08f7294b2dd038cf341089604e91294d0adbaf42"),
+        ("0.25", "265f5930936adf040035699484c7724075b7ec5852671bab29f6845884580c28"),
+    ])
+    def test_ergodic_csv_golden(self, capsys, random_seq, y, expected):
+        code, out, _ = run_cli(
+            capsys, "ergodic", "--seq", random_seq, "--x", "0.3", "--y", y,
+            "--primes-up-to", "20000",
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == expected
+
     def test_fracparts_csv_golden(self, capsys):
         code, out, _ = run_cli(
             capsys, "fracparts", "--x-named", "golden", "--eta", "1e-16",
@@ -918,6 +932,18 @@ ERRORS = [
     (("sievelab", "--seq", "S", "--x", "2", "--y", "50", "--seed", "99", "--out", "o.json"),
      "--seed needs --mc"),
     (("coverage", "--seq", "S", "--x", "10", "--y", "1"), "need X < Y, got X=10, Y=1"),
+    # past psi_12 = 318665857834031151167461 no prime is proven: the error
+    # names the user's range, not is_prime's limit
+    (("coverage", "--seq", "S", "--x", "1e30", "--y", "1000000000000000000000000000001"),
+     "cannot scan (1000000000000000000000000000000, 1000000000000000000000000000001]: "
+     "the sequence ends at prime 199, and a prime it lacks cannot be ruled out in the range, "
+     "as primality is proven only below 318665857834031151167461"),
+    (("sievelab", "--x", "1e30", "--y", "1000000000000000000000000000001", "--c", "1/4",
+      "--exact"),
+     "range too large for the exact sweep: (1000000000000000000000000000000, "
+     "1000000000000000000000000000001] lies past 250000, where one prime alone has more arc "
+     "endpoints than the budget of 500000, and such a prime cannot be ruled out in the range, "
+     "as primality is proven only below 318665857834031151167461"),
     (("hits", "--seq", "S", "--bound", "100", "--out", "o.json"),
      "give exactly one of --x or --x-named"),
     (("hits", "--seq", "S", "--x", "1/3", "--x-named", "sqrt2", "--bound", "100",

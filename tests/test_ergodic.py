@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import circle_distance
 from primecover.ergodic import (
     ergodic_rows,
     reduce_offset,
@@ -19,6 +20,7 @@ from primecover.primes import sieve_range
 from primecover.sequences import NumeratorSequence, greedy_sequence
 
 F = Fraction
+HALF = F(1, 2)
 TWO_OVER_PI = 2.0 / math.pi
 
 PRIMES_TO_9973 = sieve_range(9973)
@@ -165,6 +167,17 @@ class TestConvergenceSeries:
             assert is_hit == (p * distance <= 0.25)
 
 
+def exact_hits(c, y, primes, numerators):
+    """is_hit by Fractions: p times the circle distance from y to a/p is at most c."""
+    return [p * circle_distance(F(y), F(a, p)) <= c for p, a in zip(primes, numerators)]
+
+
+def every_numerator(bound):
+    """Each prime up to bound once per a in [0, p), as (primes, numerators) columns."""
+    pairs = [(p, a) for p in sieve_range(bound) for a in range(p)]
+    return [p for p, _ in pairs], [a for _, a in pairs]
+
+
 class TestExactHitFlag:
     def test_closed_endpoint_is_a_hit(self):
         # 625033 * |1/4 - 156258/625033| = 1/4 = c exactly; arcs are closed,
@@ -201,6 +214,58 @@ class TestExactHitFlag:
         classes = classify_hits(rational_point(exact_y), c, primes, numerators)
         rows = ergodic_rows(c, 0.3, y, primes, numerators)
         assert [row[5] for row in rows] == [hit for _, _, _, hit, _ in classes]
+
+    # the cases of the mask-and-shift hit test that random draws rarely reach
+    CS = [F(1, 2), F(1, 4), F(2, 7), F(1, 3)]
+
+    @pytest.mark.parametrize("y", [0.5, -0.5, 1.5, 2.5, -7.5])
+    def test_half_at_c_half_hits_on_both_sides(self, y):
+        # y = h/2 with h odd: f = k/2 = near for every odd p, so both branches
+        # of the test pass their f check, and exactly the two numerators
+        # next to y, at distance 1/(2p) each, are hits
+        primes, numerators = every_numerator(60)
+        hits = [row[5] for row in ergodic_rows(F(1, 2), 0.3, y, primes, numerators)]
+        assert hits == exact_hits(F(1, 2), y, primes, numerators)
+        for p in sieve_range(60)[1:]:
+            assert [a for q, a, hit in zip(primes, numerators, hits) if q == p and hit] == [
+                (p - 1) // 2, (p + 1) // 2
+            ]
+
+    @pytest.mark.parametrize("y", [0.25, -0.25, 0.75, 1.25, -1.75])
+    def test_closed_ends_on_both_sides(self, y):
+        # at c = 1/4 some a/p lie exactly c/p below y (f = near) and some
+        # exactly c/p above it (f = k - near); closed arcs make both hits
+        c = F(1, 4)
+        primes, numerators = every_numerator(60)
+        hits = [row[5] for row in ergodic_rows(c, 0.3, y, primes, numerators)]
+        assert hits == exact_hits(c, y, primes, numerators)
+        offsets = [(F(y) - F(a, p) + HALF) % 1 - HALF for p, a in zip(primes, numerators)]
+        ends = [d for p, d, hit in zip(primes, offsets, hits) if hit and p * abs(d) == c]
+        assert min(ends) < 0 < max(ends)
+
+    @pytest.mark.parametrize("c", CS)
+    def test_prime_two(self, c):
+        ys = [0.0, 0.25, 0.5, 0.75, -0.25, 1 / 3, 0.7123, 2.0**-30, -(2.0**-30)]
+        for y in ys:
+            rows = list(ergodic_rows(c, 0.3, y, [2, 2], [0, 1]))
+            assert [row[5] for row in rows] == exact_hits(c, y, [2, 2], [0, 1])
+
+    @pytest.mark.parametrize("y", [
+        0.0, -0.0, -0.7123, -2.25, 5e-324, -5e-324, 2.0**-1022,
+        2.0**60, -(2.0**60), math.nextafter(2.0**60, 0), math.nextafter(2.0**60, math.inf),
+        -math.nextafter(2.0**60, 0), 2.0**60 + 2.0**9,
+    ])
+    @pytest.mark.parametrize("c", CS)
+    def test_extreme_and_signed_y(self, c, y):
+        primes, numerators = every_numerator(40)
+        hits = [row[5] for row in ergodic_rows(c, 0.3, y, primes, numerators)]
+        assert hits == exact_hits(c, y, primes, numerators)
+        assert {type(hit) for hit in hits} == {bool}
+
+    def test_a_y_that_is_not_dyadic_is_rejected(self):
+        with pytest.raises(ValueError, match=r"^y must be a dyadic rational, such as a float; "
+                                             r"got Fraction\(1, 3\)$"):
+            list(ergodic_rows(F(1, 4), 0.3, F(1, 3), [5], [1]))
 
 
 class TestSparsePrimeSet:

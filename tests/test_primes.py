@@ -12,6 +12,7 @@ from oracles import full_flag_primes
 from primecover import fanout
 from primecover import primes as primes_module
 from primecover.primes import (
+    _PIECE,
     _SEGMENT,
     MERTENS,
     harmonic_H,
@@ -114,7 +115,9 @@ class TestOddOnlyWindows:
     # numbers; a full sieve's windows start at 3, a primes_between window at
     # the first odd number above x
     SPAN = 2 * _SEGMENT
-    EDGES = sorted({e + d for e in (SPAN, 3 + SPAN, 2 * SPAN, 3 + 2 * SPAN) for d in (-2, -1, 0, 1, 2)})
+    PIECE_SPAN = 2 * _PIECE  # _odd_primes reads each window in pieces of _PIECE flags
+    EDGES = sorted({e + d for e in (SPAN, 3 + SPAN, 2 * SPAN, 3 + 2 * SPAN) for d in (-2, -1, 0, 1, 2)}
+                   | {e + d for e in (3 + PIECE_SPAN, 3 + SPAN - PIECE_SPAN) for d in (-2, 0, 2)})
 
     @pytest.mark.parametrize("bound", EDGES)
     def test_bounds_at_window_edges(self, bound):
@@ -159,6 +162,20 @@ class TestOddOnlyWindows:
     def test_primes_between_across_window_edges(self):
         for x in (0, 1, 2, 3, 4, 2 * _SEGMENT - 7, 2 * _SEGMENT):
             assert primes_between(x, ORACLE_BOUND) == oracle_between(x, ORACLE_BOUND)
+
+    @pytest.mark.parametrize("lo", [0, 1, 2, 3, 4, 10**5, 10**5 + 1]
+                             + [3 + e + d for e in (PIECE_SPAN, SPAN) for d in (-2, -1, 0, 1)])
+    def test_ranges_ending_at_piece_and_window_edges(self, lo):
+        # lo, odd or even, on each side of a full sieve's piece and window
+        # edges; a range's windows, and so its pieces, start at the first odd
+        # number above lo, and hi lies on each side of its first and second
+        # piece edge, its first window edge and the piece edge after it
+        first = max(lo + 1, 3) | 1
+        for edge in (self.PIECE_SPAN, 2 * self.PIECE_SPAN, 2 * _SEGMENT,
+                     2 * _SEGMENT + self.PIECE_SPAN):
+            for hi in range(first + edge - 3, first + edge + 2):
+                assert primes_between(lo, hi) == oracle_between(lo, hi)
+        assert primes_between(lo, lo + 1) == oracle_between(lo, lo + 1)
 
     def test_short_window_near_1e9(self):
         primes = primes_between(10**9 - 10**4, 10**9)

@@ -993,6 +993,33 @@ class TestEntryColumns:
             (array, "q"), (array, "q")
         ]
 
+    # the columns are checked in windows of _CHECKED = 1,024 entries: a fault
+    # on either side of the first and the fourth window edge, and in the
+    # last, partial window
+    COLUMN_LENGTH = 3 * 4096 + 5
+
+    @pytest.mark.parametrize("at", [1023, 1024, 4095, 4096, COLUMN_LENGTH - 1],
+                             ids=["1023", "1024", "4095", "4096", "last"])
+    @pytest.mark.parametrize("fault", ["equal_primes", "a_is_p", "a_is_minus_one"])
+    @pytest.mark.parametrize("form", ["pairs", "q_arrays"])
+    def test_a_fault_at_a_window_edge_gets_its_exact_message(self, at, fault, form):
+        primes = list(itertools.islice(iter_primes(10**6), self.COLUMN_LENGTH))
+        numerators = [p // 2 for p in primes]
+        if fault == "equal_primes":
+            primes[at] = primes[at - 1]
+            message = f"primes must be strictly ascending, saw {primes[at]} after {primes[at]}"
+        elif fault == "a_is_p":
+            numerators[at] = primes[at]
+            message = f"numerator {primes[at]} out of range for prime {primes[at]}"
+        else:
+            numerators[at] = -1
+            message = f"numerator -1 out of range for prime {primes[at]}"
+        assert sequences_module._CHECKED == 1024
+        entries = (tuple(zip(primes, numerators)) if form == "pairs"
+                   else EntryView(array("q", primes), array("q", numerators)))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            NumeratorSequence(F(1, 4), entries)
+
     def test_q_arrays_handed_in_are_kept(self):
         primes, numerators = array("q", [2, 3, 5]), array("q", [1, 2, 3])
         view = NumeratorSequence(HALF, EntryView(primes, numerators)).entries
