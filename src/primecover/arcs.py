@@ -24,7 +24,8 @@ half-width c/p has measure exactly 2c/p wherever its center sits.
   the constructor would take, for sums whose reduced form is known.
 - `to_fraction` parses rationals, `checked_c` also checks that the
   half-width constant c lies in (0, 1/2], `checked_range` that a prime
-  range (X, Y] has X < Y, and `rat_str` prints rationals as "num/den".
+  range (X, Y] has X < Y, `check_numerator` that a_p lies in [0, p),
+  and `rat_str` prints rationals as "num/den".
   `fraction_text` writes a rational into an error message; past the
   int-to-str digit limit it gives an approximation instead of raising.
 
@@ -78,6 +79,12 @@ def checked_range(x: RationalLike, y: RationalLike) -> tuple[Fraction, Fraction]
     if not x < y:
         raise ValueError(f"need X < Y, got X={fraction_text(x)}, Y={fraction_text(y)}")
     return x, y
+
+
+def check_numerator(p: int, a: int) -> None:
+    """Fail unless the numerator a of prime p lies in [0, p)."""
+    if not 0 <= a < p:
+        raise ValueError(f"numerator {a} out of range for prime {p}")
 
 
 def rat_str(q: Fraction) -> str:
@@ -164,8 +171,8 @@ def arc_pieces(
     Scaled by v (the circle becomes [0, v]), each endpoint is that integer
     over p. With 0 <= a < p and 0 < c <= 1/2 only a = 0 reaches below 0,
     and no arc reaches past p*v, so the wrapping arc splits into
-    [p*v - u, p*v] and [0, u]. Arguments are trusted; the callers check
-    them.
+    [p*v - u, p*v] and [0, u]. Arguments are trusted: the callers check
+    c with `checked_c` and a with `check_numerator`'s rule.
     """
     u, v = c.numerator, c.denominator
     for p, a in entries:

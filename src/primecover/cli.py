@@ -9,7 +9,9 @@ invocations produce byte-identical output.
 Rationals cross the boundary as "num/den" strings; floats appear only in
 explicitly floating-point fields such as Monte Carlo means and |s_p|.
 Invalid input raises ValueError, in the handlers and in the library
-alike, and `main` prints it as one `error:` line and returns 1.
+alike, and `main` prints it as one `error:` line and returns 1. `main`
+applies the library's checks of c and of every sieve bound before any
+file is read, and passes every other value to the library as given.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .hits import (
     hit_primes,
     rational_point,
 )
-from .primes import map_prime_intervals, prime_count, primes_between, sieve_range
+from .primes import _check_bound, map_prime_intervals, prime_count, primes_between, sieve_range
 from .sequences import (
     DEFAULT_SEED,
     _json_text,
@@ -62,13 +64,6 @@ from .sievelab import (
 DEFAULT_ETA = f"{float(DEFAULT_NAMED_ETA):g}"  # the --eta help text
 
 
-def _parse_c(text: str) -> Fraction:
-    try:
-        return checked_c(text)
-    except ValueError:
-        raise ValueError("c must be in (0,1/2]") from None
-
-
 def _load_seq(args: argparse.Namespace):
     if not Path(args.seq_path).is_file():
         raise ValueError("sequence file not found")
@@ -79,7 +74,7 @@ def _point(args: argparse.Namespace):
     if (args.x is None) == (args.x_named is None):
         raise ValueError("give exactly one of --x or --x-named")
     if args.x_named is not None:
-        return approximant_named(args.x_named, args.eta or DEFAULT_NAMED_ETA)
+        return approximant_named(args.x_named, DEFAULT_NAMED_ETA if args.eta is None else args.eta)
     if args.eta is not None:
         raise ValueError("--eta needs --x-named")
     return rational_point(args.x)
@@ -107,7 +102,7 @@ def cmd_seq_build(args: argparse.Namespace) -> str:
     else:
         if not args.epsilons:
             raise ValueError("blocks method needs --epsilons")
-        seq, schedule = block_construction(args.epsilons, args.c, args.bound)
+        seq, schedule = block_construction(args.epsilons.split(","), args.c, args.bound)
     save_sequence(seq, args.seq_out, schedule)
     summary = {
         "out": args.seq_out,
@@ -154,9 +149,11 @@ def cmd_sievelab(args: argparse.Namespace) -> str:
     return _json_text(doc)
 
 
-def _hit_csv(rows_between: Callable[[int, int], str], bound: int) -> str:
-    """One row per prime up to bound, each interval's rows_between(lo, hi) in its own process."""
-    rows = map_prime_intervals(rows_between, bound, 2 * CLASSIFY_WORK)
+def _hit_csv(classes_between: Callable[[int, int], Iterable[Classified]], bound: int) -> str:
+    """One row per prime up to bound; each interval (lo, hi] is classified in its own process."""
+    rows = map_prime_intervals(
+        lambda lo, hi: _hit_rows(classes_between(lo, hi)), bound, 2 * CLASSIFY_WORK
+    )
     return "".join(["p,distance_num,distance_den,hit,ambiguous\n", *rows])
 
 
@@ -172,14 +169,6 @@ def _hit_rows(classes: Iterable[Classified]) -> str:
         g = math.gcd(n, den)
         lines.append(f"{p},{n // g},{den // g}{_HIT_TAILS[hit, ambiguous]}")
     return "".join(lines)
-
-
-def _sequence_hit_rows(x, seq, lo: int, hi: int) -> str:
-    return _hit_rows(classify_hits(x, seq.c, *seq.scan(lo, hi)))
-
-
-def _fractional_rows(x, c: Fraction, lo: int, hi: int) -> str:
-    return _hit_rows(classify_fractional(x, c, primes_between(lo, hi)))
 
 
 def _hit_json(report: HitReport, label: str, c: Fraction) -> str:
@@ -201,7 +190,7 @@ def cmd_hits(args: argparse.Namespace) -> str:
     seq = _load_seq(args)
     point = _point(args)
     if args.out_format == "csv":
-        return _hit_csv(functools.partial(_sequence_hit_rows, point, seq), args.bound)
+        return _hit_csv(lambda lo, hi: classify_hits(point, seq.c, *seq.scan(lo, hi)), args.bound)
     report = hit_primes(point, seq, args.bound)
     return _hit_json(report, point.label, seq.c)
 
@@ -210,7 +199,9 @@ def cmd_fracparts(args: argparse.Namespace) -> str:
     point = _point(args)
     if args.out_format == "csv":
         check_eta(point, args.bound)
-        return _hit_csv(functools.partial(_fractional_rows, point, args.c), args.bound)
+        return _hit_csv(
+            lambda lo, hi: classify_fractional(point, args.c, primes_between(lo, hi)), args.bound
+        )
     report = fractional_hits(point, args.c, args.bound)
     return _hit_json(report, point.label, args.c)
 
@@ -239,10 +230,6 @@ def _ergodic_csv(rows: Iterable[ErgodicRow]) -> str:
     )
 
 
-def _dense_ergodic_rows(seq, x: float, y: float, lo: int, hi: int) -> str:
-    return _ergodic_csv(ergodic_rows(seq.c, x, y, *seq.scan(lo, hi)))
-
-
 def cmd_ergodic(args: argparse.Namespace) -> str:
     seq = _load_seq(args)
     x, y = _float_arg(args.x), _float_arg(args.y)
@@ -252,8 +239,11 @@ def cmd_ergodic(args: argparse.Namespace) -> str:
     else:
         # the earliest interval's error is raised, so a missing prime is named
         # as the serial run names it: the smallest one
-        between = functools.partial(_dense_ergodic_rows, seq, x, y)
-        rows = map_prime_intervals(between, args.primes_up_to, 1)
+        rows = map_prime_intervals(
+            lambda lo, hi: _ergodic_csv(ergodic_rows(seq.c, x, y, *seq.scan(lo, hi))),
+            args.primes_up_to,
+            1,
+        )
     return "".join(["p,a_p,d,abs_s,is_hit,method\n", *rows])
 
 
@@ -342,15 +332,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if getattr(args, "c", None) is not None:
-            args.c = _parse_c(args.c)
-        if getattr(args, "eta", None) is not None:
-            args.eta = to_fraction(args.eta)
-            if args.eta <= 0:
-                raise ValueError("eta must be > 0")
-        if getattr(args, "epsilons", None):
-            args.epsilons = [to_fraction(part) for part in args.epsilons.split(",")]
-        if getattr(args, "bound", 2) < 2:
-            raise ValueError("bound must be >= 2")
+            args.c = checked_c(args.c)
+        for name in ("bound", "primes_up_to"):  # every sieve bound, before any file is read
+            if hasattr(args, name):
+                _check_bound(getattr(args, name))
         text = _HANDLERS[args.command](args)
         if getattr(args, "out_path", None) is not None:
             write_atomically(args.out_path, (text,))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .arcs import HALF
+from .arcs import HALF, check_numerator
 from .primes import _check_bound, next_prime
 
 # below this |sin(pi d)| the kernel ratio is too ill-conditioned; sum directly
@@ -33,11 +33,6 @@ def reduce_offset(d: float) -> float:
     return r
 
 
-def _check_numerator(p: int, a: int) -> None:
-    if not 0 <= a < p:
-        raise ValueError(f"numerator {a} out of range for prime {p}")
-
-
 def s_direct(p: int, a: int, x: float, y: float) -> complex:
     """Compensated direct sum of the p twisted orbit terms, divided by p.
 
@@ -45,7 +40,7 @@ def s_direct(p: int, a: int, x: float, y: float) -> complex:
     first (an exact operation that changes no term, since n is an integer)
     to keep the sine/cosine arguments small.
     """
-    _check_numerator(p, a)
+    check_numerator(p, a)
     d = reduce_offset(y - a / p)
     real = math.fsum(math.cos(2.0 * math.pi * (x + n * d)) for n in range(p))
     imag = math.fsum(math.sin(2.0 * math.pi * (x + n * d)) for n in range(p))
@@ -59,7 +54,7 @@ def s_closed(p: int, a: int, x: float, y: float) -> complex:
     decides only is_hit). Where |sin(pi d)| < 1e-8, too near the
     removable singularity for the ratio, that row is the direct sum.
     """
-    _check_numerator(p, a)
+    check_numerator(p, a)
     ((_, _, _, s, _, _),) = ergodic_rows(HALF, x, y, (p,), (a,))
     return s
 

@@ -31,7 +31,7 @@ from fractions import Fraction
 from itertools import chain
 from typing import Iterable, Iterator, NamedTuple
 
-from .arcs import RationalLike, fraction_text, to_fraction
+from .arcs import RationalLike, checked_c, fraction_text, to_fraction
 from .primes import MERTENS, _check_bound, harmonic_H_float, map_prime_intervals, primes_between
 from .sequences import NumeratorSequence
 
@@ -240,7 +240,7 @@ def _fractional_tally(
 
 
 def fractional_hits(x: RealApproximant, c: RationalLike, bound: int) -> HitReport:
-    c = to_fraction(c)
+    c = checked_c(c)
     check_eta(x, bound)
     tallies = map_prime_intervals(
         functools.partial(_fractional_tally, x, c), bound, CLASSIFY_WORK
@@ -256,7 +256,7 @@ class LogLogHeuristic(NamedTuple):
 def loglog_heuristic(c: RationalLike, bound: int) -> LogLogHeuristic:
     """Predicted hit count up to `bound` and its log-log asymptotic proxy."""
     _check_bound(bound)
-    c = to_fraction(c)
+    c = checked_c(c)
     scale = float(2 * c)
     return LogLogHeuristic(
         partial_sum=scale * harmonic_H_float(1, bound),

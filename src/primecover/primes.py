@@ -9,9 +9,9 @@ sieves (x, y] alone, and `map_prime_intervals` runs a per-prime scan on
 intervals of (1, bound] across the cores, each process sieving its own
 interval. `prime_count` keeps only the base primes and one window per
 process: pi(1e7) takes about 0.02 s on two cores (0.03 s on one), and
-pi(1e9) about 4.7 s at 21 MiB peak RSS (2-core VM, Python 3.11.7). `sieve_range` returns
-every prime as a Python int in one tuple, so its memory grows with
-pi(bound): about 245 MiB peak at 1e8, and several GiB at 1e9.
+pi(1e9) 3.8-4.2 s at 21.3 MiB peak RSS (2-core VM, Python 3.11.7).
+`sieve_range` returns every prime as a Python int in one tuple, so its
+memory grows with pi(bound): about 245 MiB peak at 1e8, several GiB at 1e9.
 `iter_primes` walks the same primes lazily, window by window, for a scan
 that may stop early (`greedy_sequence`, `block_construction`).
 `_check_bound` is the one rule for a sieve bound, 2 <= bound < 2^63,
@@ -20,6 +20,8 @@ since no sequence column holds a larger prime and no sieve reaches one.
 per-prime scan calls one of them, directly or through `sieve_range`,
 before any per-prime work; `ergodic.sparse_prime_set` and
 `hits.loglog_heuristic`, which sieve nothing, call it themselves.
+`least_prime_past` is the one search for a prime past a limit that a
+scan must rule out; past psi_12 it fails in the caller's words.
 
 Harmonic sums come in two flavors: exact rational (denominators grow
 like primorials; added up a product tree with no gcd, see
@@ -35,7 +37,7 @@ import math
 from fractions import Fraction
 from itertools import chain, compress, repeat
 from operator import add
-from typing import Callable, Iterable, Iterator, TypeVar
+from typing import Callable, Iterable, Iterator, Optional, TypeVar
 
 from .arcs import RationalLike, coprime_fraction, fraction_text, to_fraction, tree_sum
 from .fanout import map_chunks
@@ -216,6 +218,25 @@ def next_prime(n: int) -> int:
     while not is_prime(candidate):
         candidate += 2
     return candidate
+
+
+def least_prime_past(limit: int, x: Fraction, y: Fraction, prefix: str) -> Optional[int]:
+    """The least prime of (max(x, limit), y], or None if that range holds none.
+
+    No primality is proven from psi_12 on: a range that reaches psi_12,
+    with no prime below it, raises prefix followed by the clause that a
+    prime cannot be ruled out.
+    """
+    try:
+        p = next_prime(max(math.floor(x), limit))
+    except ValueError:  # no prime from the start up to psi_12
+        if y < _PSI12:
+            return None
+        raise ValueError(
+            f"{prefix} cannot be ruled out in the range, as primality is proven only below "
+            f"{_PSI12}"
+        ) from None
+    return p if p <= y else None
 
 
 def primes_between(x: RationalLike, y: RationalLike) -> list[int]:

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import bisect
 import json
-import math
 import os
 import random
 import tempfile
@@ -45,6 +44,7 @@ from typing import Iterable, Iterator, Optional, Union
 from .arcs import (
     RationalLike,
     arc_pieces,
+    check_numerator,
     checked_c,
     checked_range,
     fraction_text,
@@ -54,7 +54,7 @@ from .arcs import (
     to_fraction,
     union_length,
 )
-from .primes import _PSI12, iter_primes, next_prime, primes_between
+from .primes import iter_primes, least_prime_past, primes_between
 
 METHODS = ("random", "greedy", "blocks", "constant", "custom")
 
@@ -192,16 +192,12 @@ class NumeratorSequence:
         primes = primes_between(x, min(y, last))
         numerators = self.numerators_of(primes)
         if y > last:
-            try:
-                missing = next_prime(max(math.floor(x), last))
-            except ValueError:  # the search reached psi_12, past which no prime is proven
-                raise ValueError(
-                    f"cannot scan ({fraction_text(x)}, {fraction_text(y)}]: the sequence ends at "
-                    f"prime {last}, and a prime it lacks cannot be ruled out in the range, as "
-                    f"primality is proven only below {_PSI12}"
-                ) from None
-            if missing <= y:
-                raise ValueError(f"sequence has no entry for prime {missing}")
+            missing = least_prime_past(last, x, y, (
+                f"cannot scan ({fraction_text(x)}, {fraction_text(y)}]: the sequence ends at "
+                f"prime {last}, and a prime it lacks"
+            ))
+            if missing is not None:
+                self.numerator_for(missing)  # raises: no entry lies past the last
         return primes, numerators
 
 
@@ -237,8 +233,7 @@ def _first_fault(entries: Iterable[tuple[int, int]]) -> None:
             )
         if p <= prev:
             raise ValueError(f"primes must be strictly ascending, saw {p} after {prev}")
-        if not 0 <= a < p:
-            raise ValueError(f"numerator {a} out of range for prime {p}")
+        check_numerator(p, a)
         prev = p
 
 

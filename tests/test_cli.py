@@ -1,13 +1,18 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import re
 import shlex
+import tempfile
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from primecover import cli, fanout
 from primecover.cli import DEFAULT_ETA, main
@@ -15,8 +20,10 @@ from primecover.ergodic import ergodic_rows
 from primecover.primes import map_prime_intervals, primes_between, sieve_range
 from primecover.sequences import (
     NumeratorSequence,
+    greedy_sequence,
     load_sequence,
     random_sequence,
+    save_sequence,
     sequence_text,
 )
 from primecover.sievelab import omega_expectation_exact
@@ -160,7 +167,7 @@ class TestSeqAndCoverage:
             "--c", "3/4", "--out", str(out_file),
         )
         assert code == 1
-        assert err.strip() == "error: c must be in (0,1/2]"
+        assert err.strip() == "error: c must lie in (0, 1/2], got 3/4"
         assert out == ""
         assert not out_file.exists()
 
@@ -877,13 +884,14 @@ class TestReproducibility:
 
 BIG_BOUND = str(2**63)
 PAST_THE_TOP = f"sieve bound must be below 2^63, got {BIG_BOUND}"
+BELOW_TWO = "sieve bound must be >= 2, got 1"
 
 ERRORS = [
     # (argv, the one stderr line, or 2 where argparse rejects the invocation);
     # "S" stands for a greedy sequence file to 200 at c = 1/2
-    (("primes", "--bound", "1"), "bound must be >= 2"),
+    (("primes", "--bound", "1"), BELOW_TWO),
     (("seq", "build", "--method", "greedy", "--bound", "1", "--c", "1/4", "--out", "o.json"),
-     "bound must be >= 2"),
+     BELOW_TWO),
     (("seq", "build", "--method", "blocks", "--bound", "100", "--c", "1/2", "--out", "o.json"),
      "blocks method needs --epsilons"),
     (("seq", "build", "--method", "blocks", "--bound", "100", "--c", "1/2", "--epsilons=",
@@ -893,7 +901,7 @@ ERRORS = [
     (("seq", "build", "--method", "blocks", "--bound", "100", "--c", "1/2",
       "--epsilons", "2", "--out", "o.json"), "every epsilon must lie in (0, 1)"),
     (("seq", "build", "--method", "random", "--bound", "100", "--c", "abc", "--out", "o.json"),
-     "c must be in (0,1/2]"),
+     "cannot parse rational from 'abc'"),
     (("seq", "build", "--method", "random", "--bound", "100", "--c", "1/2",
       "--epsilons", "1/2", "--out", "o.json"), "--epsilons needs --method blocks"),
     (("seq", "build", "--method", "greedy", "--bound", "100", "--c", "1/2",
@@ -904,9 +912,12 @@ ERRORS = [
       "--seed", "1729", "--out", "o.json"), "--seed needs --method random"),
     (("seq", "build", "--method", "blocks", "--bound", "100", "--c", "1/2",
       "--epsilons", "1/2", "--seed", "1729", "--out", "o.json"), "--seed needs --method random"),
-    # c is converted before the epsilons
+    # c is checked before the handler runs
     (("seq", "build", "--method", "random", "--bound", "100", "--c", "3/4",
-      "--epsilons", "x", "--out", "o.json"), "c must be in (0,1/2]"),
+      "--epsilons", "x", "--out", "o.json"), "c must lie in (0, 1/2], got 3/4"),
+    # the epsilons go to block_construction as given: an unused one is named, not parsed
+    (("seq", "build", "--method", "random", "--bound", "100", "--c", "1/4",
+      "--epsilons", "x", "--out", "o.json"), "--epsilons needs --method blocks"),
     (("sievelab", "--x", "2", "--y", "7"), "give --seq or --c"),
     (("sievelab", "--seq", "S", "--c", "1/4", "--x", "2", "--y", "100", "--out", "o.json"),
      "give --seq or --c, not both"),
@@ -949,29 +960,31 @@ ERRORS = [
     (("hits", "--seq", "S", "--x", "1/3", "--x-named", "sqrt2", "--bound", "100",
       "--out", "o.json"), "give exactly one of --x or --x-named"),
     (("hits", "--seq", "S", "--x-named", "sqrt2", "--eta", "0", "--bound", "100",
-      "--out", "o.json"), "eta must be > 0"),
-    (("hits", "--seq", "S", "--x", "1/3", "--bound", "1", "--out", "o.json"),
-     "bound must be >= 2"),
-    # the bound is checked before the handler reads the sequence file
-    (("hits", "--seq", "missing.json", "--x", "1/3", "--bound", "1"), "bound must be >= 2"),
+      "--out", "o.json"), "eta must be > 0, got 0"),
+    (("hits", "--seq", "S", "--x", "1/3", "--bound", "1", "--out", "o.json"), BELOW_TWO),
+    # every sieve bound is checked before the handler reads the sequence file
+    (("hits", "--seq", "missing.json", "--x", "1/3", "--bound", "1"), BELOW_TWO),
+    (("ergodic", "--seq", "missing.json", "--x", "0.3", "--y", "0.5", "--primes-up-to", "1"),
+     BELOW_TWO),
+    (("ergodic", "--seq", "missing.json", "--x", "0.3", "--y", "0.5", "--primes-up-to", "1",
+      "--sparse", "geometric"), BELOW_TWO),
     (("hits", "--seq", "S", "--x", "1/3", "--eta", "1", "--bound", "100", "--out", "o.json"),
      "--eta needs --x-named"),
     (("hits", "--seq", "S", "--x", "1/3", "--bound", "1000", "--out", "o.json"),
      "sequence has no entry for prime 211"),
     (("hits", "--seq", "S", "--x", "abc", "--bound", "100"), "cannot parse rational from 'abc'"),
-    (("fracparts", "--x", "1/2", "--c", "1/4", "--bound", "1", "--out", "o.json"),
-     "bound must be >= 2"),
+    (("fracparts", "--x", "1/2", "--c", "1/4", "--bound", "1", "--out", "o.json"), BELOW_TWO),
     (("fracparts", "--x", "1/3", "--eta", "1", "--c", "1/4", "--bound", "50", "--out", "o.json"),
      "--eta needs --x-named"),
     (("fracparts", "--x-named", "golden", "--eta", "-1", "--c", "1/4", "--bound", "100",
-      "--out", "o.json"), "eta must be > 0"),
-    # c is converted before eta
+      "--out", "o.json"), "eta must be > 0, got -1"),
+    # c is checked before the handler runs, eta in it
     (("fracparts", "--x", "1/2", "--c", "3/4", "--eta", "0", "--bound", "100",
-      "--out", "o.json"), "c must be in (0,1/2]"),
+      "--out", "o.json"), "c must lie in (0, 1/2], got 3/4"),
     (("ergodic", "--seq", "S", "--x", "0.3", "--y", "0.5", "--primes-up-to", "1",
-      "--out", "o.csv"), "sieve bound must be >= 2, got 1"),
+      "--out", "o.csv"), BELOW_TWO),
     (("ergodic", "--seq", "S", "--x", "0.3", "--y", "0.5", "--primes-up-to", "1",
-      "--sparse", "geometric", "--out", "o.csv"), "sieve bound must be >= 2, got 1"),
+      "--sparse", "geometric", "--out", "o.csv"), BELOW_TWO),
     # no sequence column holds a prime of 2^63 or more, and no sieve reaches one
     (("primes", "--bound", BIG_BOUND), PAST_THE_TOP),
     (("primes", "--bound", BIG_BOUND, "--list"), PAST_THE_TOP),
@@ -1027,6 +1040,121 @@ class TestErrorSurface:
         assert err.startswith("error: Exceeds the limit (4300 digits) for integer string conversion")
         assert err.count("\n") == 1 and err.endswith("\n")
         assert os.listdir(tmp_path) == []
+
+
+def _rational(text):
+    """text as a Fraction, the way every option parses it, or None if it is not one."""
+    try:
+        return Fraction(text.strip())
+    except (ValueError, ZeroDivisionError):
+        return None
+
+
+HALF = Fraction(1, 2)
+UNPARSABLE = st.one_of(
+    st.sampled_from(["", " ", "abc", "1/0", "nan", "inf", "1/2/3", "0x1", "½"]),
+    st.text(max_size=6),
+).filter(lambda text: _rational(text) is None)
+NOT_POSITIVE = st.fractions(max_value=0).map(str)
+EPSILONS = st.lists(st.fractions(0, 1).filter(lambda q: 0 < q < 1).map(str), max_size=2)
+# each rule's invalid values, drawn as the tuple of the argv's {} fields; none
+# of them gets as far as a sieve
+INVALID = {
+    "bound": st.one_of(st.integers(-(2**70), 1), st.integers(2**63, 2**70)).map(
+        lambda n: (str(n),)
+    ),
+    "c": st.one_of(
+        NOT_POSITIVE, st.fractions(min_value=HALF).filter(lambda q: q > HALF).map(str), UNPARSABLE
+    ).map(lambda text: (text,)),
+    "eta": st.one_of(NOT_POSITIVE, UNPARSABLE).map(lambda text: (text,)),
+    "epsilons": st.one_of(
+        st.just(""),
+        st.tuples(
+            EPSILONS,
+            st.one_of(
+                NOT_POSITIVE,
+                st.fractions(min_value=1).map(str),
+                UNPARSABLE.filter(lambda text: "," not in text),
+            ),
+            EPSILONS,
+        ).map(lambda parts: ",".join([*parts[0], parts[1], *parts[2]])),
+    ).map(lambda text: (text,)),
+    "range": st.fractions().flatmap(
+        lambda y: st.tuples(st.fractions(min_value=y).map(str), st.just(str(y)))
+    ),
+}
+# every subcommand that takes each option, with every other option valid;
+# "{}" fields take the invalid value, S is the small sequence file and OUT the --out path
+BUILDS = [("random", ()), ("greedy", ()), ("constant", ()), ("blocks", ("--epsilons", "1/2"))]
+SURFACE = [
+    *[("bound", argv) for argv in [
+        ("primes", "--bound={}"),
+        ("primes", "--bound={}", "--list"),
+        *[("seq", "build", "--method", method, "--bound={}", "--c", "1/4", *extra, "--out", "OUT")
+          for method, extra in BUILDS],
+        ("hits", "--seq", "S", "--x", "1/3", "--bound={}", "--out", "OUT"),
+        ("hits", "--seq", "S", "--x", "1/3", "--bound={}", "--format", "csv", "--out", "OUT"),
+        ("fracparts", "--x", "1/3", "--c", "1/4", "--bound={}", "--out", "OUT"),
+        ("fracparts", "--x", "1/3", "--c", "1/4", "--bound={}", "--format", "csv", "--out", "OUT"),
+        *[("ergodic", "--seq", "S", "--x", "0.3", "--y", "0.5", "--primes-up-to={}", *sparse,
+           "--out", "OUT") for sparse in [(), ("--sparse", "geometric"), ("--sparse", "psi")]],
+    ]],
+    *[("c", argv) for argv in [
+        *[("seq", "build", "--method", method, "--bound", "100", "--c={}", *extra, "--out", "OUT")
+          for method, extra in BUILDS],
+        ("sievelab", "--c={}", "--x", "2", "--y", "7", "--exact", "--out", "OUT"),
+        ("sievelab", "--c={}", "--x", "2", "--y", "7", "--mc", "3", "--out", "OUT"),
+        ("fracparts", "--x", "1/3", "--c={}", "--bound", "100", "--out", "OUT"),
+        ("fracparts", "--x", "1/3", "--c={}", "--bound", "100", "--format", "csv", "--out", "OUT"),
+    ]],
+    *[("eta", argv) for argv in [
+        ("hits", "--seq", "S", "--x-named", "sqrt2", "--eta={}", "--bound", "100", "--out", "OUT"),
+        ("hits", "--seq", "S", "--x-named", "sqrt2", "--eta={}", "--bound", "100",
+         "--format", "csv", "--out", "OUT"),
+        ("fracparts", "--x-named", "golden", "--eta={}", "--c", "1/4", "--bound", "100",
+         "--out", "OUT"),
+        ("fracparts", "--x-named", "golden", "--eta={}", "--c", "1/4", "--bound", "100",
+         "--format", "csv", "--out", "OUT"),
+    ]],
+    ("epsilons", ("seq", "build", "--method", "blocks", "--bound", "100", "--c", "1/4",
+                  "--epsilons={}", "--out", "OUT")),
+    *[("range", argv) for argv in [
+        ("coverage", "--seq", "S", "--x={}", "--y={}"),
+        ("sievelab", "--seq", "S", "--x={}", "--y={}", "--out", "OUT"),
+        ("sievelab", "--c", "1/4", "--x={}", "--y={}", "--exact", "--out", "OUT"),
+        ("sievelab", "--c", "1/4", "--x={}", "--y={}", "--mc", "3", "--out", "OUT"),
+    ]],
+]
+
+
+@pytest.fixture(scope="module")
+def small_seq(tmp_path_factory):
+    """The ERRORS table's S: a greedy sequence file to 200 at c = 1/2."""
+    path = tmp_path_factory.mktemp("surface") / "S"
+    save_sequence(greedy_sequence(200, HALF), path)
+    return path
+
+
+class TestErrorSurfaceProperty:
+    @pytest.mark.parametrize("rule, argv", SURFACE, ids=[f"{r}: {' '.join(a)}" for r, a in SURFACE])
+    @settings(max_examples=12, deadline=None)
+    @given(data=st.data())
+    def test_one_invalid_value_fails_with_one_line(self, small_seq, rule, argv, data):
+        fields = data.draw(INVALID[rule], label=rule)
+        fill = iter(fields)
+        with tempfile.TemporaryDirectory() as work:
+            out = os.path.join(work, "o.out")
+            args = [out if arg == "OUT" else str(small_seq) if arg == "S"
+                    else arg.replace("{}", next(fill)) if "{}" in arg else arg for arg in argv]
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main(args)
+            err = stderr.getvalue()
+            assert code == 1, err
+            assert err.startswith("error: ") and err.endswith("\n") and err.count("\n") == 1, err
+            assert "Traceback" not in err
+            assert stdout.getvalue() == ""
+            assert os.listdir(work) == []  # no --out file and no .tmp beside it
 
 
 def readme_commands():

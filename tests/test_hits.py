@@ -193,6 +193,20 @@ class TestFractionalHits:
         assert by_p[3][2] is False and not by_p[3][3]
 
 
+# c has one rule, arcs.checked_c, wherever it is taken: a report with c
+# outside (0, 1/2] would count against a density no arc set has
+@pytest.mark.parametrize("call, shown", [
+    (lambda: fractional_hits(rational_point("1/3"), "3/4", 100), "3/4"),
+    (lambda: fractional_hits(rational_point("1/3"), 0, 100), "0"),
+    (lambda: loglog_heuristic(0, 100), "0"),
+    (lambda: loglog_heuristic("3/4", 100), "3/4"),
+], ids=["fractional_hits 3/4", "fractional_hits 0", "loglog_heuristic 0",
+        "loglog_heuristic 3/4"])
+def test_c_outside_the_range_is_rejected(call, shown):
+    with pytest.raises(ValueError, match=rf"^c must lie in \(0, 1/2\], got {shown}$"):
+        call()
+
+
 class TestLogLogHeuristic:
     def test_small_bound_sum(self):
         h = loglog_heuristic(HALF, 10)

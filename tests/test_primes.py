@@ -1,4 +1,5 @@
 import math
+import re
 from bisect import bisect_right
 from contextlib import contextmanager
 from fractions import Fraction
@@ -19,6 +20,7 @@ from primecover.primes import (
     harmonic_H_float,
     is_prime,
     iter_primes,
+    least_prime_past,
     map_prime_intervals,
     next_prime,
     prime_count,
@@ -347,6 +349,40 @@ class TestSmallPrimeHelpers:
         primes = sieve_range(10**4)
         for n in range(-3, primes[-1]):
             assert next_prime(n) == primes[bisect_right(primes, n)]
+
+    def test_least_prime_past(self):
+        assert least_prime_past(10, 3, 10, "") is None  # y at the limit: an empty range
+        assert least_prime_past(1, 23, 28, "") is None  # 24 to 28 hold no prime
+        assert least_prime_past(20, 3, 23, "") == 23  # a prime exactly at y
+        assert least_prime_past(20, F(41, 2), F(47, 2), "") == 23
+        assert least_prime_past(10, 100, 110, "") == 101  # x above the limit
+        assert least_prime_past(10, F(201, 2), 110, "") == 101
+        assert least_prime_past(10, 101, 102, "") is None
+
+    def test_least_prime_past_is_the_least_prime_of_the_range(self):
+        primes = sieve_range(100)
+        for limit in range(1, 40, 3):
+            for x in range(-1, 50, 2):
+                for y in range(x + 1, 60, 5):
+                    expected = [p for p in primes if max(x, limit) < p <= y]
+                    assert least_prime_past(limit, x, y, "") == min(expected, default=None)
+
+    def test_least_prime_past_psi12_names_the_caller(self):
+        message = (
+            "cannot scan (1e30, 1e30 + 1]: a prime cannot be ruled out in the range, as "
+            "primality is proven only below 318665857834031151167461"
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            least_prime_past(199, 10**30, 10**30 + 1, "cannot scan (1e30, 1e30 + 1]: a prime")
+
+    def test_least_prime_past_below_psi12_is_decided(self):
+        # the last prime below psi_12 is 318665857834031151167441: every number
+        # after it in a range that ends below psi_12 is proven composite
+        psi12 = 318665857834031151167461
+        assert least_prime_past(1, psi12 - 30, psi12 - 10, "") == psi12 - 20
+        assert least_prime_past(1, psi12 - 20, psi12 - 1, "") is None
+        with pytest.raises(ValueError, match="^p cannot be ruled out in the range"):
+            least_prime_past(1, psi12 - 20, psi12, "p")
 
     def test_primes_between(self):
         assert primes_between(2, 7) == [3, 5, 7]
