@@ -15,13 +15,14 @@ the last entry and names the smallest prime the sequence lacks.
 
 A sequence file is `sequence_text`, written in windows by `save_sequence`
 and read by `load_sequence`: `_json_text` of its document, the layout of
-every JSON file and report. `_canonical_doc` reads a file that is
-`_json_text` of its own keys, rows `_ENTRY_ROW`, in windows straight into
-the columns; `_json_doc` reads any other file through json.loads, and a
-canonical one with a value of 2^63 or more, which no column holds, for
-NumeratorSequence to reject. `write_atomically` is the one writer of the
-package: the sequence files and the CLI's --out reports go through it,
-so a file is replaced whole or left as it was.
+every JSON file and report, with its rows one template, `_ROW`.
+`_canonical_doc` reads a file in windows straight into the columns, and
+takes a window or the frame around the entries only when writing what it
+parsed gives back its bytes; `_json_doc` reads any other file through
+json.loads, and a canonical one with a value of 2^63 or more, which no
+column holds, for NumeratorSequence to reject. `write_atomically` is the
+one writer of the package: the sequence files and the CLI's --out
+reports go through it, so a file is replaced whole or left as it was.
 """
 
 from __future__ import annotations
@@ -445,7 +446,7 @@ def greedy_sequence(bound: int, c: RationalLike) -> NumeratorSequence:
     c = checked_c(c)
     cover = _Cover(c.denominator, bound)
     walk = iter_primes(bound)
-    primes, numerators = [], []
+    primes, numerators = array("q"), array("q")
     for p in walk:
         a = cover.pick(p, c)
         primes.append(p)
@@ -454,7 +455,7 @@ def greedy_sequence(bound: int, c: RationalLike) -> NumeratorSequence:
         if cover.full:
             break
     primes.extend(walk)
-    numerators += [0] * (len(primes) - len(numerators))
+    numerators += array("q", [0]) * (len(primes) - len(numerators))
     return NumeratorSequence(c=c, entries=EntryView(primes, numerators), method="greedy")
 
 
@@ -544,9 +545,10 @@ def _json_text(doc) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-# one entries row as _json_text lays out [p, a] inside the file; the rows
-# stand between _KEY + "[\n" and _BLOCK_END, joined by ",\n"
-_ENTRY_ROW = "    [\n      %d,\n      %d\n    ]"
+# one entries row as _json_text lays out [p, a] inside the file, led by the
+# ",\n" after the row before it (the first row's "," is the list's "["); the
+# rows stand between _KEY and _BLOCK_END. Written and read by this one template.
+_ROW = ",\n    [\n      %d,\n      %d\n    ]"
 _KEY = '\n  "entries": '
 _BLOCK_END = "\n  ]"  # after the last row; no row holds it
 
@@ -571,27 +573,26 @@ def _sequence_pieces(seq: NumeratorSequence, schedule: Optional[BlockSchedule]) 
 
 
 def _entry_pieces(primes, numerators) -> Iterator[str]:
-    """The entries value; each window interleaves its columns for one %-format."""
-    lead = "[\n"
+    """The entries value; each window interleaves its columns for one %-format of _ROW."""
     for lo in range(0, len(primes), _WINDOW):
         window = primes[lo : lo + _WINDOW]
         flat = [0] * (2 * len(window))
         flat[::2], flat[1::2] = window, numerators[lo : lo + _WINDOW]
-        yield (lead + ",\n".join(repeat(_ENTRY_ROW, len(window)))) % tuple(flat)
-        lead = ",\n"
+        text = _ROW * len(window) % tuple(flat)
+        yield text if lo else "[" + text[1:]
     yield _BLOCK_END if primes else "[]"
 
 
 def sequence_text(seq: NumeratorSequence, schedule: Optional[BlockSchedule] = None) -> str:
-    """The sequence file's text, the one place its layout is written.
+    """The sequence file's text; its layout is written in `_ROW` and `_sequence_pieces`.
 
     Byte contract: `_json_text(doc)` for doc = {"c": rat_str(seq.c),
     "method": seq.method, "seed": seq.seed, "entries": [[p, a], ...]},
     plus "blocks": schedule_rows(schedule) when a schedule is given.
     The text around the entries is `_json_text` of doc with "entries" as
-    [], cut at that value, and each window of 4,096 entries is one
-    %-format of a row template: indent turns off json's C encoder, and
-    its Python encoder would walk every pair.
+    [], cut at that value (`_sequence_pieces`), and each window of 4,096
+    entries is one %-format of `_ROW` repeated: indent turns off json's C
+    encoder, and its Python encoder would walk every pair.
     """
     return "".join(_sequence_pieces(seq, schedule))
 
@@ -637,39 +638,28 @@ def save_sequence(
     write_atomically(path, _sequence_pieces(seq, schedule))
 
 
-# _canonical_doc reads windows of (",\n" + row) repeated. The fixed
-# text of such a row comes before p, between p and a, and after a.
 _READ = 1 << 16  # bytes read at a time
-_ROW_START, _MIDDLE, _ROW_END = (",\n" + _ENTRY_ROW).encode().split(b"%d")
-_ROW_SKELETON = _ROW_START + _MIDDLE + _ROW_END  # a row with its digits deleted
-_BETWEEN = _ROW_END + _ROW_START  # after one row's a, before the next row's p
-_DIGITS = b"0123456789"
+_ROW_BYTES = _ROW.encode()  # a bytes template: % on bytes, not % then encode
+_ROW_END = _ROW_BYTES.split(b"%d")[-1]  # a row's text after its a; windows are cut after it
 
 
 def _window_rows(window: bytes, primes: array, numerators: array) -> bool:
     """Append the window's rows to the columns; False if it is not in the exact layout.
 
-    window is (",\n" + row) * n for rows of _ENTRY_ROW. Its numbers are
-    read by one json.loads of the digits and commas left once ' \n[]'
-    are deleted. The rest of the window is then confirmed: with its
-    digits deleted it must be the skeleton n times, so it holds no other
-    byte; JSON's int grammar rules out an empty slot and a leading zero;
-    and the fixed text between two numbers must occur intact n times
-    (_MIDDLE) and n - 1 times (_BETWEEN), with the window starting on
-    _ROW_START, so no digit stands anywhere but in a slot. Digits can
-    only break an occurrence of a digit-free string, never make one.
+    The numbers are read by one json.loads of the digits and commas left
+    once ' \n[]' are deleted, and the window is taken only when writing
+    them again, `_ROW_BYTES` n times filled with them, gives back its
+    bytes: the rule the frame is held to as well. A value %d does not
+    write back, such as 1e3, -0 or a leading zero, fails it; one %d
+    cannot take (null, a string) raises TypeError, and a count that is
+    not 2n does too. A negative value does write back, and
+    NumeratorSequence rejects it as the json path would.
     """
     try:
         flat = json.loads(b"[" + window.translate(None, b" \n[]")[1:] + b"]")
-    except ValueError:  # text that is no row, such as a later key's
-        return False
-    n = len(flat) // 2
-    if (
-        window.translate(None, _DIGITS) != _ROW_SKELETON * n
-        or not window.startswith(_ROW_START)
-        or window.count(_MIDDLE) != n
-        or window.count(_BETWEEN) != n - 1
-    ):
+        if _ROW_BYTES * (len(flat) // 2) % tuple(flat) != window:
+            return False
+    except (ValueError, TypeError):  # no rows, such as a later key's text, or no ints
         return False
     primes.fromlist(flat[::2])  # OverflowError past 64 bits: _canonical_doc gives None
     numerators.fromlist(flat[1::2])
@@ -677,18 +667,20 @@ def _window_rows(window: bytes, primes: array, numerators: array) -> bool:
 
 
 def _canonical_doc(path: Union[str, Path]) -> Optional[dict]:
-    """The document of a file in `_json_text`'s layout with `_ENTRY_ROW` rows; else None.
+    """The document of a file that writing what was parsed gives back byte for byte; else None.
 
-    The entries block is read _READ bytes at a time, cut after its last
-    whole row, into two array('q') columns (`_window_rows`), so neither
-    the file's bytes nor an int object per number is held at once. A
-    window that runs past the block into a later key's nested list, which
-    ends as a row does, fails as rows, and the file goes to `_json_doc`;
-    save_sequence writes no such key. The frame, the text before and
-    after the block, is parsed by json.loads with "entries" as [], and
-    must equal `_json_text` of the document it parsed: json.dumps' layout
-    of the file's own keys. That full match also rules out a key written
-    twice. None sends the file to `_json_doc`, which words every failure.
+    The one rule holds for each part. The entries block is read _READ
+    bytes at a time, cut after its last whole row, into two array('q')
+    columns (`_window_rows`: a window must be `_ROW` filled with its own
+    numbers), so neither the file's bytes nor an int object per number is
+    held at once. A window that runs past the block into a later key's
+    nested list, which ends as a row does, fails as rows, and the file
+    goes to `_json_doc`; save_sequence writes no such key. The frame, the
+    text before and after the block, is parsed by json.loads with
+    "entries" as [], and must equal `_json_text` of the document it
+    parsed: json.dumps' layout of the file's own keys. That full match
+    also rules out a key written twice. None sends the file to
+    `_json_doc`, which words every failure.
     """
     key, block_end = _KEY.encode(), _BLOCK_END.encode()
     primes, numerators = array("q"), array("q")
@@ -768,8 +760,8 @@ def load_sequence(path: Union[str, Path]) -> NumeratorSequence:
     bytes per entry; any other file by `_json_doc`, so every error
     message is the one json.loads' path gives. Both paths give equal
     sequences. On one CPU, a 78k-entry file (primes to 1e6) loads in
-    about 0.034 s at +1.2 MiB of peak RSS, and the 665k entries of primes
-    to 1e7 in about 0.29 s at +10.3 MiB, little more than their columns;
+    about 0.040 s at +2.0 MiB of peak RSS, and the 665k entries of primes
+    to 1e7 in about 0.31 s at +11.0 MiB, little more than their columns;
     json.loads of the same 665k entries peaks at +133 MiB (2-core VM,
     Python 3.11.7).
     """

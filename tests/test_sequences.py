@@ -1129,7 +1129,7 @@ class TestCanonicalLoader:
         st.one_of(
             st.tuples(st.just("number"), st.sampled_from(
                 [b"01", b"00", b"+1", b"-1", b"1e3", b"2.0", b"true", b"", b" 1", b"1 ",
-                 b"9223372036854775808"])),
+                 b"9223372036854775808", b"null", b'"7"', b"{}", b"-0"])),
             st.tuples(st.sampled_from(["insert", "insert_in_rows"]), st.sampled_from(
                 [b" ", b"\n", b"\t", b"0", b"7", b"12", b",", b"[", b"]", b"-"])),
             st.tuples(st.sampled_from(["crlf", "bom", "reorder", "duplicate", "truncate"]),
@@ -1149,13 +1149,30 @@ class TestCanonicalLoader:
             assert outcome(load_sequence, path) == outcome(json_path, path)
 
     def test_a_misplaced_digit_is_not_read_as_a_number(self, tmp_path):
-        # "5" before a row's "[" makes the file invalid JSON; the digits and
-        # the skeleton alone would read the second row as [53, 0]
+        # "5" before a row's "[" makes the file invalid JSON; its digits and
+        # commas alone read the second row as [53, 0], and writing the rows
+        # [2, 1], [53, 0] again does not give back the window's bytes
         path = tmp_path / "seq.json"
         text = sequence_text(NumeratorSequence(HALF, ((2, 1), (3, 0))))
         path.write_text(text.replace("    [\n      3,", "    5[\n      3,"))
         with pytest.raises(SequenceFileError, match="not a JSON sequence file"):
             load_sequence(path)
+
+    @pytest.mark.parametrize(
+        "entries",
+        [[[2, 1], [3, -1]], [[-3, 1], [2, 1]], [[2, 1], [3, 3]]],
+        ids=["negative_numerator", "negative_prime", "a_equals_p"],
+    )
+    def test_the_exact_layout_out_of_range_is_read_then_rejected(self, tmp_path, entries):
+        # each value writes back as it reads, so the window is taken into the
+        # columns; NumeratorSequence then words the fault as the json path does
+        path = tmp_path / "seq.json"
+        doc = {"c": "1/2", "entries": entries, "method": "custom", "seed": None}
+        path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+        assert sequences_module._canonical_doc(path)["entries"] == tuple(map(tuple, entries))
+        expected = outcome(json_path, path)
+        assert expected[0] is None
+        assert outcome(load_sequence, path) == expected
 
     def test_c_not_a_string_is_worded_by_the_json_path(self, tmp_path):
         # the exact layout in every byte but the value of "c"
