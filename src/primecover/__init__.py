@@ -6,7 +6,6 @@ from .arcs import rat_str, to_fraction
 from .ergodic import (
     SparsePrimeSet,
     s_closed,
-    s_direct,
     sparse_prime_set,
 )
 from .hits import (
@@ -78,7 +77,6 @@ __all__ = [
     "rational_point",
     "approximant_named",
     "SparsePrimeSet",
-    "s_direct",
     "s_closed",
     "sparse_prime_set",
     "__version__",

@@ -118,7 +118,7 @@ def cmd_seq_build(args: argparse.Namespace) -> str:
 
 def cmd_coverage(args: argparse.Namespace) -> str:
     seq = _load_seq(args)
-    value = uncovered_measure(seq, to_fraction(args.x), to_fraction(args.y))
+    value = uncovered_measure(seq, args.x, args.y)
     return rat_str(value) + "\n"
 
 

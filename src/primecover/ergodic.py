@@ -2,13 +2,12 @@
 
 For a prime p with numerator a, the average of e(-na/p) e(x + ny) over
 n < p is a Dirichlet-kernel expression in the reduced offset
-d = y - a/p. Two evaluators are provided: the direct compensated sum
-(ground truth) and the closed kernel form (fast, with a fallback to the
-direct sum near the removable singularity at d = 0). Their agreement is
-the precision audit for everything downstream. `ergodic_rows` runs the
-closed form and the exact hit test over many primes in one loop, and
-`s_closed` is its row for a single prime, so the audit checks the
-kernel that writes the CSV rows.
+d = y - a/p. `ergodic_rows` evaluates it, with the exact hit test, over
+many primes in one loop: by the closed kernel wherever d is a nonzero
+normal float, and at d = 0 (or a subnormal d) by the exact sum of its p
+equal terms e(x). `s_closed` is its row for a single prime. The tests
+check both against the direct compensated sum of the p terms, which
+their oracles keep.
 """
 
 from __future__ import annotations
@@ -21,38 +20,17 @@ from typing import Iterator, Sequence
 from .arcs import HALF, check_numerator
 from .primes import _check_bound, next_prime
 
-# below this |sin(pi d)| the kernel ratio is too ill-conditioned; sum directly
-_SIN_FALLBACK = 1e-8
-
-
-def reduce_offset(d: float) -> float:
-    """Reduce to (-1/2, 1/2]; exact on floats (fmod and Sterbenz subtraction)."""
-    r = d % 1.0
-    if r > 0.5:
-        r -= 1.0
-    return r
-
-
-def s_direct(p: int, a: int, x: float, y: float) -> complex:
-    """Compensated direct sum of the p twisted orbit terms, divided by p.
-
-    The terms collapse to e(x + n*d) with d = y - a/p; d is reduced mod 1
-    first (an exact operation that changes no term, since n is an integer)
-    to keep the sine/cosine arguments small.
-    """
-    check_numerator(p, a)
-    d = reduce_offset(y - a / p)
-    real = math.fsum(math.cos(2.0 * math.pi * (x + n * d)) for n in range(p))
-    imag = math.fsum(math.sin(2.0 * math.pi * (x + n * d)) for n in range(p))
-    return complex(real / p, imag / p)
+# the least normal float: below it pi*d and pi*p*d round on the subnormal
+# grid and the kernel ratio loses its digits (|s| = 1.048 at p = 7, d = 5e-324)
+_LEAST_NORMAL = 2.0**-1022
 
 
 def s_closed(p: int, a: int, x: float, y: float) -> complex:
     """Kernel form: e(x) sin(pi p d) / (p sin(pi d)) e((p-1) d / 2).
 
     The s of the one row that ergodic_rows yields for p and a (its c
-    decides only is_hit). Where |sin(pi d)| < 1e-8, too near the
-    removable singularity for the ratio, that row is the direct sum.
+    decides only is_hit). At d = 0, the removable singularity, that row
+    is e(x) summed exactly.
     """
     check_numerator(p, a)
     ((_, _, _, s, _, _),) = ergodic_rows(HALF, x, y, (p,), (a,))
@@ -72,11 +50,18 @@ def ergodic_rows(
 ) -> Iterator[ErgodicRow]:
     """Evaluate the average at (x, y) for each prime and its numerator, in one pass.
 
-    Yields (p, a_p, distance, s, method, is_hit). The reduced offset is
-    that of reduce_offset, written inline; s_closed is one row of this
-    loop. The float distance is reported, never compared. Hits keep |s|
+    Yields (p, a_p, distance, s, method, is_hit), with d = y - a/p
+    reduced exactly to (-1/2, 1/2]; s_closed is one row of this loop.
+    The float distance is reported, never compared. Hits keep |s|
     bounded away from 0, while a prime at distance |d| has
     |s| <= 1/(2 p |d|).
+
+    s is the closed kernel (method "closed") wherever |d| is a normal
+    float. At d = 0 each of the p terms is e(x), and math.fsum of p equal
+    floats is their correctly rounded product, so the direct sum is
+    float(Fraction(cos w) * p) / p (and the same with sin) for w = 2 pi x,
+    in O(1) (method "direct"). A subnormal d takes that sum too: there
+    the average is within pi p |d| < 1e-288 of e(x).
 
     is_hit is exact, and decided from t = h*p alone. A float y is the
     dyadic rational h/k with k = 2^e (a y that is not raises ValueError).
@@ -109,12 +94,13 @@ def ergodic_rows(
         d = (y - a / p) % 1.0
         if d > 0.5:
             d -= 1.0
-        sin_d = sin(pi * d)
-        if abs(sin_d) < _SIN_FALLBACK:
-            s, method = s_direct(p, a, x, y), "direct"
-        else:
+        if abs(d) >= _LEAST_NORMAL:
             w = 2.0 * pi * (x + 0.5 * (p - 1) * d)
-            s, method = sin(pi * p * d) / (p * sin_d) * complex(cos(w), sin(w)), "closed"
+            s, method = sin(pi * p * d) / (p * sin(pi * d)) * complex(cos(w), sin(w)), "closed"
+        else:
+            w = 2.0 * pi * x
+            s = complex(float(Fraction(cos(w)) * p) / p, float(Fraction(sin(w)) * p) / p)
+            method = "direct"
         t = h * p
         f, q = t & mask, t >> shift
         hit = (f <= near and (q - a) % p == 0) or (f >= far and (q - a + 1) % p == 0)

@@ -338,8 +338,6 @@ def omega_expectation_exact(
                 f"arc endpoints, over the budget of {MAX_ENDPOINTS}"
             )
     primes = primes_between(x, min(y, alone))
-    if not primes:
-        return Fraction(1)
     endpoint_count = sum(2 * (p + 1) for p in primes)
     if endpoint_count > MAX_ENDPOINTS:
         raise ValueError(

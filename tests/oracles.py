@@ -12,8 +12,11 @@ endpoint walk grouped by position that `arcs.sweep` yielded before it
 returned one event per endpoint (`grouped_sweep`), the
 sweep form of a union (`runs`), the Fraction circle distance of the
 hit test (`circle_distance`), the greedy loop that picked on every
-prime, even on a full cover (`every_prime_greedy`), and the pair
+prime, even on a full cover (`every_prime_greedy`), the pair
 expectation's trapezoid sum taken term by term (`enumerated_pair_expectation`),
+and the compensated direct sum of the twisted average with its offset
+reduction (`s_direct`, `reduce_offset`), which `ergodic_rows` called
+near d = 0 before it summed d = 0 exactly,
 each kept verbatim apart from names.
 """
 
@@ -34,6 +37,7 @@ from primecover.arcs import (
     Arc,
     RationalLike,
     arc_pieces,
+    check_numerator,
     checked_c,
     key_shift,
     rat_str,
@@ -449,3 +453,28 @@ def enumerated_pair_expectation(p1: int, p2: int, c: Fraction) -> Fraction:
 def exact_rows(classes):
     """(p, n, den, hit, ambiguous) tuples as (p, Fraction(n, den), hit, ambiguous)."""
     return [(p, Fraction(n, den), hit, amb) for p, n, den, hit, amb in classes]
+
+
+# ---------------------------------------------------------------------------
+# The twisted average summed term by term, ground truth for ergodic_rows.
+
+def reduce_offset(d: float) -> float:
+    """Reduce to (-1/2, 1/2]; exact on floats (fmod and Sterbenz subtraction)."""
+    r = d % 1.0
+    if r > 0.5:
+        r -= 1.0
+    return r
+
+
+def s_direct(p: int, a: int, x: float, y: float) -> complex:
+    """Compensated direct sum of the p twisted orbit terms, divided by p.
+
+    The terms collapse to e(x + n*d) with d = y - a/p; d is reduced mod 1
+    first (an exact operation that changes no term, since n is an integer)
+    to keep the sine/cosine arguments small.
+    """
+    check_numerator(p, a)
+    d = reduce_offset(y - a / p)
+    real = math.fsum(math.cos(2.0 * math.pi * (x + n * d)) for n in range(p))
+    imag = math.fsum(math.sin(2.0 * math.pi * (x + n * d)) for n in range(p))
+    return complex(real / p, imag / p)

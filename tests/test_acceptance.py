@@ -15,12 +15,19 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import arc_of, intersect_measure, mean_count, measure, normalize_union, total
+from oracles import (
+    arc_of,
+    intersect_measure,
+    mean_count,
+    measure,
+    normalize_union,
+    reduce_offset,
+    s_direct,
+    total,
+)
 from primecover.cli import main as cli_main
 from primecover.ergodic import (
-    reduce_offset,
     s_closed,
-    s_direct,
     sparse_prime_set,
 )
 from primecover.hits import approximant_named, fractional_hits

@@ -27,6 +27,7 @@ from primecover.sequences import (
     sequence_text,
 )
 from primecover.sievelab import omega_expectation_exact
+from test_sequences import MUTATIONS, files, mutate
 
 F = Fraction
 
@@ -1127,6 +1128,20 @@ SURFACE = [
 ]
 
 
+# every subcommand that reads a sequence file, each output format, and
+# --out wherever the subcommand has it
+READS_A_FILE = [
+    ("coverage", "--seq", "S", "--x", "1", "--y", "100"),
+    ("sievelab", "--seq", "S", "--x", "1", "--y", "100", "--out", "OUT"),
+    ("hits", "--seq", "S", "--x", "1/3", "--bound", "100", "--out", "OUT"),
+    ("hits", "--seq", "S", "--x", "1/3", "--bound", "100", "--format", "csv", "--out", "OUT"),
+    ("ergodic", "--seq", "S", "--x", "0.3", "--y", "0.5", "--primes-up-to", "100",
+     "--out", "OUT"),
+    ("ergodic", "--seq", "S", "--x", "0.3", "--y", "0.5", "--primes-up-to", "100",
+     "--sparse", "geometric", "--out", "OUT"),
+]
+
+
 @pytest.fixture(scope="module")
 def small_seq(tmp_path_factory):
     """The ERRORS table's S: a greedy sequence file to 200 at c = 1/2."""
@@ -1155,6 +1170,31 @@ class TestErrorSurfaceProperty:
             assert "Traceback" not in err
             assert stdout.getvalue() == ""
             assert os.listdir(work) == []  # no --out file and no .tmp beside it
+
+    @settings(max_examples=250, deadline=None)
+    @given(files(), MUTATIONS, st.integers(0, 10**6))
+    def test_a_malformed_sequence_file_fails_with_one_line(self, case, mutation, at):
+        # every subcommand that reads a file, on a written file with one change
+        seq, schedule = case
+        kind, token = mutation
+        text = mutate(sequence_text(seq, schedule).encode(), kind, at, token)
+        with tempfile.TemporaryDirectory() as tmp, tempfile.TemporaryDirectory() as work:
+            path = os.path.join(tmp, "seq.json")
+            Path(path).write_bytes(text)
+            out = os.path.join(work, "o.out")
+            for argv in READS_A_FILE:
+                args = [out if arg == "OUT" else path if arg == "S" else arg for arg in argv]
+                stdout, stderr = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                    code = main(args)
+                if code == 0:
+                    continue
+                err = stderr.getvalue()
+                assert code == 1, (argv, err)
+                assert err.startswith("error: ") and err.endswith("\n") and err.count("\n") == 1, err
+                assert "Traceback" not in err
+                assert stdout.getvalue() == ""
+                assert os.listdir(work) == []  # no --out file and no .tmp beside it
 
 
 def readme_commands():

@@ -7,12 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import circle_distance
+from oracles import circle_distance, reduce_offset, s_direct
 from primecover.ergodic import (
     ergodic_rows,
-    reduce_offset,
     s_closed,
-    s_direct,
     sparse_prime_set,
 )
 from primecover.hits import classify_hits, rational_point
@@ -78,12 +76,51 @@ class TestOracleEquivalence:
             assert abs(s_direct(p, a, x, y) - s_closed(p, a, x, y)) <= 1e-9
 
     def test_near_singular_offsets(self):
-        # offsets straddling the fallback threshold
+        # offsets down to 1e-10, near the removable singularity at d = 0
         for d in (1e-10, 5e-9, 3.2e-9, 1e-7, 1e-5):
             p = 9973
             val_closed = s_closed(p, 0, 0.1, d)
             val_direct = s_direct(p, 0, 0.1, d)
             assert abs(val_closed - val_direct) <= 1e-9
+
+    @given(
+        st.sampled_from(PRIMES_TO_9973),
+        st.data(),
+        st.floats(0, 1, exclude_max=True),
+        st.one_of(
+            st.just(0.0),
+            st.tuples(st.floats(1e-17, 3.1e-9), st.sampled_from([1, -1])).map(
+                lambda t: t[0] * t[1]
+            ),
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_kernel_off_zero_and_exact_sum_at_zero(self, p, data, x, offset):
+        # offsets at and near the removable singularity: d = 0 is the direct
+        # sum to the last bit, every other d is the kernel
+        a = data.draw(st.integers(0, p - 1), label="a")
+        y = a / p + offset
+        ((_, _, distance, s, method, _),) = ergodic_rows(HALF, x, y, [p], [a])
+        if distance == 0:
+            assert method == "direct"
+            assert s == s_direct(p, a, x, y)
+        else:
+            assert method == "closed"
+            assert abs(s - s_direct(p, a, x, y)) <= 1e-12
+
+    @pytest.mark.parametrize("y", [5e-324, 1e-310, math.nextafter(2.0**-1022, 0)])
+    def test_subnormal_offset_is_summed_exactly(self, y):
+        # pi*d and pi*p*d round on the subnormal grid, where the kernel
+        # read |s| = 22/21 at y = 5e-324
+        ((_, _, distance, s, method, _),) = ergodic_rows(HALF, 0.3, y, [7], [0])
+        assert (distance, method) == (y, "direct")
+        assert s == s_direct(7, 0, 0.3, y)
+
+    def test_least_normal_offset_is_the_kernel(self):
+        y = 2.0**-1022
+        ((_, _, distance, s, method, _),) = ergodic_rows(HALF, 0.3, y, [7], [0])
+        assert (distance, method) == (y, "closed")
+        assert abs(s - s_direct(7, 0, 0.3, y)) <= 1e-15
 
     @pytest.mark.parametrize("evaluate", [s_direct, s_closed])
     @pytest.mark.parametrize("a", [7, -1])

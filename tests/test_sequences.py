@@ -418,7 +418,7 @@ def oracle_greedy(bound, c):
     return tuple(entries)
 
 
-def oracle_blocks(epsilons, c, max_bound, restart_seed=1729):
+def oracle_blocks(epsilons, c, max_bound):
     """block_construction's loop on the oracle cover and the Fraction scan pick.
 
     Returns (entries, [(start, end, epsilon, achieved), ...]), or the
@@ -427,7 +427,7 @@ def oracle_blocks(epsilons, c, max_bound, restart_seed=1729):
     primes = sieve_range(max_bound)
     idx, x_start, entries, blocks = 0, 1, [], []
     for n, eps in enumerate(epsilons, start=1):
-        cover, block_entries, stall, restarted = _SegmentCover(), [], 0, False
+        cover, block_entries = _SegmentCover(), []
         while True:
             uncovered = 1 - cover.measure
             if uncovered <= eps and block_entries:
@@ -446,16 +446,7 @@ def oracle_blocks(epsilons, c, max_bound, restart_seed=1729):
             a, gain = fraction_scan_pick(cover.segments, cover.measure, p, c)
             block_entries.append((p, a))
             cover.add_arc(arc_of(p, a, c))
-            stall = stall + 1 if gain == 0 else 0
-            if stall >= 30 and not restarted:
-                restarted, stall = True, 0
-                rng = random.Random(f"{restart_seed}:{n}")
-                redraw = [(q, rng.randrange(q)) for q, _ in block_entries]
-                redraw_cover = _SegmentCover()
-                for q, r in redraw:
-                    redraw_cover.add_arc(arc_of(q, r, c))
-                if redraw_cover.measure > cover.measure:
-                    block_entries, cover = redraw, redraw_cover
+            assert gain > 0
     return tuple(entries), blocks
 
 
@@ -681,7 +672,7 @@ class TestBlocks:
     @pytest.mark.parametrize("epsilons", [[HALF, F(1, 4), F(1, 8), F(1, 16)], [F(1, 1000)]])
     @pytest.mark.parametrize("c", [HALF, F(49, 100), F(2, 5), F(1, 4), F(1, 10)])
     def test_every_step_gains(self, monkeypatch, epsilons, c):
-        # no step is flat (see block_construction), so the stall redraw never runs
+        # no step is flat (see block_construction); oracle_blocks asserts the same
         grew = []
         add = _Cover.add
 
@@ -1106,6 +1097,19 @@ def mutate(text, kind, at, token):
     return text + token  # trailing bytes
 
 
+# (kind, token) pairs for mutate
+MUTATIONS = st.one_of(
+    st.tuples(st.just("number"), st.sampled_from(
+        [b"01", b"00", b"+1", b"-1", b"1e3", b"2.0", b"true", b"", b" 1", b"1 ",
+         b"9223372036854775808", b"null", b'"7"', b"{}", b"-0"])),
+    st.tuples(st.sampled_from(["insert", "insert_in_rows"]), st.sampled_from(
+        [b" ", b"\n", b"\t", b"0", b"7", b"12", b",", b"[", b"]", b"-"])),
+    st.tuples(st.sampled_from(["crlf", "bom", "reorder", "duplicate", "truncate"]),
+              st.just(b"")),
+    st.tuples(st.just("trailing"), st.sampled_from([b"\n", b" ", b"x", b"{}", b"0"])),
+)
+
+
 class TestCanonicalLoader:
     # a file in sequence_text's layout is read in windows into the columns;
     # every other file goes through json.loads, and both give the same
@@ -1123,21 +1127,7 @@ class TestCanonicalLoader:
         assert type(loaded.entries.primes) is not list
 
     @settings(max_examples=400, deadline=None)
-    @given(
-        files(),
-        st.sampled_from([1 << 20, 64, 7]),
-        st.one_of(
-            st.tuples(st.just("number"), st.sampled_from(
-                [b"01", b"00", b"+1", b"-1", b"1e3", b"2.0", b"true", b"", b" 1", b"1 ",
-                 b"9223372036854775808", b"null", b'"7"', b"{}", b"-0"])),
-            st.tuples(st.sampled_from(["insert", "insert_in_rows"]), st.sampled_from(
-                [b" ", b"\n", b"\t", b"0", b"7", b"12", b",", b"[", b"]", b"-"])),
-            st.tuples(st.sampled_from(["crlf", "bom", "reorder", "duplicate", "truncate"]),
-                      st.just(b"")),
-            st.tuples(st.just("trailing"), st.sampled_from([b"\n", b" ", b"x", b"{}", b"0"])),
-        ),
-        st.integers(0, 10**6),
-    )
+    @given(files(), st.sampled_from([1 << 20, 64, 7]), MUTATIONS, st.integers(0, 10**6))
     def test_any_other_text_reads_as_json_reads_it(self, case, window, mutation, at):
         seq, schedule = case
         kind, token = mutation
