@@ -152,7 +152,7 @@ def cmd_sievelab(args: argparse.Namespace) -> str:
 def _hit_csv(classes_between: Callable[[int, int], Iterable[Classified]], bound: int) -> str:
     """One row per prime up to bound; each interval (lo, hi] is classified in its own process."""
     rows = map_prime_intervals(
-        lambda lo, hi: _hit_rows(classes_between(lo, hi)), bound, 2 * CLASSIFY_WORK
+        lambda lo, hi: _hit_rows(classes_between(lo, hi)), bound, 4 * CLASSIFY_WORK
     )
     return "".join(["p,distance_num,distance_den,hit,ambiguous\n", *rows])
 

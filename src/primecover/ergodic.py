@@ -82,10 +82,20 @@ def ergodic_rows(
                      or (f >= k - near and (q - a + 1) % p == 0)
 
     and no product of k and p is formed per prime.
+
+    Every row depends on x and y modulo 1 only, so both are first
+    reduced by math.fmod(., 1.0), which is exact: it subtracts an
+    integer and rounds nothing. x and y in (-1, 1) are unchanged, and
+    so are their rows. A larger x or y keeps every digit of its
+    fractional part, where unreduced 2 pi x overflows to inf at
+    x = 1e308 and y - a/p drops a/p once |y| >= 2^53. The hit test
+    reads h mod k, the same point of the circle as h/k.
     """
     h, k = y.as_integer_ratio()
     if k & (k - 1):
         raise ValueError(f"y must be a dyadic rational, such as a float; got {y!r}")
+    h %= k
+    x, y = math.fmod(x, 1.0), math.fmod(y, 1.0)
     shift, mask = k.bit_length() - 1, k - 1
     near = c.numerator * k // c.denominator
     far = k - near

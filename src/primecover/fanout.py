@@ -37,17 +37,27 @@ T = TypeVar("T")
 # each (19-20 ms against 25-26 ms) and in all three at 4,000 each (34-39
 # ms against 48-55 ms). One per-prime evaluation is an `ergodic` CSV row
 # (4.7-6.5 us) or one prime of one Monte Carlo trial (2.0 us at Y = 5000),
-# so a chunk of 2,000 is 4-13 ms of work. A prime costs less elsewhere
-# (serial medians at 1e5-1e7, sieve included, on the same VM): a hit
-# classification 1.4-1.5 us, a fractional one 1.0-1.1 us, either one with
-# its CSV row 3.2-4.0 us, and a prime counted by the sieve 47-49 ns (2.9 ns
-# per number). So a prime weighs 1/3 of an evaluation to classify
-# (`hits.CLASSIFY_WORK`), 2/3 with its CSV row and 1/100 to count
+# so a chunk of 2,000 is 4-13 ms of work. A prime costs less elsewhere. On
+# a second 2-core VM (Python 3.11.7), where an `ergodic` CSV row takes
+# 2.9-3.1 us and a trivial two-chunk round trip 1.8-2.1 ms, serial medians
+# at 1e5-1e7 (sieve included) are: a hit classification 0.48-0.59 us, a
+# fractional one 0.27-0.32 us, either one with its CSV row 0.86-1.38 us,
+# and a prime counted by the sieve 23-34 ns. So a classification is about
+# 1/6 of a row, and 2.4-3.2 times that with its CSV row. But after a fork
+# the caller's interval also runs slower (each first write to a page it
+# still shares with the worker is a copy-on-write fault), so the weights
+# are set where a split measured even: at the bounds where the old weights
+# of 1/3 and 2/3 forked (142,397, and 66,643 for CSV) a split lost to
+# serial in every one of 3 rounds of 15 interleaved pairs, 11 ms against 7
+# for hit JSON and 12 against 8 for hit CSV, in-process with the 1e6
+# sequence loaded. So a prime weighs 1/8 of an evaluation to classify
+# (`hits.CLASSIFY_WORK`), 1/2 with its CSV row and 1/100 to count
 # (`primes.COUNT_WORK`): on two CPUs `hits` and `fracparts` fork from a
-# bound of 142,397 (66,643 for CSV), the count from 6,259,868 and the dense
-# `ergodic` from 42,643. Below that a split lost or tied: hit JSON at 1e5
-# took 15.5 ms split against 10.3 serial, and the count at 3e6 9.2 against
-# 9.1.
+# bound of 413,866 (91,383 for CSV), where a split and a serial call tie
+# (split faster in 0 to 15 of 15 pairs from round to round at 413,866,
+# and in 7 to 10 at 91,383), the count from 6,259,868 and the dense
+# `ergodic` from 42,643. Below that a split lost or tied: the count at 3e6
+# took 9.2 ms split against 9.1.
 MIN_CHUNK = 2000
 
 

@@ -10,8 +10,19 @@ different statement from the two-sided circle distance.
 Both per-prime classifications run in exact integer arithmetic: value,
 eta and c are split into numerators and denominators once, and each
 comparison is cross-multiplied by the (positive) common denominator, so
-a prime costs a few integer operations and no float or Fraction
-comparison decides a status.
+no float or Fraction comparison decides a status.
+
+Those cross-products are large (n*E*v is about 2^100 at eta = 1e-16),
+but they decide only the few primes near a threshold. In units of a
+prime's small residue (n for hits, r for fractional parts) its
+uncertainty band is eta*k*p wide, for value = h/k, so the call's last
+and largest prime p_max has the widest band. Each classifier works out,
+once per call, integer bounds on the residue from that widest band: a
+residue past a bound is a clear hit or a clear miss for every p <=
+p_max, and rounding each bound toward its own side (floor below, ceil
+above) keeps the comparison exact. Only the residues between the bounds
+take the cross-multiplied tests; each classifier's docstring derives
+its bounds.
 
 There is one classifier per predicate, `classify_hits` and
 `classify_fractional`, each over the ascending primes its caller gives
@@ -29,7 +40,7 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 from .arcs import RationalLike, checked_c, fraction_text, to_fraction
 from .primes import MERTENS, _check_bound, harmonic_H_float, map_prime_intervals, primes_between
@@ -37,7 +48,7 @@ from .sequences import NumeratorSequence
 
 # per-prime evaluations that sieving and classifying one prime costs (see
 # fanout.MIN_CHUNK)
-CLASSIFY_WORK = 1 / 3
+CLASSIFY_WORK = 1 / 8
 
 
 @dataclass(frozen=True)
@@ -124,14 +135,14 @@ def _report(bound: int, tallies: list[tuple], heuristic: float) -> HitReport:
 
 
 def classify_hits(
-    x: RealApproximant, c: Fraction, primes: Iterable[int], numerators: Iterable[int]
+    x: RealApproximant, c: Fraction, primes: Sequence[int], numerators: Sequence[int]
 ) -> Iterator[Classified]:
     """Classify each prime, beside its numerator a_p, as hit, miss, or ambiguous.
 
     Yields (p, n, den, hit, ambiguous), where n/den (not reduced) is the
     circle distance from x.value to a_p/p. Hit requires the whole
     interval [value - eta, value + eta] to lie within c/p of a_p/p; miss
-    requires all of it to lie outside.
+    requires all of it to lie outside. The primes ascend.
 
     With value = h/k, eta = e/E and c = u/v, the circle distance from
     value to a/p is n/(k*p), where r = (h*p - a*k) mod k*p and
@@ -141,6 +152,15 @@ def classify_hits(
         miss <=>  dist - eta >  c/p  <=>  n*E*v - e*k*p*v >  u*k*E
 
     so each prime costs a few integer operations and no Fraction.
+
+    Most primes are clear misses, and n alone shows it. The band term
+    e*k*p*v is largest at the call's last prime p_max, so with
+    far = u*k*E + e*k*v*p_max, n*E*v > far makes every p <= p_max a
+    miss. For the integer n and E*v > 0, n*E*v > far iff
+    n > floor(far/(E*v)) = clear_miss: one comparison of two small ints
+    settles those primes, and the rest take the two tests above. With
+    eta = 0, clear_miss = floor(u*k/v): every n above it is a miss, and
+    every other n a hit.
     """
     h, k = x.value.numerator, x.value.denominator
     e, big_e = x.eta.numerator, x.eta.denominator
@@ -148,10 +168,16 @@ def classify_hits(
     scale = big_e * v
     spread = e * k * v
     threshold = u * k * big_e
+    p_max = primes[-1] if primes else 0
+    clear_miss = (threshold + spread * p_max) // scale
     for p, a in zip(primes, numerators):
         kp = k * p
         r = (h * p - a * k) % kp
-        n = min(r, kp - r)
+        s = kp - r
+        n = r if r < s else s
+        if n > clear_miss:
+            yield p, n, kp, False, False
+            continue
         near, band = n * scale, spread * p
         if near + band <= threshold:
             yield p, n, kp, True, False
@@ -188,14 +214,14 @@ def check_eta(x: RealApproximant, bound: int) -> None:
 
 
 def classify_fractional(
-    x: RealApproximant, c: Fraction, primes: Iterable[int]
+    x: RealApproximant, c: Fraction, primes: Sequence[int]
 ) -> Iterator[Classified]:
     """Classify each prime by the one-sided predicate {x*p} < c.
 
     Yields (p, r, k, hit, ambiguous), where r/k (not reduced) is the
     exact fractional part of value*p. When the uncertainty band p*eta
     touches 0, 1, or c, the true status depends on the unknown part of x
-    and the prime is ambiguous.
+    and the prime is ambiguous. The primes ascend.
 
     With value = h/k, eta = e/E and c = u/v, the fractional part
     {value*p} is r/k with r = h*p mod k. In units of 1/(k*E) it is
@@ -209,6 +235,24 @@ def classify_fractional(
     Every comparison is an exact integer one. eta = 0 takes the same
     comparisons: then E = 1 and d = 0, so the first two always hold, the
     prime is a hit iff r*v < u*k, and it is never ambiguous.
+
+    Most primes are settled by r alone. Every d of the call is at most
+    d_max = p_max*e*k, at its last prime p_max, so each test holds for
+    every p <= p_max when it holds with d_max in place of d. For
+    integers, X*v < cut iff X <= ceil(cut/v) - 1 (with cut = u*k*E), and
+    X*v >= cut iff X >= ceil(cut/v); dividing by E, floor below and
+    ceil above:
+
+        r >= lo  = ceil(d_max/E)                             =>  f >= d
+        r <= hi  = floor((k*E - d_max - 1)/E)                =>  f + d < k*E
+        r <= clear_hit  = floor((ceil(cut/v) - 1 - d_max)/E)  =>  (f + d)*v < cut
+        r >= clear_miss = ceil((ceil(cut/v) + d_max)/E)       =>  (f - d)*v >= cut
+
+    As 0 < c < 1, clear_hit <= hi and clear_miss >= lo, so
+    lo <= r <= clear_hit is a hit and clear_miss <= r <= hi a miss, each
+    one chained comparison of small ints; the r between or outside take
+    the four tests. With eta = 0 the bounds are 0, k - 1, ceil(u*k/v) - 1
+    and ceil(u*k/v), so they settle every r.
     """
     h, k = x.value.numerator, x.value.denominator
     e, big_e = x.eta.numerator, x.eta.denominator
@@ -216,8 +260,19 @@ def classify_fractional(
     one = k * big_e
     cut = u * k * big_e
     ek = e * k
+    d_max = (primes[-1] if primes else 0) * ek
+    cut_ceil = -(-cut // v)
+    lo, hi = -(-d_max // big_e), (one - d_max - 1) // big_e
+    clear_hit = (cut_ceil - 1 - d_max) // big_e
+    clear_miss = -(-(cut_ceil + d_max) // big_e)
     for p in primes:
         r = h * p % k
+        if lo <= r <= clear_hit:
+            yield p, r, k, True, False
+            continue
+        if clear_miss <= r <= hi:
+            yield p, r, k, False, False
+            continue
         f, d = r * big_e, p * ek
         if f >= d and f + d < one:
             if (f + d) * v < cut:

@@ -653,6 +653,14 @@ class TestErgodicCommand:
                     for p, a, distance, s, method, is_hit in rows]
         assert [line.split(",") for line in out.splitlines()[1:]] == expected
 
+    def test_largest_x_is_reduced_exactly(self, capsys, seq_file):
+        # 2 pi x overflowed to inf at x = 1e308 and math.cos(inf) raised;
+        # 1e308 is an integer, so its rows are those at x = 0
+        args = ("ergodic", "--seq", seq_file, "--y", "0.5", "--primes-up-to", "300")
+        code, out, err = run_cli(capsys, *args, "--x", "1e308")
+        assert (code, err) == (0, "")
+        assert out == run_cli(capsys, *args, "--x", "0")[1]
+
     def test_psi_mode(self, capsys, seq_file):
         # the bytes that --sparse psi printed with each of the removed --psi
         # names (log, loglog, sqrt_log), which the CSV never showed

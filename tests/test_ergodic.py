@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import circle_distance, reduce_offset, s_direct
+from primecover.cli import _ergodic_csv
 from primecover.ergodic import (
     ergodic_rows,
     s_closed,
@@ -303,6 +304,39 @@ class TestExactHitFlag:
         with pytest.raises(ValueError, match=r"^y must be a dyadic rational, such as a float; "
                                              r"got Fraction\(1, 3\)$"):
             list(ergodic_rows(F(1, 4), 0.3, F(1, 3), [5], [1]))
+
+
+@st.composite
+def dyadic_shifts(draw):
+    """(x, y, m): dyadic x and y in [0, 1) and an integer m <= 2^50 that x + m and y + m hold exactly."""
+    m = draw(st.integers(0, 2**50))
+    bits = 52 - m.bit_length()
+    x, y = (draw(st.integers(0, 2**bits - 1)) / 2**bits for _ in range(2))
+    return x, y, m
+
+
+class TestReducedPoint:
+    # every row depends on x and y modulo 1 only, and ergodic_rows reduces
+    # both exactly, so a whole turn added to either changes no byte of the CSV
+
+    @given(dyadic_shifts(), st.sampled_from([F(1, 2), F(1, 4), F(2, 7)]))
+    @settings(max_examples=100, deadline=None)
+    def test_rows_at_x_plus_m_and_y_plus_m_are_those_at_x_and_y(self, point, c):
+        x, y, m = point
+        assert (x + m) - m == x and (y + m) - m == y
+        primes = list(sieve_range(300))
+        numerators = [(p * 3) // 7 for p in primes]
+        rows = _ergodic_csv(ergodic_rows(c, x, y, primes, numerators))
+        assert _ergodic_csv(ergodic_rows(c, x + m, y + m, primes, numerators)) == rows
+        assert _ergodic_csv(ergodic_rows(c, x + m, y, primes, numerators)) == rows
+        assert _ergodic_csv(ergodic_rows(c, x, y + m, primes, numerators)) == rows
+
+    def test_largest_x_and_y(self):
+        # 1e308 is an integer: 2 pi x overflowed to inf, and y - a/p dropped a/p
+        rows = list(ergodic_rows(F(1, 4), 1e308, 1e308, [2, 3], [0, 1]))
+        assert rows == list(ergodic_rows(F(1, 4), 0.0, 0.0, [2, 3], [0, 1]))
+        assert rows[1][2] == pytest.approx(1 / 3) and abs(rows[1][3]) < 1e-15
+        assert rows[1][4] == "closed"
 
 
 class TestSparsePrimeSet:

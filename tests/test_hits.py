@@ -346,6 +346,101 @@ class TestIntegerClassificationOracle:
         assert rows == fraction_fractional_rows(y, F(1, 4), 3000)
 
 
+@st.composite
+def threshold_calls(draw):
+    """(primes of a call, its low end lo, a target prime below the call's last, eta).
+
+    The call is the primes of (lo, bound], as one interval of the fan-out
+    gets them, with at least two primes; eta is up to check_eta's limit
+    for the call, eta * bound < 1/4.
+    """
+    bound = draw(st.integers(3, 150))
+    primes = sieve_range(bound)
+    lo = draw(st.integers(1, primes[-2] - 1))
+    call = [p for p in primes if p > lo]
+    target = draw(st.sampled_from(call[:-1]))
+    den = draw(st.integers(2, 10**18))
+    eta = F(draw(st.integers(1, den - 1)), den * 4 * bound)
+    return call, lo, target, eta
+
+
+def in_call(rows, lo):
+    return [row for row in rows if row[0] > lo]
+
+
+class TestThresholdBounds:
+    # The classifiers settle most primes from their residue by bounds worked
+    # out at the call's last prime; a prime below it, with x a few eta from
+    # its threshold, is where bounds taken at a smaller prime go wrong.
+
+    @given(st.data(), threshold_calls())
+    @settings(max_examples=300, deadline=None)
+    def test_hits_near_a_threshold_below_the_last_prime(self, data, call):
+        primes, lo, target, eta = call
+        c = data.draw(widths())
+        seq = data.draw(numerator_sequences(primes[-1], c))
+        a = seq.numerator_for(target)
+        shift = eta * data.draw(st.integers(-12, 12)) / 4
+        side = data.draw(st.sampled_from((-1, 1)))
+        value = F(a, target) + side * (c / target + shift) + data.draw(st.integers(-2, 2))
+        x = RealApproximant(value, eta, "near")
+        scanned = seq.scan(lo, primes[-1])
+        assert scanned[0] == primes
+        expected = in_call(fraction_hit_rows(x, seq, primes[-1]), lo)
+        assert exact_rows(classify_hits(x, c, *scanned)) == expected
+        assert exact_rows(classify_hits(x, c, tuple(scanned[0]), tuple(scanned[1]))) == expected
+
+    @given(st.data(), threshold_calls())
+    @settings(max_examples=300, deadline=None)
+    def test_fractional_near_a_threshold_below_the_last_prime(self, data, call):
+        # {value*target} a few eta from where its band meets 0, c or 1
+        primes, lo, target, eta = call
+        c = data.draw(widths())
+        edge = data.draw(st.sampled_from((0, c, 1)))
+        side = data.draw(st.sampled_from((-1, 1)))
+        spot = edge + side * target * eta + eta * data.draw(st.integers(-12, 12)) / 4
+        value = (spot + data.draw(st.integers(-3 * target, 3 * target))) / target
+        x = RealApproximant(value, eta, "near")
+        check_eta(x, primes[-1])
+        expected = in_call(fraction_fractional_rows(x, c, primes[-1]), lo)
+        assert exact_rows(classify_fractional(x, c, primes)) == expected
+        assert exact_rows(classify_fractional(x, c, tuple(primes))) == expected
+
+    @given(rationals(), widths(), etas(F(1, 8)), st.integers(2, 150))
+    @settings(max_examples=100, deadline=None)
+    def test_one_prime_and_empty_calls(self, value, c, eta, bound):
+        x = RealApproximant(value, eta, "drawn")
+        assert list(classify_hits(x, c, [], [])) == []
+        assert list(classify_hits(x, c, (), ())) == []
+        assert list(classify_fractional(x, c, [])) == []
+        assert list(classify_fractional(x, c, ())) == []
+        p = sieve_range(bound)[-1]
+        seq = NumeratorSequence(c, tuple((q, q // 3) for q in sieve_range(p)))
+        assert exact_rows(classify_hits(x, c, *seq.scan(p - 1, p))) == (
+            fraction_hit_rows(x, seq, p)[-1:]
+        )
+        if eta * p < F(1, 4):
+            assert exact_rows(classify_fractional(x, c, (p,))) == (
+                fraction_fractional_rows(x, c, p)[-1:]
+            )
+
+    def test_sieve_range_tuples_at_the_check_eta_limit(self):
+        # eta * bound just under 1/4: the widest band check_eta allows
+        bound = 3000
+        primes = sieve_range(bound)
+        assert isinstance(primes, tuple)
+        x = RealApproximant(approximant_named("golden", F(1, 10**12)).value,
+                            F(1, 4 * bound) - F(1, 10**9), "wide")
+        check_eta(x, bound)
+        rows = exact_rows(classify_fractional(x, F(1, 4), primes))
+        assert rows == fraction_fractional_rows(x, F(1, 4), bound)
+        assert any(row[3] for row in rows) and any(row[2] for row in rows)
+        seq = seq_from_rule(bound, F(1, 4), lambda p: p // 3)
+        numerators = tuple(seq.numerator_for(p) for p in primes)
+        rows = exact_rows(classify_hits(x, seq.c, primes, numerators))
+        assert rows == fraction_hit_rows(x, seq, bound)
+
+
 class TestClassificationBoundaries:
     # p = 3, a_3 = 1, c = 1/4: the threshold c/p is 1/12
     SEQ = NumeratorSequence(F(1, 4), ((2, 0), (3, 1)))
