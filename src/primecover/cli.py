@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence
 
 from .arcs import checked_c, checked_range, rat_str, to_fraction
-from .ergodic import ErgodicRow, ergodic_rows, sparse_prime_set
+from .ergodic import SPARSE_BASES, ErgodicRow, ergodic_rows, sparse_prime_set
 from .hits import (
     CLASSIFY_WORK,
     DEFAULT_NAMED_ETA,
@@ -43,6 +43,7 @@ from .hits import (
 from .primes import _check_bound, map_prime_intervals, prime_count, primes_between, sieve_range
 from .sequences import (
     DEFAULT_SEED,
+    _frame,
     _json_text,
     block_construction,
     constant_sequence,
@@ -50,7 +51,6 @@ from .sequences import (
     load_sequence,
     random_sequence,
     save_sequence,
-    schedule_rows,
     uncovered_measure,
     write_atomically,
 )
@@ -104,16 +104,7 @@ def cmd_seq_build(args: argparse.Namespace) -> str:
             raise ValueError("blocks method needs --epsilons")
         seq, schedule = block_construction(args.epsilons.split(","), args.c, args.bound)
     save_sequence(seq, args.seq_out, schedule)
-    summary = {
-        "out": args.seq_out,
-        "method": seq.method,
-        "c": rat_str(seq.c),
-        "seed": seq.seed,
-        "entries": len(seq.entries),
-    }
-    if schedule is not None:
-        summary["blocks"] = schedule_rows(schedule)
-    return _json_text(summary)
+    return _json_text({**_frame(seq, schedule), "entries": len(seq.entries), "out": args.seq_out})
 
 
 def cmd_coverage(args: argparse.Namespace) -> str:
@@ -131,15 +122,15 @@ def cmd_sievelab(args: argparse.Namespace) -> str:
     if args.seq_path is not None:
         seq = _load_seq(args)
         doc = alpha_and_markov(level_sets(seq, x, y)).to_dict()
-        doc["mode"] = "exact"
         c = seq.c
     else:
         if args.c is None:
             raise ValueError("give --seq or --c")
         c = args.c
-        doc = {"x": rat_str(x), "y": rat_str(y), "c": rat_str(c), "mode": "exact"}
+        doc = {"x": rat_str(x), "y": rat_str(y), "c": rat_str(c)}
         if not args.exact and args.trials is None:
             raise ValueError("without --seq, give --exact and/or --mc")
+    doc["mode"] = "exact"
     if args.exact:
         doc["omega_expectation"] = rat_str(omega_expectation_exact(x, y, c))
     if args.trials is not None:
@@ -151,6 +142,11 @@ def cmd_sievelab(args: argparse.Namespace) -> str:
 
 def _hit_csv(classes_between: Callable[[int, int], Iterable[Classified]], bound: int) -> str:
     """One row per prime up to bound; each interval (lo, hi] is classified in its own process."""
+    # a classification with its CSV row takes 0.86-1.38 us, 2.4-3.2 times one
+    # without (serial medians on the VM of hits.CLASSIFY_WORK). The old weight
+    # of 2/3 forked from 66,643, where a split lost to serial in every one of
+    # 3 rounds of 15 interleaved pairs (12 ms against 8); at 1/2 the CSV forks
+    # on two CPUs from 91,383, where a split was faster in 7 to 10 of 15 pairs
     rows = map_prime_intervals(
         lambda lo, hi: _hit_rows(classes_between(lo, hi)), bound, 4 * CLASSIFY_WORK
     )
@@ -172,18 +168,7 @@ def _hit_rows(classes: Iterable[Classified]) -> str:
 
 
 def _hit_json(report: HitReport, label: str, c: Fraction) -> str:
-    return _json_text(
-        {
-            "bound": report.bound,
-            "c": rat_str(c),
-            "x": label,
-            "hits": report.hits,
-            "ambiguous": report.ambiguous,
-            "heuristic": report.heuristic,
-            "ratio": report.ratio,
-            "hit_reciprocal_sum": report.hit_reciprocal_sum,
-        }
-    )
+    return _json_text({**vars(report), "c": rat_str(c), "x": label})
 
 
 def cmd_hits(args: argparse.Namespace) -> str:
@@ -238,7 +223,9 @@ def cmd_ergodic(args: argparse.Namespace) -> str:
         rows = [_ergodic_csv(ergodic_rows(seq.c, x, y, primes, seq.numerators_of(primes)))]
     else:
         # the earliest interval's error is raised, so a missing prime is named
-        # as the serial run names it: the smallest one
+        # as the serial run names it: the smallest one. A row weighs 1, the
+        # evaluation fanout.MIN_CHUNK counts in, so on two CPUs the scan
+        # forks from 42,643 primes
         rows = map_prime_intervals(
             lambda lo, hi: _ergodic_csv(ergodic_rows(seq.c, x, y, *seq.scan(lo, hi))),
             args.primes_up_to,
@@ -320,8 +307,8 @@ def _build_parser() -> argparse.ArgumentParser:
     e.add_argument("--x", required=True)
     e.add_argument("--y", required=True)
     e.add_argument("--primes-up-to", type=int, required=True, dest="primes_up_to")
-    e.add_argument("--sparse", choices=["geometric", "psi"],
-                   help="geometric: least prime above 4^n; psi: least prime above 2^n")
+    e.add_argument("--sparse", choices=SPARSE_BASES, help="; ".join(
+        f"{mode}: least prime above {base}^n" for mode, base in SPARSE_BASES.items()))
     e.add_argument("--out", dest="out_path")
 
     return parser

@@ -125,6 +125,10 @@ class SparsePrimeSet:
     weight_sum: float  # sum of log p / p over the members
 
 
+# each mode of sparse_prime_set and the base b of its skeleton b^n
+SPARSE_BASES = {"geometric": 4, "psi": 2}
+
+
 def sparse_prime_set(bound: int, mode: str = "geometric") -> SparsePrimeSet:
     """Build a sparse prime set up to `bound`.
 
@@ -135,17 +139,13 @@ def sparse_prime_set(bound: int, mode: str = "geometric") -> SparsePrimeSet:
     skeleton.
     """
     _check_bound(bound)
-    if mode == "geometric":
-        skeleton_base = 4
-    elif mode == "psi":
-        skeleton_base = 2
-    else:
-        raise ValueError(f"unknown mode {mode!r}; choose 'geometric' or 'psi'")
+    if mode not in SPARSE_BASES:
+        raise ValueError(f"unknown mode {mode!r}; choose {' or '.join(map(repr, SPARSE_BASES))}")
 
     members = []
     n = 1
     while True:
-        p = next_prime(skeleton_base**n)
+        p = next_prime(SPARSE_BASES[mode] ** n)
         if p > bound:
             break
         members.append(p)

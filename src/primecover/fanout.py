@@ -29,35 +29,21 @@ from typing import Callable, Sequence, TypeVar
 
 T = TypeVar("T")
 
-# The least work, in per-prime evaluations, that is worth a fork. Measured
-# on a 2-core VM with Python 3.11.7, in a 43 MiB process holding the 1e6
-# sequence: a fork, pipe and reap round trip with a trivial chunk costs
-# 3.1-3.7 ms; two chunks of `ergodic` rows match one serial call at 1,000
-# rows each (about 12 ms in all), beat it in two runs of three at 2,000
-# each (19-20 ms against 25-26 ms) and in all three at 4,000 each (34-39
-# ms against 48-55 ms). One per-prime evaluation is an `ergodic` CSV row
-# (4.7-6.5 us) or one prime of one Monte Carlo trial (2.0 us at Y = 5000),
-# so a chunk of 2,000 is 4-13 ms of work. A prime costs less elsewhere. On
-# a second 2-core VM (Python 3.11.7), where an `ergodic` CSV row takes
-# 2.9-3.1 us and a trivial two-chunk round trip 1.8-2.1 ms, serial medians
-# at 1e5-1e7 (sieve included) are: a hit classification 0.48-0.59 us, a
-# fractional one 0.27-0.32 us, either one with its CSV row 0.86-1.38 us,
-# and a prime counted by the sieve 23-34 ns. So a classification is about
-# 1/6 of a row, and 2.4-3.2 times that with its CSV row. But after a fork
-# the caller's interval also runs slower (each first write to a page it
-# still shares with the worker is a copy-on-write fault), so the weights
-# are set where a split measured even: at the bounds where the old weights
-# of 1/3 and 2/3 forked (142,397, and 66,643 for CSV) a split lost to
-# serial in every one of 3 rounds of 15 interleaved pairs, 11 ms against 7
-# for hit JSON and 12 against 8 for hit CSV, in-process with the 1e6
-# sequence loaded. So a prime weighs 1/8 of an evaluation to classify
-# (`hits.CLASSIFY_WORK`), 1/2 with its CSV row and 1/100 to count
-# (`primes.COUNT_WORK`): on two CPUs `hits` and `fracparts` fork from a
-# bound of 413,866 (91,383 for CSV), where a split and a serial call tie
-# (split faster in 0 to 15 of 15 pairs from round to round at 413,866,
-# and in 7 to 10 at 91,383), the count from 6,259,868 and the dense
-# `ergodic` from 42,643. Below that a split lost or tied: the count at 3e6
-# took 9.2 ms split against 9.1.
+# The least work, in per-prime evaluations, that is worth a fork. One
+# per-prime evaluation is an `ergodic` CSV row (4.7-6.5 us) or one prime of
+# one Monte Carlo trial (2.0 us at Y = 5000); a caller whose prime costs
+# less passes its weight as work_per_item. Measured on a 2-core VM with
+# Python 3.11.7, in a 43 MiB process holding the 1e6 sequence: a fork,
+# pipe and reap round trip with a trivial chunk costs 3.1-3.7 ms; two
+# chunks of `ergodic` rows match one serial call at 1,000 rows each (about
+# 12 ms in all), beat it in two runs of three at 2,000 each (19-20 ms
+# against 25-26 ms) and in all three at 4,000 each (34-39 ms against 48-55
+# ms). So a chunk of 2,000 is 4-13 ms of work. On a second 2-core VM
+# (Python 3.11.7) an `ergodic` CSV row takes 2.9-3.1 us and a trivial
+# two-chunk round trip 1.8-2.1 ms. After a fork the caller's own chunk
+# also runs slower (each first write to a page it still shares with a
+# worker is a copy-on-write fault), so each weight is set where a split
+# measured even against a serial call, not at its cost alone.
 MIN_CHUNK = 2000
 
 

@@ -46,8 +46,15 @@ from .arcs import RationalLike, checked_c, fraction_text, to_fraction
 from .primes import MERTENS, _check_bound, harmonic_H_float, map_prime_intervals, primes_between
 from .sequences import NumeratorSequence
 
-# per-prime evaluations that sieving and classifying one prime costs (see
-# fanout.MIN_CHUNK)
+# per-prime evaluations that sieving and classifying one prime costs. On a
+# 2-core VM with Python 3.11.7, serial medians at 1e5-1e7 (sieve included)
+# are 0.48-0.59 us for a hit classification and 0.27-0.32 us for a
+# fractional one, about 1/6 of an `ergodic` CSV row (2.9-3.1 us there).
+# The old weight of 1/3 forked from 142,397, where a split lost to serial
+# in every one of 3 rounds of 15 interleaved pairs (11 ms against 7 for hit
+# JSON, in-process with the 1e6 sequence loaded). At 1/8 `hits` and
+# `fracparts` fork on two CPUs from 413,866, where a split and a serial
+# call tie (split faster in 0 to 15 of 15 pairs from round to round).
 CLASSIFY_WORK = 1 / 8
 
 

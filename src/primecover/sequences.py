@@ -555,20 +555,23 @@ _BLOCK_END = "\n  ]"  # after the last row; no row holds it
 _WINDOW = 4096  # entries per piece of the file's text
 
 
-def schedule_rows(schedule: BlockSchedule) -> list[list]:
-    """The schedule as the file stores it: [start, end, epsilon, achieved] per block."""
-    return [
-        [b.start, b.end, rat_str(b.epsilon), rat_str(b.achieved_uncovered)]
-        for b in schedule.blocks
-    ]
+def _frame(seq: NumeratorSequence, schedule: Optional[BlockSchedule]) -> dict:
+    """Every key of the sequence file but "entries".
+
+    "blocks", given a schedule, holds [start, end, epsilon, achieved] per block.
+    """
+    doc = {"c": rat_str(seq.c), "method": seq.method, "seed": seq.seed}
+    if schedule is not None:
+        doc["blocks"] = [
+            [b.start, b.end, rat_str(b.epsilon), rat_str(b.achieved_uncovered)]
+            for b in schedule.blocks
+        ]
+    return doc
 
 
 def _sequence_pieces(seq: NumeratorSequence, schedule: Optional[BlockSchedule]) -> Iterator[str]:
     """sequence_text as pieces; head and tail are made at the call, before any file opens."""
-    doc = {"c": rat_str(seq.c), "entries": [], "method": seq.method, "seed": seq.seed}
-    if schedule is not None:
-        doc["blocks"] = schedule_rows(schedule)
-    head, tail = _json_text(doc).split(_KEY + "[]")
+    head, tail = _json_text({**_frame(seq, schedule), "entries": []}).split(_KEY + "[]")
     return chain((head + _KEY,), _entry_pieces(seq.entries.primes, seq.entries.numerators), (tail,))
 
 
@@ -586,9 +589,8 @@ def _entry_pieces(primes, numerators) -> Iterator[str]:
 def sequence_text(seq: NumeratorSequence, schedule: Optional[BlockSchedule] = None) -> str:
     """The sequence file's text; its layout is written in `_ROW` and `_sequence_pieces`.
 
-    Byte contract: `_json_text(doc)` for doc = {"c": rat_str(seq.c),
-    "method": seq.method, "seed": seq.seed, "entries": [[p, a], ...]},
-    plus "blocks": schedule_rows(schedule) when a schedule is given.
+    Byte contract: `_json_text(doc)` for doc = {**_frame(seq, schedule),
+    "entries": [[p, a], ...]}.
     The text around the entries is `_json_text` of doc with "entries" as
     [], cut at that value (`_sequence_pieces`), and each window of 4,096
     entries is one %-format of `_ROW` repeated: indent turns off json's C

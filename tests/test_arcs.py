@@ -254,6 +254,14 @@ class TestSerialization:
         assert to_fraction("1/2") == F(1, 2)
         assert to_fraction("0.25") == F(1, 4)
 
+    def test_to_fraction_rejects_a_float(self):
+        with pytest.raises(TypeError, match="^expected rational-like value, got float$"):
+            to_fraction(0.5)
+
+    def test_arc_longer_than_the_circle(self):
+        with pytest.raises(ValueError, match="^arc length 2 outside \\[0, 1\\]$"):
+            Arc(F(0), F(2))
+
 
 WIDTHS = (F(1, 8), F(1, 4), F(2, 7), F(1, 3), F(3, 7), F(1, 2))
 

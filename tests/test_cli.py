@@ -347,6 +347,45 @@ class TestSequenceFileGoldens:
         assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest
 
 
+class TestReportGoldens:
+    # seq build's summary and the hit reports as the CLI printed them when it
+    # built each report key by key; r.json is the random sequence at 3000
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (("seq", "build", "--method", "random", "--bound", "1000", "--c", "1/4"),
+             "e1623f48578abee1e198d14ec7ada8213bf27efc0614f9c9f3e5571daeca3043"),
+            (("seq", "build", "--method", "greedy", "--bound", "2000", "--c", "1/4"),
+             "556c50251f8e7d0c36ed1b6e87d38cb52a42b75b28ac32f7b442a2c9e3601658"),
+            (("seq", "build", "--method", "constant", "--bound", "1000", "--c", "1/4"),
+             "150ebe348796a2e10c5a812425b684deb956c94bfe2e4d8daeebc3b02be6ff78"),
+            (("seq", "build", "--method", "blocks", "--bound", "100000", "--c", "1/4",
+              "--epsilons", "1/2,1/3"),
+             "7daa8b9243595a833b7389f82cea4b02448c5a7b4455d6ed3de158f9e07a71ee"),
+            (("hits", "--seq", "r.json", "--x-named", "sqrt2", "--eta", "1e-6", "--bound", "3000"),
+             "2f795b05ebed501f7f9d52c840ebdf643164412d6afb12d18ab948dd662e4b78"),
+            (("fracparts", "--x-named", "golden", "--eta", "3e-5", "--c", "1/4",
+              "--bound", "3000"),
+             "89ad70e6c3dfd7739e7a3e6391bc92489af69c5dfc569651cc02a63ba9aa73d4"),
+        ],
+        ids=["random", "greedy", "constant", "blocks", "hits", "fracparts"],
+    )
+    def test_printed_bytes(self, capsys, monkeypatch, tmp_path, argv, digest):
+        monkeypatch.chdir(tmp_path)  # the summary prints the out path
+        if argv[0] == "seq":
+            argv += ("--out", "s.json")
+        elif argv[0] == "hits":
+            assert main(["seq", "build", "--method", "random", "--bound", "3000",
+                         "--c", "1/4", "--out", "r.json"]) == 0
+            capsys.readouterr()
+            assert hashlib.sha256(Path("r.json").read_bytes()).hexdigest() == (
+                "3717100b071d35dd11f6b850c0374436e121a27367ed379a39fcc74ab40f6e4b"
+            )
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 class TestSievelabCommand:
     def test_exact_expectation(self, capsys):
         code, out, _ = run_cli(

@@ -371,5 +371,5 @@ class TestSparsePrimeSet:
         assert s.primes == (3, 5, 11, 17, 37, 67, 131, 257, 521)
 
     def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^unknown mode 'arithmetic'; choose 'geometric' or 'psi'$"):
             sparse_prime_set(100, "arithmetic")

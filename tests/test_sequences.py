@@ -916,6 +916,11 @@ class TestEntryColumns:
         assert repr(view) == repr(self.ENTRIES)
         assert [type(column).__name__ for column in (view.primes, view.numerators)] == ["array"] * 2
 
+    def test_a_list_is_not_equal_in_either_order(self):
+        entries = NumeratorSequence(HALF, ((2, 1),)).entries
+        assert entries.__eq__([(2, 1)]) is NotImplemented
+        assert not entries == [(2, 1)] and not [(2, 1)] == entries
+
     def test_given_as_list_or_view(self):
         seq = NumeratorSequence(HALF, self.ENTRIES)
         assert NumeratorSequence(HALF, list(self.ENTRIES)) == seq
